@@ -12,6 +12,7 @@ or failed verification checks, 2 parse/usage error, 3 non-fanning input,
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .invariants import (
     maurer_cartan_pullback,
     normal_frame,
     normalized_frame_jet,
+    ode_coefficients,
     wilczynski_invariants,
 )
 from .jets import JetError
@@ -48,6 +50,7 @@ EXIT_INCONCLUSIVE = 5
 EXIT_INTERNAL = 10
 
 DEFAULT_TOL = 1e-7
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass
@@ -78,12 +81,19 @@ def _parse_grid(text):
         if len(parts) != 3:
             raise ValueError(f"grid spec must be start:end:count, got {text!r}")
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError("grid count must be >= 1")
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(f"grid endpoints must be finite, got {text!r}")
+        if not 1 <= count <= MAX_GRID_POINTS:
+            raise ValueError(f"grid count must be in 1..{MAX_GRID_POINTS}, got {count}")
         if count == 1:
             return (start,)
         return tuple(np.linspace(start, end, count))
-    return tuple(float(x) for x in text.split(","))
+    times = tuple(float(x) for x in text.split(","))
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError(f"grid times must be finite, got {text!r}")
+    if len(times) > MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} times")
+    return times
 
 
 def _default_tolerance():
@@ -173,8 +183,8 @@ def cmd_invariants(config):
     curve = load_curve(config.paths[0])
     points = []
     rows = []
-    for t in config.grid:
-        fj = curve.frame_jet(t, _jet_order(curve))
+    jets = curve.frame_jets(config.grid, _jet_order(curve))
+    for t, fj in zip(config.grid, jets):
         fj.require_fanning()
         was_normal = is_normal(fj)
         inv = wilczynski_invariants(fj)
@@ -366,7 +376,8 @@ def cmd_verify(config):
 
     normalized = fj if is_normal(fj) else normalized_frame_jet(fj)
     nb = endomorphism_bundle(normalized)
-    kappa0 = wilczynski_invariants(normalized).kappa.value()
+    # With P_1 = 0 the normal frame's kappa is its coefficient P_2.
+    kappa0 = ode_coefficients(normalized)[1].value()
     h0 = nb.horizontal.value()
     res = np.max(np.abs(nb.jacobi @ h0 - (k - 1) * h0 @ kappa0))
     record("jacobi_eigenrelation", res / (1.0 + np.max(np.abs(kappa0))), tol)

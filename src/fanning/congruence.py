@@ -16,10 +16,10 @@ import numpy as np
 
 from .curves import InsufficientOrderError
 from .invariants import normal_frame, normalizing_jet, ode_coefficients
+from .jets import DEFAULT_CONDITION_LIMIT
 from .linalg import nullspace, span_distance
 
 DEFAULT_CONJUGATOR_RTOL = 1e-9
-DEFAULT_CONDITION_LIMIT = 1e8
 DEFAULT_SPAN_TOL = 1e-7
 
 
@@ -120,14 +120,14 @@ def _refused(verdict, samples, message, condition=np.inf):
     )
 
 
-def _normal_invariant_values(curve, samples, jet_order):
+def _normal_invariant_values(curve, samples, jets):
     """Per-sample invariant values of the normal frame started at samples[0].
 
     ``values[i]`` lists ``kappa, h_1, ..., h_(k-2)`` of the normal frame
     at ``samples[i]``; with ``P_1 = 0`` these are its coefficients
     ``P_2 .. P_k``, which the normalization record already carries.
     """
-    record = normal_frame(curve, samples, jet_order=jet_order)
+    record = normal_frame(curve, samples, jets=jets)
     count = len(record.times)
     return [
         [record.q[j][i] for j in range(curve.k - 1)] for i in range(count)
@@ -162,8 +162,10 @@ def are_congruent(
         # at order zero, which a frame jet of order 2k-1 already pins.
         jet_order = 2 * k - 1
 
-    vals_a = _normal_invariant_values(curve_a, samples, jet_order)
-    vals_b = _normal_invariant_values(curve_b, samples, jet_order)
+    jets_a = curve_a.frame_jets(samples, jet_order)
+    jets_b = curve_b.frame_jets(samples, jet_order)
+    vals_a = _normal_invariant_values(curve_a, samples, jets_a)
+    vals_b = _normal_invariant_values(curve_b, samples, jets_b)
 
     pairs = []
     for va, vb in zip(vals_a, vals_b):
@@ -191,19 +193,14 @@ def are_congruent(
 
     # Normal lifts at the first sample: T maps the X-adjusted lift of A
     # onto the lift of B, and must then map sampled spans onto spans.
-    t0 = samples[0]
-    jux_a = _normal_juxtaposed(curve_a, t0, jet_order)
-    jux_b = _normal_juxtaposed(curve_b, t0, jet_order)
+    jux_a = _normal_juxtaposed(jets_a[0])
+    jux_b = _normal_juxtaposed(jets_b[0])
     x_block = np.kron(np.eye(k), x)
     ambient = jux_b @ np.linalg.inv(jux_a @ x_block)
 
     spans = tuple(
-        float(
-            span_distance(
-                ambient @ _curve_value(curve_a, t), _curve_value(curve_b, t)
-            )
-        )
-        for t in samples
+        float(span_distance(ambient @ ja.jet.value(), jb.jet.value()))
+        for ja, jb in zip(jets_a, jets_b)
     )
     invariant_scale = 1.0 + max(
         max(np.max(np.abs(m)) for m in va) for va in vals_a
@@ -233,14 +230,7 @@ def are_congruent(
     )
 
 
-def _curve_value(curve, t):
-    if hasattr(curve, "value"):
-        return curve.value(t)
-    return curve.frame_jet(t, curve.k - 1).jet.value()
-
-
-def _normal_juxtaposed(curve, t, jet_order):
-    fj = curve.frame_jet(t, jet_order)
+def _normal_juxtaposed(fj):
     fj.require_fanning()
     p1 = ode_coefficients(fj)[0]
     bjet = fj.right_multiplied(normalizing_jet(p1))

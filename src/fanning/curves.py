@@ -2,9 +2,13 @@
 
 Two curve representations are supported: polynomial frame curves, whose
 jets at any base time are exact Taylor shifts, and ODE-defined frame
-curves, advanced by an adaptive Runge-Kutta integrator with higher
-derivatives filled in by differentiating the defining equation through
-jet arithmetic.
+curves.  An ODE curve's juxtaposed state ``Y`` solves ``Y' = Y C(t)`` with
+the block companion matrix ``C(t)``; an adaptive Runge-Kutta 5(4)
+integrator advances it, and derivatives of order k and above come from
+differentiating the defining equation.  Both kinds offer ``frame_jet`` at
+one time and ``frame_jets`` at many; for an ODE curve the latter sweeps
+once outward from t=0 through the sorted times instead of integrating
+from t=0 for each of them.
 
 A frame curve takes values in the kn x n matrices; its value at ``t``
 spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
@@ -53,6 +57,8 @@ def _matrix_tuple(coefficients, shape, what):
             raise CurveFormatError(
                 f"{what} coefficient {i} has shape {arr.shape}, expected {shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise CurveFormatError(f"{what} coefficient {i} is not finite")
         arr.setflags(write=False)
         out.append(arr)
     return tuple(out)
@@ -278,6 +284,9 @@ class PolynomialFrameCurve:
     def frame_jet(self, t, order, condition_limit=DEFAULT_CONDITION_LIMIT):
         return eval_frame_jet(self, t, order, condition_limit)
 
+    def frame_jets(self, times, order, condition_limit=DEFAULT_CONDITION_LIMIT):
+        return [self.frame_jet(t, order, condition_limit) for t in times]
+
     def transformed(self, t_matrix):
         """The curve ``T A(t)`` for a constant kn x kn matrix ``T``."""
         t_matrix = np.asarray(t_matrix, dtype=float)
@@ -340,76 +349,118 @@ class OdeFrameCurve:
             raise CurveFormatError(
                 f"initial juxtaposed matrix has shape {a0.shape}, expected {(kn, kn)}"
             )
+        if not np.all(np.isfinite(a0)):
+            raise CurveFormatError("initial juxtaposed matrix is not finite")
         condition = np.linalg.cond(a0)
         if not condition < DEFAULT_CONDITION_LIMIT:
             raise NotFanningError(condition, at_time=0.0)
         a0.setflags(write=False)
         object.__setattr__(self, "initial_juxtaposed", a0)
 
-    def p_value(self, t):
-        return [poly.value(t) for poly in self.p]
+    @cached_property
+    def companion(self):
+        """The block companion matrix ``C(t)`` as one matrix polynomial.
+
+        The juxtaposed state ``Y = (A | A' | ... | A^(k-1))`` solves
+        ``Y' = Y C(t)``: ``C`` has identity blocks just below its block
+        diagonal and ``-C(k, i) P_i(t)`` in block row ``k - i`` of its last
+        block column.
+        """
+        k, n = self.k, self.n
+        degree = max(poly.degree for poly in self.p)
+        stack = np.zeros((degree + 1, k * n, k * n))
+        for j in range(k - 1):
+            stack[0, (j + 1) * n : (j + 2) * n, j * n : (j + 1) * n] = np.eye(n)
+        for i, poly in enumerate(self.p, start=1):
+            for m, c in enumerate(poly.coefficients):
+                stack[m, (k - i) * n : (k - i + 1) * n, (k - 1) * n :] = (
+                    -math.comb(k, i) * c
+                )
+        return PolynomialMatrix(tuple(stack))
 
     def frame_jet(self, t, order, condition_limit=DEFAULT_CONDITION_LIMIT):
         return integrate_ode_jet(self, t, order, condition_limit)
 
+    def frame_jets(self, times, order, condition_limit=DEFAULT_CONDITION_LIMIT):
+        return integrate_ode_jets(self, times, order, condition_limit)
+
 
 def _ode_state_derivative(curve, t, state):
+    """``Y' = Y C(t)`` on the flattened juxtaposed state ``Y``."""
+    kn = curve.k * curve.n
+    return (state.reshape(kn, kn) @ curve.companion.value(t)).reshape(-1)
+
+
+def _advance(curve, t0, t1, state):
+    """The juxtaposed state at ``t1``, given ``state`` at ``t0``."""
+    sol = solve_ivp(
+        lambda s, y: _ode_state_derivative(curve, s, y),
+        (t0, t1),
+        state.reshape(-1),
+        method="RK45",
+        rtol=curve.rtol,
+        atol=curve.atol,
+    )
+    if not sol.success:
+        raise IntegrationError(f"integrator stopped before t={t1}: {sol.message}")
+    return sol.y[:, -1].reshape(state.shape)
+
+
+def _jet_from_state(curve, t, state, order, condition_limit):
+    """Frame jet at ``t`` from the juxtaposed state there.
+
+    Coefficients of order >= k come from the defining equation: the
+    Taylor coefficient ``idx`` of ``A^(k) = -sum_i C(k, i) A^(k-i) P_i``
+    is a Cauchy product over lower coefficients.
+    """
     k, n = curve.k, curve.n
-    kn = k * n
-    y = state.reshape(k, kn, n)
-    out = np.empty_like(y)
-    out[:-1] = y[1:]
-    top = np.zeros((kn, n))
-    for i in range(1, k + 1):
-        top -= math.comb(k, i) * y[k - i] @ curve.p[i - 1].value(t)
-    out[-1] = top
-    return out.reshape(-1)
+    coeffs = [state[:, j * n : (j + 1) * n] / math.factorial(j) for j in range(k)]
+    p_coeffs = [poly.jet_at(t, max(order - k, 0)).coeffs for poly in curve.p]
+    for m in range(k, order + 1):
+        idx = m - k
+        top = np.zeros((k * n, n))
+        for i in range(1, k + 1):
+            for r in range(idx + 1):
+                top -= (
+                    math.comb(k, i) * math.perm(r + k - i, k - i) * coeffs[r + k - i]
+                ) @ p_coeffs[i - 1][idx - r]
+        coeffs.append(top / math.perm(m, k))
+    return FrameJet(MatrixJet(t, tuple(coeffs)), condition_limit)
+
+
+def integrate_ode_jets(curve, times, order, condition_limit=DEFAULT_CONDITION_LIMIT):
+    """Frame jets at many times from one integration sweep.
+
+    The requested times are visited outward from t=0, positive times in
+    ascending and negative times in descending order.  Each Runge-Kutta
+    5(4) segment starts from the state at the previous requested time, so
+    every requested time is a step endpoint (no dense-output
+    interpolation).  Jets come back in the caller's order; repeated times
+    share one jet.
+    """
+    k = curve.k
+    if order < k - 1:
+        raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
+    times = [float(t) for t in times]
+    states = {0.0: curve.initial_juxtaposed}
+    positive = sorted({t for t in times if t > 0.0})
+    negative = sorted({t for t in times if t < 0.0}, reverse=True)
+    for side in (positive, negative):
+        t_prev, state = 0.0, curve.initial_juxtaposed
+        for t in side:
+            state = _advance(curve, t_prev, t, state)
+            states[t] = state
+            t_prev = t
+    jets = {
+        t: _jet_from_state(curve, t, states[t], order, condition_limit)
+        for t in set(times)
+    }
+    return [jets[t] for t in times]
 
 
 def integrate_ode_jet(curve, t, order, condition_limit=DEFAULT_CONDITION_LIMIT):
-    """Advance the frame state to ``t`` and build its jet of the given order.
-
-    The state ``(A, A', ..., A^(k-1))`` is integrated with an adaptive
-    Runge-Kutta 5(4) scheme; derivatives of order >= k come from
-    differentiating the defining equation through jet arithmetic.
-    """
-    k, n = curve.k, curve.n
-    if order < k - 1:
-        raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
-    t = float(t)
-    kn = k * n
-    y0 = np.empty((k, kn, n))
-    for j in range(k):
-        y0[j] = curve.initial_juxtaposed[:, j * n : (j + 1) * n]
-    if t == 0.0:
-        state = y0
-    else:
-        sol = solve_ivp(
-            lambda s, y: _ode_state_derivative(curve, s, y),
-            (0.0, t),
-            y0.reshape(-1),
-            method="RK45",
-            rtol=curve.rtol,
-            atol=curve.atol,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise IntegrationError(f"integrator stopped before t={t}: {sol.message}")
-        state = sol.y[:, -1].reshape(k, kn, n)
-
-    coeffs = [state[j] / math.factorial(j) for j in range(k)]
-    p_jets = [poly.jet_at(t, max(order - k, 0)) for poly in curve.p]
-    for m in range(k, order + 1):
-        idx = m - k
-        current = MatrixJet(t, tuple(coeffs))
-        frame = FrameJet(current, condition_limit=np.inf)
-        top = np.zeros((kn, n))
-        for i in range(1, k + 1):
-            dji = frame.derivative_jet(k - i)
-            prod = jet_mul(dji.truncated(idx), p_jets[i - 1].truncated(idx))
-            top -= math.comb(k, i) * prod.coeffs[idx]
-        coeffs.append(top * math.factorial(idx) / math.factorial(m))
-    return FrameJet(MatrixJet(t, tuple(coeffs)), condition_limit)
+    """Integrate the frame state from t=0 to ``t`` and build its jet there."""
+    return integrate_ode_jets(curve, (t,), order, condition_limit)[0]
 
 
 def standard_jet(k, n, order, base_time=0.0):
@@ -447,11 +498,13 @@ def curve_from_dict(data):
     if not isinstance(data, dict):
         raise CurveFormatError("curve description must be a JSON object")
     try:
-        kind = data["kind"]
-        k = int(data["k"])
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CurveFormatError(f"missing or invalid curve header: {exc}") from exc
+        kind, k, n = data["kind"], data["k"], data["n"]
+    except KeyError as exc:
+        raise CurveFormatError(f"missing curve header field {exc}") from exc
+    for name, value in (("k", k), ("n", n)):
+        # bool is an int subclass; JSON true must not read as 1
+        if type(value) is not int:
+            raise CurveFormatError(f"{name} must be a JSON integer, got {value!r}")
     if kind == "polynomial":
         if "coefficients" not in data:
             raise CurveFormatError("polynomial curve needs 'coefficients'")

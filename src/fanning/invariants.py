@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curves import InsufficientOrderError, IntegrationError
+from .curves import InsufficientOrderError, IntegrationError, OdeFrameCurve
 from .jets import MatrixJet, jet_mul
 
 NORMALITY_RTOL = 1e-8
@@ -88,9 +88,14 @@ def schwarzian(fj):
 
 
 def _w_chain(p1, length):
-    """Jets ``W_0 .. W_length`` with ``W_0 = I`` and ``W_(m+1) = -P_1 W_m + W_m'``."""
-    w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order)]
-    for _ in range(length):
+    """Jets ``W_0 .. W_length`` with ``W_0 = I`` and ``W_(m+1) = -P_1 W_m + W_m'``.
+
+    The chain starts from ``W_1 = -P_1`` rather than differentiating the
+    constant ``W_0``, which would cost one order; so ``W_m`` keeps order
+    ``R - m + 1`` for a ``P_1`` jet of order R.
+    """
+    w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
+    for _ in range(length - 1):
         w.append(-jet_mul(p1, w[-1]) + w[-1].derivative())
     return w
 
@@ -243,7 +248,7 @@ class NormalizationRecord:
 
 def _p1_value(curve, t):
     """Value of P_1 at ``t`` by an instantaneous linear solve on the curve."""
-    if hasattr(curve, "p_value"):
+    if isinstance(curve, OdeFrameCurve):
         return curve.p[0].value(t)
     k, n = curve.k, curve.n
     row = curve.derivative_row(t)
@@ -251,12 +256,14 @@ def _p1_value(curve, t):
     return s[(k - 1) * n :, :] / k
 
 
-def normal_frame(curve, grid, jet_order=None, rtol=1e-10, atol=1e-12):
+def normal_frame(curve, grid, jet_order=None, rtol=1e-10, atol=1e-12, jets=None):
     """Integrate the normalizing change ``X' = -X P_1`` along a time grid.
 
     The grid must be strictly monotonic; integration starts at the first
     grid point with ``X = I``.  Each returned sample carries the normal
     frame value ``B = A X^-1`` and the coefficients ``Q_j = P_j[B]``.
+    ``jets`` may pass the curve's frame jets at the grid times, of order
+    at least ``jet_order``, when the caller already holds them.
     """
     k, n = curve.k, curve.n
     times = [float(t) for t in grid]
@@ -287,11 +294,12 @@ def normal_frame(curve, grid, jet_order=None, rtol=1e-10, atol=1e-12):
             raise IntegrationError(f"normalization stopped early: {sol.message}")
         xs = [sol.y[:, i].reshape(n, n) for i in range(len(times))]
 
+    if jets is None:
+        jets = curve.frame_jets(times, jet_order)
     frames = []
     qs = []
     residuals = []
-    for t, x in zip(times, xs):
-        fj = curve.frame_jet(t, jet_order)
+    for fj, x in zip(jets, xs):
         fj.require_fanning()
         p1 = ode_coefficients(fj)[0]
         yjet = normalizing_jet(p1, y0=np.linalg.inv(x))

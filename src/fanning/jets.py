@@ -97,9 +97,6 @@ class MatrixJet:
     def shape(self):
         return self.coeffs[0].shape
 
-    def coefficient(self, i):
-        return self.coeffs[i]
-
     def value(self):
         """Curve value at the base time (the constant coefficient)."""
         return self.coeffs[0]

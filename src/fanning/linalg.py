@@ -4,11 +4,6 @@ import numpy as np
 import scipy.linalg
 
 
-def condition_number(m):
-    """2-norm condition number; ``inf`` for singular input."""
-    return float(np.linalg.cond(np.asarray(m, dtype=float)))
-
-
 def numeric_rank(m, rtol=1e-8):
     """Rank from a rank-revealing (pivoted) QR with relative threshold ``rtol``."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
@@ -46,21 +41,18 @@ def span_distance(u, v):
     return float(np.linalg.norm(resid, 2))
 
 
-def largest_principal_angle(u, v):
-    """Largest principal angle (radians) between the column spans of u and v."""
-    return float(np.arcsin(min(1.0, span_distance(u, v))))
-
-
 def nullspace(m, rtol=1e-9, floor=0.0):
     """Columns spanning the numerical right nullspace of ``m``.
 
     Singular values at or below ``max(rtol * sigma_max, floor)`` count as
     zero; ``floor`` guards against operators that are numerically zero
-    altogether, where a purely relative cut would report full rank.
+    altogether, where a purely relative cut would report full rank.  Tall
+    inputs take the thin SVD, which never forms the rows x rows ``U``; wide
+    ones need the full ``V``, whose extra rows span part of the nullspace.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    u, s, vt = np.linalg.svd(m)
-    cols = vt.shape[0]
+    rows, cols = m.shape
+    _, s, vt = np.linalg.svd(m, full_matrices=rows < cols)
     if s.size == 0:
         return np.eye(cols)
     cut = max(rtol * s[0], floor)

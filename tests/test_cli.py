@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from fanning import curve_to_dict, standard_curve
 from fanning.cli import main
@@ -176,6 +177,15 @@ class TestOtherCommands:
             assert check["pass"], check
             assert check["residual"] < 1e-8
 
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_verify_high_k_curve(self, k, tmp_path, capsys, rng):
+        curve = tame_polynomial_curve(k, 1, rng)
+        path = write_curve(tmp_path / "c.json", curve)
+        code = main(["verify", path, "--t", "0.1"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0, report["checks"]
+        assert report["passed"] is True
+
     def test_verify_non_fanning_exit(self, tmp_path):
         data = {
             "kind": "polynomial",
@@ -186,6 +196,57 @@ class TestOtherCommands:
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(data))
         assert main(["verify", str(path)]) == 3
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "grid",
+        ["0:nan:5", "0:inf:3", "-inf:1:3", "0:1:100001", "0:1:0", "0,nan,1", "0.1,inf"],
+    )
+    def test_bad_grid_exit_2(self, grid, tmp_path, capsys):
+        path = write_curve(tmp_path / "std.json", standard_curve(2, 1))
+        assert main(["invariants", path, f"--grid={grid}"]) == 2
+        assert "grid" in capsys.readouterr().err
+
+    def test_grid_cap_checked_before_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated before the cap check")
+
+        monkeypatch.setattr(cli_mod.np, "linspace", refuse)
+        with pytest.raises(ValueError):
+            cli_mod._parse_grid(f"0:1:{10**12}")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"k": True}, "JSON integer"),
+            ({"n": 1.7}, "JSON integer"),
+            ({"k": 2.0}, "JSON integer"),
+            ({"n": "1"}, "JSON integer"),
+            ({"coefficients": [[[float("nan")], [0.0]], [[0.0], [1.0]]]}, "not finite"),
+            ({"coefficients": [[[1.0], [0.0]], [[-float("inf")], [1.0]]]}, "not finite"),
+        ],
+    )
+    def test_bad_curve_file_exit_2(self, change, message, tmp_path, capsys):
+        data = curve_to_dict(standard_curve(2, 1))
+        data.update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["invariants", str(path), "--grid", "0:0.4:3"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["P", "A0"])
+    def test_non_finite_ode_file_exit_2(self, where, tmp_path, capsys, rng):
+        path = tmp_path / "ode.json"
+        write_normal_ode_curve(path, 2, 1, rng)
+        data = json.loads(path.read_text())
+        if where == "P":
+            data["P"][1]["coefficients"][0][0][0] = float("nan")
+        else:
+            data["A0"][1][1] = float("inf")
+        path.write_text(json.dumps(data))
+        assert main(["normal-frame", str(path), "--grid", "0:1:3"]) == 2
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestPlumbing:

@@ -242,3 +242,93 @@ class TestJsonFormat:
             curve_from_dict(
                 {"kind": "polynomial", "k": 2, "n": 1, "coefficients": [[[1.0]]]}
             )
+
+
+def _drifting_curve(rng, k=3, n=2):
+    """ODE curve whose coefficients drift linearly in t, away from a centre."""
+    ps = []
+    for i in range(1, k + 1):
+        c0 = (0.25 if i == 2 else 0.0) * np.eye(n) + 0.05 * rng.standard_normal((n, n))
+        c1 = 0.02 * rng.standard_normal((n, n))
+        ps.append(PolynomialMatrix((c0, c1)))
+    return OdeFrameCurve(k, n, tuple(ps), random_invertible(k * n, rng, cond_max=10.0))
+
+
+def _harmonic_curve(omega):
+    return OdeFrameCurve(
+        2,
+        1,
+        (
+            PolynomialMatrix((np.zeros((1, 1)),)),
+            PolynomialMatrix((np.array([[omega**2]]),)),
+        ),
+        np.eye(2),
+    )
+
+
+def _assert_jets_close(a, b, rtol):
+    assert a.base_time == b.base_time and a.order == b.order
+    scale = max(1.0, max(np.max(np.abs(c)) for c in b.jet.coeffs))
+    for x, y in zip(a.jet.coeffs, b.jet.coeffs):
+        assert np.max(np.abs(x - y)) <= rtol * scale
+
+
+class TestOdeSweep:
+    """``frame_jets`` integrates once along the grid instead of from t=0 per time."""
+
+    def test_harmonic_oscillator_matches_per_point_and_closed_form(self):
+        omega = 1.3
+        curve = _harmonic_curve(omega)
+        times = np.linspace(0.0, 8.0, 17)
+        swept = curve.frame_jets(times, 4)
+        for t, fj in zip(times, swept):
+            _assert_jets_close(fj, integrate_ode_jet(curve, t, 4), 1e-9)
+            exact = np.array([[math.cos(omega * t)], [math.sin(omega * t) / omega]])
+            np.testing.assert_allclose(fj.jet.value(), exact, atol=1e-8)
+
+    def test_drifting_coefficients_match_per_point(self, rng):
+        curve = _drifting_curve(rng)
+        times = np.linspace(0.0, 6.0, 9)
+        swept = curve.frame_jets(times, 2 * curve.k + 2)
+        for t, fj in zip(times, swept):
+            _assert_jets_close(fj, integrate_ode_jet(curve, t, 2 * curve.k + 2), 1e-9)
+
+    def test_caller_order_with_mixed_signs_and_repeats(self, rng):
+        curve = _drifting_curve(rng, k=2, n=1)
+        times = [0.5, -0.3, 0.0, 0.5, -0.7, 0.2, -0.3]
+        swept = curve.frame_jets(times, 3)
+        assert [fj.base_time for fj in swept] == times
+        for t, fj in zip(times, swept):
+            _assert_jets_close(fj, integrate_ode_jet(curve, t, 3), 1e-9)
+        np.testing.assert_array_equal(swept[0].jet.value(), swept[3].jet.value())
+        np.testing.assert_array_equal(swept[2].jet.value(), curve.initial_juxtaposed[:, :1])
+
+    def test_polynomial_batch_is_pointwise(self, rng):
+        curve = random_polynomial_curve(3, 2, rng)
+        times = (0.3, -0.1, 0.3)
+        for t, fj in zip(times, curve.frame_jets(times, 6)):
+            for a, b in zip(fj.jet.coeffs, curve.frame_jet(t, 6).jet.coeffs):
+                np.testing.assert_array_equal(a, b)
+
+    def test_evaluations_do_not_grow_with_the_grid(self, tmp_path, monkeypatch, rng):
+        """41 grid points cost about what 2 do over the same interval."""
+        import fanning.cli
+        import fanning.curves as curves_mod
+
+        path = tmp_path / "ode.json"
+        path.write_text(json.dumps(curve_to_dict(_drifting_curve(rng, k=2, n=2))))
+        nfev = []
+        solve_ivp = curves_mod.solve_ivp
+
+        def counting(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            nfev[-1] += sol.nfev
+            return sol
+
+        monkeypatch.setattr(curves_mod, "solve_ivp", counting)
+        for count in (2, 41):
+            nfev.append(0)
+            argv = ["invariants", str(path), "--grid", f"0:8:{count}", "--out", str(tmp_path / "r")]
+            assert fanning.cli.main(argv) == 0
+        assert 0 < nfev[1] <= 2 * nfev[0], nfev
+

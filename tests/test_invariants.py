@@ -21,6 +21,7 @@ from fanning import (
 from fanning.jets import jet_mul
 from conftest import (
     classical_schwarzian,
+    random_frame_jet,
     random_invertible,
     random_jet,
     random_polynomial_curve,
@@ -173,6 +174,18 @@ class TestWilczynski:
         curve = random_polynomial_curve(4, 1, rng)
         with pytest.raises(InsufficientOrderError):
             wilczynski_invariants(curve.frame_jet(0.0, 5))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_minimal_order_suffices(self, k, rng):
+        """Order 2k-1 pins every ``h_j`` value, as the order check states."""
+        fj = random_frame_jet(k, 1, 2 * k - 1, rng)
+        inv = wilczynski_invariants(fj)
+        assert len(inv.h) == k - 2
+        assert all(h.order >= 0 for h in inv.h)
+        full = wilczynski_invariants(fj.extended_with_zeros(2 * k + 2))
+        np.testing.assert_array_equal(inv.kappa.value(), full.kappa.value())
+        for a, b in zip(inv.h, full.h):
+            np.testing.assert_array_equal(a.value(), b.value())
 
 
 class TestNormalization:

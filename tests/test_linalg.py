@@ -39,6 +39,15 @@ def test_nullspace_and_floor(rng):
     assert nullspace(np.zeros((2, 2))).shape[1] == 2
 
 
+def test_nullspace_of_wide_matrix(rng):
+    m = rng.standard_normal((3, 7))
+    m[2] = m[0] - m[1]
+    ns = nullspace(m)
+    assert ns.shape == (7, 5)
+    assert np.max(np.abs(m @ ns)) < 1e-12
+    np.testing.assert_allclose(ns.T @ ns, np.eye(5), atol=1e-12)
+
+
 def test_eigen_helpers():
     d = np.diag([1.0, -1.0, -1.0])
     assert eigenvalue_multiplicity(d, -1.0) == 2
