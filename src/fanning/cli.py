@@ -71,6 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.base_time):
+            raise ValueError(f"--t must be finite, got {self.base_time!r}")
         if self.command in ("invariants", "congruent", "normal-frame") and not self.grid:
             raise ValueError(f"{self.command} needs a time grid")
 

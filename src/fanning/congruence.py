@@ -120,14 +120,14 @@ def _refused(verdict, samples, message, condition=np.inf):
     )
 
 
-def _normal_invariant_values(curve, samples, jets):
+def _normal_invariant_values(curve, samples, jets, jet_order):
     """Per-sample invariant values of the normal frame started at samples[0].
 
     ``values[i]`` lists ``kappa, h_1, ..., h_(k-2)`` of the normal frame
     at ``samples[i]``; with ``P_1 = 0`` these are its coefficients
     ``P_2 .. P_k``, which the normalization record already carries.
     """
-    record = normal_frame(curve, samples, jets=jets)
+    record = normal_frame(curve, samples, jet_order=jet_order, jets=jets)
     count = len(record.times)
     return [
         [record.q[j][i] for j in range(curve.k - 1)] for i in range(count)
@@ -164,8 +164,8 @@ def are_congruent(
 
     jets_a = curve_a.frame_jets(samples, jet_order)
     jets_b = curve_b.frame_jets(samples, jet_order)
-    vals_a = _normal_invariant_values(curve_a, samples, jets_a)
-    vals_b = _normal_invariant_values(curve_b, samples, jets_b)
+    vals_a = _normal_invariant_values(curve_a, samples, jets_a, jet_order)
+    vals_b = _normal_invariant_values(curve_b, samples, jets_b, jet_order)
 
     pairs = []
     for va, vb in zip(vals_a, vals_b):

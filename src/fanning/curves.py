@@ -57,11 +57,16 @@ def _matrix_tuple(coefficients, shape, what):
             raise CurveFormatError(
                 f"{what} coefficient {i} has shape {arr.shape}, expected {shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise CurveFormatError(f"{what} coefficient {i} is not finite")
         arr.setflags(write=False)
         out.append(arr)
     return tuple(out)
+
+
+def _require_finite(coefficients, what):
+    """Reject curve data with NaN or infinite entries (checked once at construction)."""
+    for i, c in enumerate(coefficients):
+        if not np.all(np.isfinite(c)):
+            raise CurveFormatError(f"{what} coefficient {i} is not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,6 +247,7 @@ class PolynomialFrameCurve:
         object.__setattr__(
             self, "coefficients", _matrix_tuple(self.coefficients, shape, "frame")
         )
+        _require_finite(self.coefficients, "frame")
 
     @property
     def degree(self):
@@ -284,8 +290,8 @@ class PolynomialFrameCurve:
     def frame_jet(self, t, order, condition_limit=DEFAULT_CONDITION_LIMIT):
         return eval_frame_jet(self, t, order, condition_limit)
 
-    def frame_jets(self, times, order, condition_limit=DEFAULT_CONDITION_LIMIT):
-        return [self.frame_jet(t, order, condition_limit) for t in times]
+    def frame_jets(self, times, order):
+        return [self.frame_jet(t, order) for t in times]
 
     def transformed(self, t_matrix):
         """The curve ``T A(t)`` for a constant kn x kn matrix ``T``."""
@@ -341,6 +347,7 @@ class OdeFrameCurve:
                 raise CurveFormatError(
                     f"P_{i + 1} has shape {poly.shape}, expected {(self.n, self.n)}"
                 )
+            _require_finite(poly.coefficients, f"P_{i + 1}")
             ps.append(poly)
         object.__setattr__(self, "p", tuple(ps))
         a0 = np.array(self.initial_juxtaposed, dtype=float)
@@ -381,8 +388,8 @@ class OdeFrameCurve:
     def frame_jet(self, t, order, condition_limit=DEFAULT_CONDITION_LIMIT):
         return integrate_ode_jet(self, t, order, condition_limit)
 
-    def frame_jets(self, times, order, condition_limit=DEFAULT_CONDITION_LIMIT):
-        return integrate_ode_jets(self, times, order, condition_limit)
+    def frame_jets(self, times, order):
+        return integrate_ode_jets(self, times, order)
 
 
 def _ode_state_derivative(curve, t, state):
@@ -442,6 +449,9 @@ def integrate_ode_jets(curve, times, order, condition_limit=DEFAULT_CONDITION_LI
     if order < k - 1:
         raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
     times = [float(t) for t in times]
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"frame jet times must be finite, got {t!r}")
     states = {0.0: curve.initial_juxtaposed}
     positive = sorted({t for t in times if t > 0.0})
     negative = sorted({t for t in times if t < 0.0}, reverse=True)

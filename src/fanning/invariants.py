@@ -262,8 +262,9 @@ def normal_frame(curve, grid, jet_order=None, rtol=1e-10, atol=1e-12, jets=None)
     The grid must be strictly monotonic; integration starts at the first
     grid point with ``X = I``.  Each returned sample carries the normal
     frame value ``B = A X^-1`` and the coefficients ``Q_j = P_j[B]``.
-    ``jets`` may pass the curve's frame jets at the grid times, of order
-    at least ``jet_order``, when the caller already holds them.
+    ``jets`` may pass the curve's frame jets at the grid times, one per
+    time in grid order and of order at least ``jet_order``, when the
+    caller already holds them.
     """
     k, n = curve.k, curve.n
     times = [float(t) for t in grid]
@@ -296,6 +297,12 @@ def normal_frame(curve, grid, jet_order=None, rtol=1e-10, atol=1e-12, jets=None)
 
     if jets is None:
         jets = curve.frame_jets(times, jet_order)
+    else:
+        jets = list(jets)
+        if len(jets) != len(times):
+            raise ValueError(f"got {len(jets)} jets for {len(times)} grid times")
+        if jets and min(fj.order for fj in jets) < jet_order:
+            raise ValueError(f"jets must have order >= {jet_order}")
     frames = []
     qs = []
     residuals = []

@@ -249,6 +249,14 @@ class TestInputValidation:
         assert "not finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["verify", "canonicalize"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_base_time_exit_2(self, command, t, tmp_path, capsys, rng):
+        path = write_normal_ode_curve(tmp_path / "ode.json", 2, 1, rng)
+        assert main([command, path, f"--t={t}"]) == 2
+        assert "--t must be finite" in capsys.readouterr().err
+
+
 class TestPlumbing:
     def test_byte_identical_reports(self, tmp_path, rng):
         curve = tame_polynomial_curve(2, 2, rng)

@@ -303,6 +303,14 @@ class TestOdeSweep:
         np.testing.assert_array_equal(swept[0].jet.value(), swept[3].jet.value())
         np.testing.assert_array_equal(swept[2].jet.value(), curve.initial_juxtaposed[:, :1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad, rng):
+        curve = _drifting_curve(rng, k=2, n=1)
+        with pytest.raises(ValueError, match="finite"):
+            curve.frame_jets([0.1, bad], 3)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_ode_jet(curve, bad, 3)
+
     def test_polynomial_batch_is_pointwise(self, rng):
         curve = random_polynomial_curve(3, 2, rng)
         times = (0.3, -0.1, 0.3)

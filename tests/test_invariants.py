@@ -260,6 +260,20 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normal_frame(curve, [0.0, 0.2, 0.1])
 
+    def test_passed_jets_must_match_grid_and_order(self, rng):
+        k, n = 2, 1
+        curve = random_polynomial_curve(k, n, rng)
+        grid = [0.0, 0.1, 0.2]
+        jets = curve.frame_jets(grid, 2 * k + 1)
+        with pytest.raises(ValueError, match="3 grid times"):
+            normal_frame(curve, grid, jets=jets[:2])
+        with pytest.raises(ValueError, match="order"):
+            normal_frame(curve, grid, jets=curve.frame_jets(grid, 2 * k))
+        passed = normal_frame(curve, grid, jets=jets)
+        own = normal_frame(curve, grid)
+        for a, b in zip(passed.frames, own.frames):
+            np.testing.assert_array_equal(a, b)
+
     def test_normalizing_jet_solves_its_equation(self, rng):
         curve = random_polynomial_curve(3, 2, rng)
         p1 = ode_coefficients(curve.frame_jet(0.0, 9))[0]
