@@ -32,8 +32,6 @@ from .curves import (
     PolynomialMatrix,
     curve_from_dict,
     curve_to_dict,
-    eval_frame_jet,
-    integrate_ode_jet,
     load_curve,
     standard_curve,
     standard_jet,
@@ -46,8 +44,6 @@ from .invariants import (
     NotNormalError,
     endomorphism_bundle,
     fundamental_endomorphism,
-    h1_closed_form,
-    h2_closed_form,
     horizontal_derivative,
     invariants_from_coefficients,
     is_normal,

@@ -8,7 +8,8 @@ default verification tolerance.
 
 Exit codes: 0 success (``congruent`` verdict: congruent), 1 not congruent
 or failed verification checks, 2 parse/usage error, 3 non-fanning input,
-4 insufficient jet order, 5 inconclusive congruence, 10 internal error.
+4 insufficient jet order, 5 inconclusive congruence, 6 numerical failure,
+10 internal error.
 """
 
 import argparse
@@ -47,6 +48,7 @@ EXIT_PARSE = 2
 EXIT_NOT_FANNING = 3
 EXIT_ORDER = 4
 EXIT_INCONCLUSIVE = 5
+EXIT_NUMERICAL = 6
 EXIT_INTERNAL = 10
 
 DEFAULT_TOL = 1e-7
@@ -185,6 +187,7 @@ def cmd_invariants(config):
     curve = load_curve(config.paths[0])
     points = []
     rows = []
+    not_normal = []
     jets = curve.frame_jets(config.grid, _jet_order(curve))
     for t, fj in zip(config.grid, jets):
         fj.require_fanning()
@@ -208,31 +211,27 @@ def cmd_invariants(config):
             rows.extend(report_mod.matrix_rows(t, f"h{j}", h.value()))
         rows.append(report_mod.scalar_row(t, "reflection_minus_one", minus))
         rows.append(report_mod.scalar_row(t, "reflection_plus_one", plus))
-        normalized = None
         if config.jacobi or config.maurer_cartan is not None:
+            if not was_normal:
+                not_normal.append(float(t))
             normalized = fj if was_normal else normalized_frame_jet(fj)
         if config.jacobi:
-            if not was_normal:
-                print(
-                    f"note: frame not normal at t={t!r}; Jacobi matrix computed "
-                    "for the normal frame anchored there",
-                    file=sys.stderr,
-                )
             jac = jacobi_matrix(normalized, which="K")
             point["jacobi"] = jac
             rows.extend(report_mod.matrix_rows(t, "jacobi", jac))
         if config.maurer_cartan is not None:
             lift = "with_H" if config.maurer_cartan == "H" else "with_kth_derivative"
-            if not was_normal:
-                print(
-                    f"note: frame not normal at t={t!r}; pullback computed "
-                    "for the normal frame anchored there",
-                    file=sys.stderr,
-                )
             mc = maurer_cartan_pullback(normalized, lift=lift)
             point["maurer_cartan"] = mc
             rows.extend(report_mod.matrix_rows(t, "maurer_cartan", mc))
         points.append(point)
+    if not_normal:
+        print(
+            f"note: frame not normal at {len(not_normal)} of {len(jets)} grid times "
+            f"(t={not_normal[0]!r} to {not_normal[-1]!r}); the Jacobi matrix and "
+            "pullback are those of the normal frame anchored at each",
+            file=sys.stderr,
+        )
     report = {
         "command": "invariants",
         "k": curve.k,
@@ -425,6 +424,9 @@ def main(argv=None):
     except JetError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (CurveFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

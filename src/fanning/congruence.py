@@ -15,19 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import InsufficientOrderError
-from .invariants import normal_frame, normalizing_jet, ode_coefficients
+from .invariants import normal_frame, normalized_frame_jet, ode_coefficients
 from .jets import DEFAULT_CONDITION_LIMIT
 from .linalg import nullspace, span_distance
 
 DEFAULT_CONJUGATOR_RTOL = 1e-9
 DEFAULT_SPAN_TOL = 1e-7
+# Seeded random nullspace combinations tried for a well-conditioned conjugator.
+CONJUGATOR_ATTEMPTS = 20
 
 
 def simultaneous_conjugator(
     pairs,
     rtol=DEFAULT_CONJUGATOR_RTOL,
     seed=0,
-    attempts=20,
     condition_limit=DEFAULT_CONDITION_LIMIT,
 ):
     """A constant invertible ``X`` with ``M X = X N`` for every pair, or None.
@@ -76,7 +77,7 @@ def simultaneous_conjugator(
         if cond < best_cond:
             best, best_cond = x, cond
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(CONJUGATOR_ATTEMPTS):
         if best_cond < condition_limit:
             break
         x, cond = candidate(rng.standard_normal(basis.shape[1]))
@@ -142,7 +143,6 @@ def are_congruent(
     seed=0,
     conjugator_rtol=DEFAULT_CONJUGATOR_RTOL,
     condition_limit=DEFAULT_CONDITION_LIMIT,
-    jet_order=None,
 ):
     """Decide congruence of two fanning curves from sampled invariants.
 
@@ -157,10 +157,9 @@ def are_congruent(
     if len(samples) < 2:
         raise ValueError("need at least two sample times")
     k = curve_a.k
-    if jet_order is None:
-        # The invariant values need the normal frame's coefficients only
-        # at order zero, which a frame jet of order 2k-1 already pins.
-        jet_order = 2 * k - 1
+    # The invariant values need the normal frame's coefficients only at
+    # order zero, which a frame jet of order 2k-1 already pins.
+    jet_order = 2 * k - 1
 
     jets_a = curve_a.frame_jets(samples, jet_order)
     jets_b = curve_b.frame_jets(samples, jet_order)
@@ -193,8 +192,8 @@ def are_congruent(
 
     # Normal lifts at the first sample: T maps the X-adjusted lift of A
     # onto the lift of B, and must then map sampled spans onto spans.
-    jux_a = _normal_juxtaposed(jets_a[0])
-    jux_b = _normal_juxtaposed(jets_b[0])
+    jux_a = normalized_frame_jet(jets_a[0]).juxtaposed.value()
+    jux_b = normalized_frame_jet(jets_b[0]).juxtaposed.value()
     x_block = np.kron(np.eye(k), x)
     ambient = jux_b @ np.linalg.inv(jux_a @ x_block)
 
@@ -230,14 +229,7 @@ def are_congruent(
     )
 
 
-def _normal_juxtaposed(fj):
-    fj.require_fanning()
-    p1 = ode_coefficients(fj)[0]
-    bjet = fj.right_multiplied(normalizing_jet(p1))
-    return bjet.juxtaposed.value()
-
-
-def canonicalize_jet(fj, extension_order=None):
+def canonicalize_jet(fj):
     """Standardize a fanning jet; returns ``(standard_jet, ambient_map)``.
 
     The frame is first made normal by the jet frame change equal to the
@@ -255,11 +247,7 @@ def canonicalize_jet(fj, extension_order=None):
             f"canonicalization needs jet order >= {k + 1}, have {fj.order}"
         )
     fj.require_fanning()
-    if extension_order is None:
-        extension_order = max(fj.order, 2 * k + 2)
-    extended = fj.extended_with_zeros(extension_order)
-    p1 = ode_coefficients(extended)[0]
-    normal = extended.right_multiplied(normalizing_jet(p1))
+    normal = normalized_frame_jet(fj.extended_with_zeros(max(fj.order, 2 * k + 2)))
     ambient = np.linalg.inv(normal.juxtaposed.value())
     return normal.left_multiplied(ambient), ambient
 

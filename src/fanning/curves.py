@@ -26,6 +26,11 @@ from scipy.integrate import solve_ivp
 
 from .jets import DEFAULT_CONDITION_LIMIT, MatrixJet, jet_mul
 
+# Integration tolerances of the ODE backend and of the normalizing change,
+# two orders tighter than the downstream invariant tolerances.
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-12
+
 
 class NotFanningError(RuntimeError):
     """The juxtaposed derivative matrix is singular or too ill-conditioned."""
@@ -120,6 +125,20 @@ class PolynomialMatrix:
         return PolynomialMatrix(tuple(coeffs))
 
 
+def _derivative_blocks(coeffs, orders, count):
+    """Taylor coefficients ``0 .. count-1`` of ``A^(j)``, j in ``orders``, side by side.
+
+    ``coeffs`` are those of ``A``; block ``j`` of coefficient ``m`` is
+    ``perm(m + j, j) * c_(m+j)``, and zero past the last of ``coeffs``.
+    """
+    rows, cols = coeffs[0].shape
+    blocks = np.zeros((count, rows, len(orders) * cols))
+    for b, j in enumerate(orders):
+        for m in range(min(count, len(coeffs) - j)):
+            blocks[m, :, b * cols : (b + 1) * cols] = math.perm(m + j, j) * coeffs[m + j]
+    return blocks
+
+
 class FrameJet:
     """Jet of a frame curve at one time, with its cached juxtaposed lift.
 
@@ -129,7 +148,7 @@ class FrameJet:
     invertible within the conditioning threshold.
     """
 
-    def __init__(self, jet, condition_limit=DEFAULT_CONDITION_LIMIT):
+    def __init__(self, jet):
         rows, cols = jet.shape
         if cols < 1 or rows % cols != 0:
             raise CurveFormatError(
@@ -144,7 +163,6 @@ class FrameJet:
                 f"frame jet order {jet.order} is below k-1={self.k - 1}"
             )
         self.jet = jet
-        self.condition_limit = condition_limit
 
     @property
     def order(self):
@@ -162,26 +180,15 @@ class FrameJet:
             raise InsufficientOrderError(
                 f"derivative {j} needs jet order >= {j}, have {self.jet.order}"
             )
-        coeffs = tuple(
-            math.perm(m + j, j) * self.jet.coeffs[m + j]
-            for m in range(self.jet.order - j + 1)
-        )
-        return MatrixJet(self.base_time, coeffs)
+        blocks = _derivative_blocks(self.jet.coeffs, (j,), self.jet.order - j + 1)
+        return MatrixJet(self.base_time, tuple(blocks))
 
     @cached_property
     def juxtaposed(self):
         """kn x kn jet of ``(A | A' | ... | A^(k-1))``."""
-        q = self.jet.order - self.k + 1
-        kn = self.k * self.n
-        coeffs = []
-        for m in range(q + 1):
-            block = np.empty((kn, kn))
-            for j in range(self.k):
-                block[:, j * self.n : (j + 1) * self.n] = (
-                    math.perm(m + j, j) * self.jet.coeffs[m + j]
-                )
-            coeffs.append(block)
-        return MatrixJet(self.base_time, tuple(coeffs))
+        count = self.jet.order - self.k + 2
+        blocks = _derivative_blocks(self.jet.coeffs, range(self.k), count)
+        return MatrixJet(self.base_time, tuple(blocks))
 
     @cached_property
     def condition(self):
@@ -189,7 +196,7 @@ class FrameJet:
 
     @property
     def is_fanning(self):
-        return self.condition < self.condition_limit
+        return self.condition < DEFAULT_CONDITION_LIMIT
 
     def require_fanning(self):
         if not self.is_fanning:
@@ -200,22 +207,46 @@ class FrameJet:
         self.require_fanning()
         return self.juxtaposed.inverse(condition_limit=None)
 
+    @cached_property
+    def equation_coefficients(self):
+        """Coefficients ``P_1 .. P_k`` of the frame's order-k equation, as jets.
+
+        Solves the block system ``(A | A' | ... | A^(k-1)) S = -A^(k)`` at
+        jet level, once per frame jet; block ``k - i`` of ``S`` is
+        ``C(k, i) P_i``.  With a frame jet of order R the coefficient jets
+        have order R - k.
+        """
+        k, n = self.k, self.n
+        if self.order < k:
+            raise InsufficientOrderError(
+                f"equation coefficients need frame order >= {k}, have {self.order}"
+            )
+        self.require_fanning()
+        stacked = jet_mul(self.juxtaposed_inverse, -self.derivative_jet(k))
+        ps = []
+        for i in range(1, k + 1):
+            j = k - i
+            scale = 1.0 / math.comb(k, i)
+            coeffs = tuple(scale * c[j * n : (j + 1) * n, :] for c in stacked.coeffs)
+            ps.append(MatrixJet(self.base_time, coeffs))
+        return tuple(ps)
+
     def left_multiplied(self, t_matrix):
         """Frame jet of ``T A`` for a constant ambient matrix ``T``."""
         t_matrix = np.asarray(t_matrix, dtype=float)
         coeffs = tuple(t_matrix @ c for c in self.jet.coeffs)
-        return FrameJet(MatrixJet(self.base_time, coeffs), self.condition_limit)
+        return FrameJet(MatrixJet(self.base_time, coeffs))
 
     def right_multiplied(self, x):
         """Frame jet of ``A X`` for a constant n x n matrix or an n x n jet."""
         if isinstance(x, MatrixJet):
-            return FrameJet(jet_mul(self.jet, x), self.condition_limit)
+            return FrameJet(jet_mul(self.jet, x))
         x = np.asarray(x, dtype=float)
         coeffs = tuple(c @ x for c in self.jet.coeffs)
-        return FrameJet(MatrixJet(self.base_time, coeffs), self.condition_limit)
+        return FrameJet(MatrixJet(self.base_time, coeffs))
 
     def truncated(self, order):
-        return FrameJet(self.jet.truncated(order), self.condition_limit)
+        return FrameJet(self.jet.truncated(order))
 
     def extended_with_zeros(self, order):
         """Pad with zero coefficients; used to fix a jet extension explicitly."""
@@ -223,7 +254,7 @@ class FrameJet:
             return self
         zero = np.zeros(self.jet.shape)
         coeffs = self.jet.coeffs + (zero,) * (order - self.jet.order)
-        return FrameJet(MatrixJet(self.base_time, coeffs), self.condition_limit)
+        return FrameJet(MatrixJet(self.base_time, coeffs))
 
     def __repr__(self):
         return (
@@ -253,30 +284,15 @@ class PolynomialFrameCurve:
     def degree(self):
         return len(self.coefficients) - 1
 
-    def value(self, t):
-        val = np.array(self.coefficients[-1])
-        for c in self.coefficients[-2::-1]:
-            val = val * float(t) + c
-        return val
-
-    def derivative_value(self, t, j):
-        """A^(j)(t) by direct polynomial differentiation."""
-        val = np.zeros((self.k * self.n, self.n))
-        for i in range(j, self.degree + 1):
-            val = val + math.perm(i, j) * self.coefficients[i] * float(t) ** (i - j)
-        return val
+    @cached_property
+    def polynomial(self):
+        """The frame as one :class:`PolynomialMatrix`."""
+        return PolynomialMatrix(self.coefficients)
 
     @cached_property
     def _derivative_stack(self):
         """Horner-ready coefficients of (A | A' | ... | A^(k)) as one array."""
-        k, n = self.k, self.n
-        stack = np.zeros((self.degree + 1, k * n, (k + 1) * n))
-        for j in range(k + 1):
-            for m in range(self.degree + 1 - j):
-                stack[m, :, j * n : (j + 1) * n] = (
-                    math.perm(m + j, j) * self.coefficients[m + j]
-                )
-        return stack
+        return _derivative_blocks(self.coefficients, range(self.k + 1), self.degree + 1)
 
     def derivative_row(self, t):
         """Values of (A | A' | ... | A^(k)) at ``t`` in one Horner pass."""
@@ -287,8 +303,11 @@ class PolynomialFrameCurve:
             val = val * t + c
         return val
 
-    def frame_jet(self, t, order, condition_limit=DEFAULT_CONDITION_LIMIT):
-        return eval_frame_jet(self, t, order, condition_limit)
+    def frame_jet(self, t, order):
+        """Exact jet of the frame at base time ``t``."""
+        if order < self.k - 1:
+            raise InsufficientOrderError(f"order {order} is below k-1={self.k - 1}")
+        return FrameJet(self.polynomial.jet_at(t, order))
 
     def frame_jets(self, times, order):
         return [self.frame_jet(t, order) for t in times]
@@ -304,18 +323,8 @@ class PolynomialFrameCurve:
         """The curve ``A(t) X(t)`` for a constant matrix or PolynomialMatrix."""
         if not isinstance(x, PolynomialMatrix):
             x = PolynomialMatrix((np.asarray(x, dtype=float),))
-        product = PolynomialMatrix(self.coefficients) @ x
+        product = self.polynomial @ x
         return PolynomialFrameCurve(self.k, self.n, product.coefficients)
-
-
-def eval_frame_jet(curve, t, order, condition_limit=DEFAULT_CONDITION_LIMIT):
-    """Exact jet of a polynomial frame curve at base time ``t``."""
-    if order < curve.k - 1:
-        raise InsufficientOrderError(
-            f"order {order} is below k-1={curve.k - 1}"
-        )
-    poly = PolynomialMatrix(curve.coefficients)
-    return FrameJet(poly.jet_at(t, order), condition_limit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +340,6 @@ class OdeFrameCurve:
     n: int
     p: tuple
     initial_juxtaposed: np.ndarray
-    rtol: float = 1e-10
-    atol: float = 1e-12
 
     def __post_init__(self):
         if self.k < 2 or self.n < 1:
@@ -385,11 +392,38 @@ class OdeFrameCurve:
                 )
         return PolynomialMatrix(tuple(stack))
 
-    def frame_jet(self, t, order, condition_limit=DEFAULT_CONDITION_LIMIT):
-        return integrate_ode_jet(self, t, order, condition_limit)
+    def frame_jet(self, t, order):
+        """Integrate the frame state from t=0 to ``t`` and build its jet there."""
+        return self.frame_jets((t,), order)[0]
 
     def frame_jets(self, times, order):
-        return integrate_ode_jets(self, times, order)
+        """Frame jets at many times from one integration sweep.
+
+        The requested times are visited outward from t=0, positive times in
+        ascending and negative times in descending order.  Each Runge-Kutta
+        5(4) segment starts from the state at the previous requested time, so
+        every requested time is a step endpoint (no dense-output
+        interpolation).  Jets come back in the caller's order; repeated times
+        share one jet.
+        """
+        k = self.k
+        if order < k - 1:
+            raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
+        times = [float(t) for t in times]
+        for t in times:
+            if not math.isfinite(t):
+                raise ValueError(f"frame jet times must be finite, got {t!r}")
+        states = {0.0: self.initial_juxtaposed}
+        positive = sorted({t for t in times if t > 0.0})
+        negative = sorted({t for t in times if t < 0.0}, reverse=True)
+        for side in (positive, negative):
+            t_prev, state = 0.0, self.initial_juxtaposed
+            for t in side:
+                state = _advance(self, t_prev, t, state)
+                states[t] = state
+                t_prev = t
+        jets = {t: _jet_from_state(self, t, states[t], order) for t in set(times)}
+        return [jets[t] for t in times]
 
 
 def _ode_state_derivative(curve, t, state):
@@ -405,15 +439,15 @@ def _advance(curve, t0, t1, state):
         (t0, t1),
         state.reshape(-1),
         method="RK45",
-        rtol=curve.rtol,
-        atol=curve.atol,
+        rtol=ODE_RTOL,
+        atol=ODE_ATOL,
     )
     if not sol.success:
         raise IntegrationError(f"integrator stopped before t={t1}: {sol.message}")
     return sol.y[:, -1].reshape(state.shape)
 
 
-def _jet_from_state(curve, t, state, order, condition_limit):
+def _jet_from_state(curve, t, state, order):
     """Frame jet at ``t`` from the juxtaposed state there.
 
     Coefficients of order >= k come from the defining equation: the
@@ -432,45 +466,7 @@ def _jet_from_state(curve, t, state, order, condition_limit):
                     math.comb(k, i) * math.perm(r + k - i, k - i) * coeffs[r + k - i]
                 ) @ p_coeffs[i - 1][idx - r]
         coeffs.append(top / math.perm(m, k))
-    return FrameJet(MatrixJet(t, tuple(coeffs)), condition_limit)
-
-
-def integrate_ode_jets(curve, times, order, condition_limit=DEFAULT_CONDITION_LIMIT):
-    """Frame jets at many times from one integration sweep.
-
-    The requested times are visited outward from t=0, positive times in
-    ascending and negative times in descending order.  Each Runge-Kutta
-    5(4) segment starts from the state at the previous requested time, so
-    every requested time is a step endpoint (no dense-output
-    interpolation).  Jets come back in the caller's order; repeated times
-    share one jet.
-    """
-    k = curve.k
-    if order < k - 1:
-        raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
-    times = [float(t) for t in times]
-    for t in times:
-        if not math.isfinite(t):
-            raise ValueError(f"frame jet times must be finite, got {t!r}")
-    states = {0.0: curve.initial_juxtaposed}
-    positive = sorted({t for t in times if t > 0.0})
-    negative = sorted({t for t in times if t < 0.0}, reverse=True)
-    for side in (positive, negative):
-        t_prev, state = 0.0, curve.initial_juxtaposed
-        for t in side:
-            state = _advance(curve, t_prev, t, state)
-            states[t] = state
-            t_prev = t
-    jets = {
-        t: _jet_from_state(curve, t, states[t], order, condition_limit)
-        for t in set(times)
-    }
-    return [jets[t] for t in times]
-
-
-def integrate_ode_jet(curve, t, order, condition_limit=DEFAULT_CONDITION_LIMIT):
-    """Integrate the frame state from t=0 to ``t`` and build its jet there."""
-    return integrate_ode_jets(curve, (t,), order, condition_limit)[0]
+    return FrameJet(MatrixJet(t, tuple(coeffs)))
 
 
 def standard_jet(k, n, order, base_time=0.0):

@@ -14,10 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curves import InsufficientOrderError, IntegrationError, OdeFrameCurve
+from .curves import (
+    ODE_ATOL,
+    ODE_RTOL,
+    InsufficientOrderError,
+    IntegrationError,
+    OdeFrameCurve,
+)
 from .jets import MatrixJet, jet_mul
 
 NORMALITY_RTOL = 1e-8
+# Relative agreement required of two routes to the same quantity.
+CONSISTENCY_RTOL = 1e-6
 
 
 class NotNormalError(ValueError):
@@ -45,35 +53,13 @@ class CoefficientSet:
         return 2.0 * self.kappa
 
 
-def ode_coefficients(fj, order=None):
+def ode_coefficients(fj):
     """Coefficients ``P_1 .. P_k`` of the frame's order-k equation, as jets.
 
-    Solves the block system ``(A | A' | ... | A^(k-1)) S = -A^(k)`` at jet
-    level; block ``k - i`` of ``S`` is ``C(k, i) P_i``.  With a frame jet
-    of order R the coefficient jets have order R - k.
+    They are solved for once per frame jet and cached there
+    (:attr:`FrameJet.equation_coefficients`).
     """
-    k, n = fj.k, fj.n
-    available = fj.order - k
-    if available < 0:
-        raise InsufficientOrderError(
-            f"equation coefficients need frame order >= {k}, have {fj.order}"
-        )
-    if order is None:
-        order = available
-    elif order > available:
-        raise InsufficientOrderError(
-            f"coefficient order {order} needs frame order >= {k + order}, have {fj.order}"
-        )
-    fj.require_fanning()
-    top = fj.derivative_jet(k)
-    stacked = jet_mul(fj.juxtaposed_inverse, -top).truncated(order)
-    ps = []
-    for i in range(1, k + 1):
-        j = k - i
-        scale = 1.0 / math.comb(k, i)
-        coeffs = tuple(scale * c[j * n : (j + 1) * n, :] for c in stacked.coeffs)
-        ps.append(MatrixJet(fj.base_time, coeffs))
-    return tuple(ps)
+    return fj.equation_coefficients
 
 
 def schwarzian(fj):
@@ -137,62 +123,16 @@ def wilczynski_invariants(fj):
     return invariants_from_coefficients(ode_coefficients(fj))
 
 
-def h1_closed_form(p1, p2, p3):
-    """The first invariant written out in the equation coefficients.
-
-    ``h_1 = P_3 - 3 P_1 P_2 - 2 P_1' P_1 + 2 P_1 P_1' + 2 P_1^3 - P_1''``.
-    """
-    d1 = p1.derivative()
-    d2 = d1.derivative()
-    p1sq = jet_mul(p1, p1)
-    return (
-        p3
-        - 3.0 * jet_mul(p1, p2)
-        - 2.0 * jet_mul(d1, p1)
-        + 2.0 * jet_mul(p1, d1)
-        + 2.0 * jet_mul(p1sq, p1)
-        - d2
-    )
-
-
-def h2_closed_form(p1, p2, p3, p4):
-    """The second invariant written out in the equation coefficients.
-
-    ``h_2 = P_4 - 4 P_1 P_3 + 6 P_1^2 P_2 - 6 P_1' P_2 + 3 P_1' P_1^2
-    - 3 P_1^2 P_1' + 6 P_1 P_1' P_1 + 3 P_1 P_1'' - 3 P_1'' P_1 - 3 P_1^4
-    + 3 P_1'^2 - P_1'''``; the last two terms carry the subscript 1
-    forced by the reduction recursion.
-    """
-    d1 = p1.derivative()
-    d2 = d1.derivative()
-    d3 = d2.derivative()
-    p1sq = jet_mul(p1, p1)
-    return (
-        p4
-        - 4.0 * jet_mul(p1, p3)
-        + 6.0 * jet_mul(p1sq, p2)
-        - 6.0 * jet_mul(d1, p2)
-        + 3.0 * jet_mul(d1, p1sq)
-        - 3.0 * jet_mul(p1sq, d1)
-        + 6.0 * jet_mul(jet_mul(p1, d1), p1)
-        + 3.0 * jet_mul(p1, d2)
-        - 3.0 * jet_mul(d2, p1)
-        - 3.0 * jet_mul(p1sq, p1sq)
-        + 3.0 * jet_mul(d1, d1)
-        - d3
-    )
-
-
-def is_normal(fj, rtol=NORMALITY_RTOL):
+def is_normal(fj):
     """Whether ``P_1`` vanishes at the base time, relative to ``P_2``."""
     p = ode_coefficients(fj)
     p1 = np.max(np.abs(p[0].value()))
     p2 = np.max(np.abs(p[1].value()))
-    return bool(p1 < rtol * (1.0 + p2))
+    return bool(p1 < NORMALITY_RTOL * (1.0 + p2))
 
 
-def require_normal(fj, rtol=NORMALITY_RTOL):
-    if not is_normal(fj, rtol):
+def require_normal(fj):
+    if not is_normal(fj):
         p1 = np.max(np.abs(ode_coefficients(fj)[0].value()))
         raise NotNormalError(
             f"frame is not normal at t={fj.base_time!r}: |P_1| = {p1:.3e}"
@@ -217,15 +157,14 @@ def normalizing_jet(p1, y0=None):
     return MatrixJet(p1.base_time, tuple(coeffs))
 
 
-def normalized_frame_jet(fj):
+def normalized_frame_jet(fj, y0=None):
     """The normal frame jet through the same point: ``A Y`` with ``P_1 -> 0``.
 
-    The output order is ``R - k + 1`` for an input of order R, the most the
-    normalizing change is determined to.
+    ``Y(t0) = y0``, the identity by default.  The output order is
+    ``R - k + 1`` for an input of order R, the most the normalizing change
+    is determined to.
     """
-    p = ode_coefficients(fj)
-    y = normalizing_jet(p[0])
-    return fj.right_multiplied(y)
+    return fj.right_multiplied(normalizing_jet(ode_coefficients(fj)[0], y0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,15 +195,16 @@ def _p1_value(curve, t):
     return s[(k - 1) * n :, :] / k
 
 
-def normal_frame(curve, grid, jet_order=None, rtol=1e-10, atol=1e-12, jets=None):
+def normal_frame(curve, grid, jet_order=None, jets=None):
     """Integrate the normalizing change ``X' = -X P_1`` along a time grid.
 
-    The grid must be strictly monotonic; integration starts at the first
-    grid point with ``X = I``.  Each returned sample carries the normal
-    frame value ``B = A X^-1`` and the coefficients ``Q_j = P_j[B]``.
-    ``jets`` may pass the curve's frame jets at the grid times, one per
-    time in grid order and of order at least ``jet_order``, when the
-    caller already holds them.
+    The grid must be strictly monotonic and the frame fanning at every
+    grid time, which is checked before integrating; integration starts at
+    the first grid point with ``X = I``.  Each returned sample carries the
+    normal frame value ``B = A X^-1`` and the coefficients
+    ``Q_j = P_j[B]``.  ``jets`` may pass the curve's frame jets at the
+    grid times, one per time in grid order and of order at least
+    ``jet_order``, when the caller already holds them.
     """
     k, n = curve.k, curve.n
     times = [float(t) for t in grid]
@@ -275,6 +215,16 @@ def normal_frame(curve, grid, jet_order=None, rtol=1e-10, atol=1e-12, jets=None)
         raise ValueError("time grid must be strictly monotonic")
     if jet_order is None:
         jet_order = 2 * k + 1
+    if jets is None:
+        jets = curve.frame_jets(times, jet_order)
+    else:
+        jets = list(jets)
+        if len(jets) != len(times):
+            raise ValueError(f"got {len(jets)} jets for {len(times)} grid times")
+        if jets and min(fj.order for fj in jets) < jet_order:
+            raise ValueError(f"jets must have order >= {jet_order}")
+    for fj in jets:
+        fj.require_fanning()
 
     def rhs(t, y):
         x = y.reshape(n, n)
@@ -288,29 +238,18 @@ def normal_frame(curve, grid, jet_order=None, rtol=1e-10, atol=1e-12, jets=None)
             np.eye(n).reshape(-1),
             method="RK45",
             t_eval=times,
-            rtol=rtol,
-            atol=atol,
+            rtol=ODE_RTOL,
+            atol=ODE_ATOL,
         )
         if not sol.success:
             raise IntegrationError(f"normalization stopped early: {sol.message}")
         xs = [sol.y[:, i].reshape(n, n) for i in range(len(times))]
 
-    if jets is None:
-        jets = curve.frame_jets(times, jet_order)
-    else:
-        jets = list(jets)
-        if len(jets) != len(times):
-            raise ValueError(f"got {len(jets)} jets for {len(times)} grid times")
-        if jets and min(fj.order for fj in jets) < jet_order:
-            raise ValueError(f"jets must have order >= {jet_order}")
     frames = []
     qs = []
     residuals = []
     for fj, x in zip(jets, xs):
-        fj.require_fanning()
-        p1 = ode_coefficients(fj)[0]
-        yjet = normalizing_jet(p1, y0=np.linalg.inv(x))
-        bjet = fj.right_multiplied(yjet)
+        bjet = normalized_frame_jet(fj, y0=np.linalg.inv(x))
         pb = ode_coefficients(bjet)
         residuals.append(float(np.max(np.abs(pb[0].value()))))
         frames.append(bjet.jet.value())
@@ -338,26 +277,17 @@ def nilpotent_matrix(k, n):
     return m
 
 
-def fundamental_endomorphism(fj, jet_order=None):
+def fundamental_endomorphism(fj):
     """The equivariant endomorphism with ``F A^(i) = i A^(i-1)``, as a jet.
 
     Computed as the conjugate of the canonical nilpotent by the juxtaposed
-    lift.  A frame jet of order R supports ``jet_order`` up to R - k + 1.
+    lift; a frame jet of order R gives it to order R - k + 1.
     """
     fj.require_fanning()
-    available = fj.order - fj.k + 1
-    if jet_order is None:
-        jet_order = available
-    elif jet_order > available:
-        raise InsufficientOrderError(
-            f"endomorphism jet order {jet_order} needs frame order >= "
-            f"{fj.k - 1 + jet_order}, have {fj.order}"
-        )
     nil = MatrixJet.constant(
         nilpotent_matrix(fj.k, fj.n), fj.base_time, fj.juxtaposed.order
     )
-    f = jet_mul(jet_mul(fj.juxtaposed, nil), fj.juxtaposed_inverse)
-    return f.truncated(jet_order)
+    return jet_mul(jet_mul(fj.juxtaposed, nil), fj.juxtaposed_inverse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,7 +321,12 @@ def horizontal_derivative(fj):
         raise InsufficientOrderError(
             f"the horizontal derivative needs frame order >= {k + 1}, have {fj.order}"
         )
-    f = fundamental_endomorphism(fj)
+    return _horizontal(fj, fundamental_endomorphism(fj))
+
+
+def _horizontal(fj, f):
+    """``H`` from the fundamental endomorphism jet ``f`` of the frame."""
+    k = fj.k
     top = fj.derivative_jet(k)
     return fj.derivative_jet(k - 1).truncated(top.order) - (1.0 / k) * jet_mul(
         f.truncated(top.order), top
@@ -410,7 +345,7 @@ def _horizontal_from_coefficients(fj, p):
     return acc
 
 
-def endomorphism_bundle(fj, consistency_rtol=1e-6):
+def endomorphism_bundle(fj):
     """All pointwise endomorphism data; the two horizontal routes must agree."""
     k, n = fj.k, fj.n
     if fj.order < k + 1:
@@ -427,14 +362,13 @@ def endomorphism_bundle(fj, consistency_rtol=1e-6):
     pdot = -fddot / k
     jacobi = pdot @ pdot
 
-    h = horizontal_derivative(fj)
-    p = ode_coefficients(fj)
-    h_alt = _horizontal_from_coefficients(fj, p)
+    h = _horizontal(fj, f)
+    h_alt = _horizontal_from_coefficients(fj, ode_coefficients(fj))
     scale = 1.0 + max(np.max(np.abs(c)) for c in h.coeffs)
     residual = max(
         np.max(np.abs(a - b)) for a, b in zip(h.coeffs, h_alt.coeffs)
     )
-    if residual > consistency_rtol * scale:
+    if residual > CONSISTENCY_RTOL * scale:
         raise InternalConsistencyError(
             f"horizontal-derivative routes disagree: residual {residual:.3e}"
         )
@@ -458,13 +392,7 @@ def endomorphism_bundle(fj, consistency_rtol=1e-6):
     )
 
 
-def _normal_invariant_jets(fj):
-    """``kappa, h_1 .. h_(k-2)`` of a normal frame, directly from the P jets."""
-    p = ode_coefficients(fj)
-    return [p[j] for j in range(1, fj.k)]
-
-
-def jacobi_matrix(fj, which="K", consistency_rtol=1e-6):
+def jacobi_matrix(fj, which="K"):
     """Moving-frame matrix of the Jacobi endomorphism or of ``P'``.
 
     For a normal frame of order >= k+1, the Jacobi endomorphism written in
@@ -479,7 +407,8 @@ def jacobi_matrix(fj, which="K", consistency_rtol=1e-6):
         raise ValueError(f"which must be 'K' or 'Pdot', got {which!r}")
     k, n = fj.k, fj.n
     require_normal(fj)
-    invariants = _normal_invariant_jets(fj)
+    # With P_1 = 0 the invariants kappa, h_1 .. h_(k-2) are P_2 .. P_k.
+    invariants = ode_coefficients(fj)[1:]
     if invariants[0].order < 1:
         raise InsufficientOrderError(
             f"the Jacobi matrix needs frame order >= {k + 1}, have {fj.order}"
@@ -508,7 +437,7 @@ def jacobi_matrix(fj, which="K", consistency_rtol=1e-6):
     direct = np.linalg.solve(bundle.moving_frame, target @ bundle.moving_frame)
     scale = 1.0 + np.max(np.abs(direct))
     residual = np.max(np.abs(direct - pattern))
-    if residual > consistency_rtol * scale:
+    if residual > CONSISTENCY_RTOL * scale:
         raise InternalConsistencyError(
             f"Jacobi pattern and change of basis disagree: residual {residual:.3e}"
         )
@@ -530,21 +459,8 @@ def maurer_cartan_pullback(fj, lift="with_H"):
         raise InsufficientOrderError(
             f"the pullback needs frame order >= {k + 1}, have {fj.order}"
         )
-    if lift == "with_kth_derivative":
-        jux = fj.juxtaposed
-        return np.linalg.solve(jux.value(), jux.derivative_value(1))
-    h = horizontal_derivative(fj)
-    order = h.order
-    if order < 1:
-        raise InsufficientOrderError(
-            f"the H-lift pullback needs frame order >= {k + 1}, have {fj.order}"
-        )
-    coeffs = []
-    for m in range(order + 1):
-        block = np.empty((k * n, k * n))
-        for j in range(k - 1):
-            block[:, j * n : (j + 1) * n] = math.perm(m + j, j) * fj.jet.coeffs[m + j]
-        block[:, (k - 1) * n :] = h.coeffs[m]
-        coeffs.append(block)
-    lifted = MatrixJet(fj.base_time, tuple(coeffs))
-    return np.linalg.solve(lifted.value(), lifted.derivative_value(1))
+    # The H-lift replaces the last block column of the juxtaposed lift.
+    lifted = np.array(fj.juxtaposed.coeffs[:2])
+    if lift == "with_H":
+        lifted[:, :, (k - 1) * n :] = horizontal_derivative(fj).coeffs[:2]
+    return np.linalg.solve(lifted[0], lifted[1])

@@ -138,9 +138,6 @@ class MatrixJet:
     def inverse(self, condition_limit=DEFAULT_CONDITION_LIMIT):
         return jet_inverse(self, condition_limit)
 
-    def eval(self, t):
-        return jet_eval(self, t)
-
     def __repr__(self):
         return (
             f"MatrixJet(base_time={self.base_time}, order={self.order}, "
@@ -182,7 +179,8 @@ def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
 
     Solves ``b_0 = c_0^-1`` and ``b_m = -b_0 * sum_(i=1..m) c_i b_(m-i)``
     recursively.  Fails loudly when the constant term's condition number
-    exceeds ``condition_limit`` (pass ``None`` to skip the check).
+    exceeds ``condition_limit`` (pass ``None`` to skip the check), and
+    raises ``LinAlgError`` when the recursion overflows.
     """
     if a.rows != a.cols:
         raise JetError(f"only square jets can be inverted, got shape {a.shape}")
@@ -200,7 +198,10 @@ def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
         s = a.coeffs[1] @ b[m - 1]
         for i in range(2, m + 1):
             s += a.coeffs[i] @ b[m - i]
-        b.append(-lu_solve(lu, s))
+        try:
+            b.append(-lu_solve(lu, s))
+        except ValueError as exc:  # lu_solve refuses the inf or NaN of an overflow
+            raise np.linalg.LinAlgError(f"jet inverse overflowed at order {m}: {exc}") from exc
     return MatrixJet(a.base_time, tuple(b))
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from fanning import MatrixJet, PolynomialFrameCurve
 from fanning.curves import FrameJet
+from fanning.jets import jet_mul
 
 
 @pytest.fixture
@@ -134,16 +135,70 @@ def classical_schwarzian(poly_coeffs, t):
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
 
+def derivative_value(curve, t, j):
+    """A^(j)(t) of a polynomial frame curve by direct differentiation."""
+    val = np.zeros((curve.k * curve.n, curve.n))
+    for i in range(j, curve.degree + 1):
+        val = val + math.perm(i, j) * curve.coefficients[i] * float(t) ** (i - j)
+    return val
+
+
 def curve_p_values(curve, t):
     """Coefficients P_1 .. P_k of the frame equation by a direct value solve."""
     k, n = curve.k, curve.n
     jux = np.empty((k * n, k * n))
     for j in range(k):
-        jux[:, j * n : (j + 1) * n] = curve.derivative_value(t, j)
-    s = np.linalg.solve(jux, -curve.derivative_value(t, k))
+        jux[:, j * n : (j + 1) * n] = derivative_value(curve, t, j)
+    s = np.linalg.solve(jux, -derivative_value(curve, t, k))
     return [
         s[(k - i) * n : (k - i + 1) * n, :] / math.comb(k, i) for i in range(1, k + 1)
     ]
+
+
+def h1_closed_form(p1, p2, p3):
+    """The first invariant written out in the equation coefficients.
+
+    ``h_1 = P_3 - 3 P_1 P_2 - 2 P_1' P_1 + 2 P_1 P_1' + 2 P_1^3 - P_1''``.
+    """
+    d1 = p1.derivative()
+    d2 = d1.derivative()
+    p1sq = jet_mul(p1, p1)
+    return (
+        p3
+        - 3.0 * jet_mul(p1, p2)
+        - 2.0 * jet_mul(d1, p1)
+        + 2.0 * jet_mul(p1, d1)
+        + 2.0 * jet_mul(p1sq, p1)
+        - d2
+    )
+
+
+def h2_closed_form(p1, p2, p3, p4):
+    """The second invariant written out in the equation coefficients.
+
+    ``h_2 = P_4 - 4 P_1 P_3 + 6 P_1^2 P_2 - 6 P_1' P_2 + 3 P_1' P_1^2
+    - 3 P_1^2 P_1' + 6 P_1 P_1' P_1 + 3 P_1 P_1'' - 3 P_1'' P_1 - 3 P_1^4
+    + 3 P_1'^2 - P_1'''``; the last two terms carry the subscript 1
+    forced by the reduction recursion.
+    """
+    d1 = p1.derivative()
+    d2 = d1.derivative()
+    d3 = d2.derivative()
+    p1sq = jet_mul(p1, p1)
+    return (
+        p4
+        - 4.0 * jet_mul(p1, p3)
+        + 6.0 * jet_mul(p1sq, p2)
+        - 6.0 * jet_mul(d1, p2)
+        + 3.0 * jet_mul(d1, p1sq)
+        - 3.0 * jet_mul(p1sq, d1)
+        + 6.0 * jet_mul(jet_mul(p1, d1), p1)
+        + 3.0 * jet_mul(p1, d2)
+        - 3.0 * jet_mul(d2, p1)
+        - 3.0 * jet_mul(p1sq, p1sq)
+        + 3.0 * jet_mul(d1, d1)
+        - d3
+    )
 
 
 ALL_KN = [(k, n) for k in (2, 3, 4, 5) for n in (1, 2, 3)]

@@ -13,8 +13,6 @@ from fanning import (
     are_congruent,
     endomorphism_bundle,
     fundamental_endomorphism,
-    h1_closed_form,
-    h2_closed_form,
     invariants_from_coefficients,
     jacobi_matrix,
     maurer_cartan_pullback,
@@ -32,6 +30,8 @@ from fanning.linalg import eigenspace, eigenvalue_multiplicity, span_distance
 from conftest import (
     ALL_KN,
     classical_schwarzian,
+    h1_closed_form,
+    h2_closed_form,
     random_frame_jet,
     random_invertible,
     random_jet,

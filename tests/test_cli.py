@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from fanning import curve_to_dict, standard_curve
 from fanning.cli import main
-from fanning.curves import InsufficientOrderError
+from fanning.curves import FrameJet, InsufficientOrderError
 import fanning.cli as cli_mod
 from conftest import tame_polynomial_curve, tan_curve, random_invertible
 
@@ -35,6 +36,20 @@ def write_normal_ode_curve(path, k, n, rng):
     }
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def write_coefficients(path, coefficients):
+    """A k=2, n=1 polynomial curve file with the given 2 x 1 coefficients."""
+    data = {"kind": "polynomial", "k": 2, "n": 1, "coefficients": coefficients}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+# A(t) = (1, t^3): singular juxtaposed matrix at t=0.
+CUBIC = [[[1.0], [0.0]], [[0.0], [0.0]], [[0.0], [0.0]], [[0.0], [1.0]]]
+# Finite, fanning at t=0 (condition 1) but not at t=0.3 (condition 1.1e17);
+# its jet inverse at t=0 overflows.
+HUGE = [[[1.0], [0.0]], [[0.0], [1.0]], [[1e300], [1e300]]]
 
 
 class TestInvariantsCommand:
@@ -93,6 +108,40 @@ class TestInvariantsCommand:
         path.write_text(json.dumps(data))
         assert main(["invariants", str(path), "--grid", "0:1:2"]) == 3
 
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        path = write_coefficients(tmp_path / "huge.json", HUGE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["invariants", path, "--grid", "0:1:3"]) == 6
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_one_note_for_non_normal_frames(self, tmp_path, capsys, rng):
+        path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 1, rng))
+        argv = ["invariants", path, "--grid", "0:0.4:3", "--jacobi", "--maurer-cartan", "H"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert not any(point["was_normal"] for point in json.loads(out)["points"])
+        assert err.splitlines() == [
+            "note: frame not normal at 3 of 3 grid times (t=0.0 to 0.4); the Jacobi "
+            "matrix and pullback are those of the normal frame anchored at each"
+        ]
+
+    def test_equation_coefficients_solved_once_per_jet(self, tmp_path, monkeypatch, rng):
+        path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        solve = FrameJet.equation_coefficients.func
+        solved = []
+
+        def counted(fj):
+            solved.append(fj.base_time)
+            return solve(fj)
+
+        prop = cached_property(counted)
+        prop.__set_name__(FrameJet, "equation_coefficients")
+        monkeypatch.setattr(FrameJet, "equation_coefficients", prop)
+        argv = ["invariants", path, "--grid", "0:0.4:5", "--jacobi", "--maurer-cartan", "H"]
+        assert main(argv) == 0
+        # one solve for the input jet and one for its normalized jet
+        assert len(solved) == 2 * 5
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -139,6 +188,19 @@ class TestCongruentCommand:
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "not_congruent"
+
+
+class TestFanningCheckedBeforeIntegrating:
+    def test_singular_at_first_grid_time(self, tmp_path, capsys):
+        path = write_coefficients(tmp_path / "cubic.json", CUBIC)
+        assert main(["normal-frame", path, "--grid", "0:1:3"]) == 3
+        assert main(["congruent", path, path, "--grid", "0:1:3"]) == 3
+        assert "not fanning at t=0.0" in capsys.readouterr().err
+
+    def test_ill_conditioned_grid_time(self, tmp_path, capsys):
+        path = write_coefficients(tmp_path / "huge.json", HUGE)
+        assert main(["normal-frame", path, "--grid", "0:0.3:2"]) == 3
+        assert "not fanning at t=0.3" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -278,6 +340,16 @@ class TestPlumbing:
 
         monkeypatch.setitem(cli_mod._COMMANDS, "invariants", boom)
         assert main(["invariants", path, "--grid", "0:1:2"]) == 4
+
+    def test_linalg_error_maps_to_exit_6(self, tmp_path, monkeypatch, capsys):
+        path = write_curve(tmp_path / "c.json", standard_curve(2, 1))
+
+        def boom(config):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "invariants", boom)
+        assert main(["invariants", path, "--grid", "0:1:2"]) == 6
+        assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
     def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
         path = write_curve(tmp_path / "std.json", standard_curve(2, 1))

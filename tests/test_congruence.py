@@ -120,9 +120,8 @@ class TestAreCongruent:
         from fanning.linalg import span_distance
 
         for t in (0.12, 0.37):  # off-sample times
-            assert (
-                span_distance(w.ambient @ curve_a.value(t), curve_b.value(t)) < 1e-6
-            )
+            image = w.ambient @ curve_a.polynomial.value(t)
+            assert span_distance(image, curve_b.polynomial.value(t)) < 1e-6
 
     def test_condition_gate_gives_inconclusive(self, rng):
         k, n = 2, 2

@@ -15,8 +15,6 @@ from fanning import (
     PolynomialMatrix,
     curve_from_dict,
     curve_to_dict,
-    eval_frame_jet,
-    integrate_ode_jet,
     standard_curve,
     standard_jet,
 )
@@ -70,7 +68,7 @@ class TestEvalFrameJet:
     def test_order_below_k_minus_one_rejected(self, rng):
         curve = random_polynomial_curve(3, 1, rng)
         with pytest.raises(InsufficientOrderError):
-            eval_frame_jet(curve, 0.0, 1)
+            curve.frame_jet(0.0, 1)
 
 
 class TestFanningInvariance:
@@ -162,8 +160,8 @@ class TestOdeCurve:
             k, n, tuple(ps), curve.frame_jet(0.0, k - 1).juxtaposed.value()
         )
         for t in (0.25, 0.6, 1.0):
-            got = integrate_ode_jet(rebuilt, t, k - 1).jet.value()
-            np.testing.assert_allclose(got, curve.value(t), atol=1e-7)
+            got = rebuilt.frame_jet(t, k - 1).jet.value()
+            np.testing.assert_allclose(got, curve.polynomial.value(t), atol=1e-7)
 
     def test_non_invertible_initial_data_rejected(self):
         zero = PolynomialMatrix((np.zeros((1, 1)),))
@@ -282,7 +280,7 @@ class TestOdeSweep:
         times = np.linspace(0.0, 8.0, 17)
         swept = curve.frame_jets(times, 4)
         for t, fj in zip(times, swept):
-            _assert_jets_close(fj, integrate_ode_jet(curve, t, 4), 1e-9)
+            _assert_jets_close(fj, curve.frame_jet(t, 4), 1e-9)
             exact = np.array([[math.cos(omega * t)], [math.sin(omega * t) / omega]])
             np.testing.assert_allclose(fj.jet.value(), exact, atol=1e-8)
 
@@ -291,7 +289,7 @@ class TestOdeSweep:
         times = np.linspace(0.0, 6.0, 9)
         swept = curve.frame_jets(times, 2 * curve.k + 2)
         for t, fj in zip(times, swept):
-            _assert_jets_close(fj, integrate_ode_jet(curve, t, 2 * curve.k + 2), 1e-9)
+            _assert_jets_close(fj, curve.frame_jet(t, 2 * curve.k + 2), 1e-9)
 
     def test_caller_order_with_mixed_signs_and_repeats(self, rng):
         curve = _drifting_curve(rng, k=2, n=1)
@@ -299,7 +297,7 @@ class TestOdeSweep:
         swept = curve.frame_jets(times, 3)
         assert [fj.base_time for fj in swept] == times
         for t, fj in zip(times, swept):
-            _assert_jets_close(fj, integrate_ode_jet(curve, t, 3), 1e-9)
+            _assert_jets_close(fj, curve.frame_jet(t, 3), 1e-9)
         np.testing.assert_array_equal(swept[0].jet.value(), swept[3].jet.value())
         np.testing.assert_array_equal(swept[2].jet.value(), curve.initial_juxtaposed[:, :1])
 
@@ -309,7 +307,7 @@ class TestOdeSweep:
         with pytest.raises(ValueError, match="finite"):
             curve.frame_jets([0.1, bad], 3)
         with pytest.raises(ValueError, match="finite"):
-            integrate_ode_jet(curve, bad, 3)
+            curve.frame_jet(bad, 3)
 
     def test_polynomial_batch_is_pointwise(self, rng):
         curve = random_polynomial_curve(3, 2, rng)

@@ -7,8 +7,6 @@ import pytest
 
 from fanning import (
     InsufficientOrderError,
-    h1_closed_form,
-    h2_closed_form,
     invariants_from_coefficients,
     normal_frame,
     normalized_frame_jet,
@@ -21,6 +19,8 @@ from fanning import (
 from fanning.jets import jet_mul
 from conftest import (
     classical_schwarzian,
+    h1_closed_form,
+    h2_closed_form,
     random_frame_jet,
     random_invertible,
     random_jet,
