@@ -289,7 +289,7 @@ def cmd_canonicalize(config):
         "standard_jet": {
             "base_time": standard.base_time,
             "order": standard.order,
-            "coefficients": [c for c in standard.jet.coeffs],
+            "coefficients": standard.jet.coeffs,
         },
         "orbit_coordinates": list(coords.entries),
         "tolerance": config.tolerance,

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .jets import DEFAULT_CONDITION_LIMIT, MatrixJet, jet_mul
+from .jets import DEFAULT_CONDITION_LIMIT, MatrixJet, coefficient_stack, horner, jet_mul
 
 # Integration tolerances of the ODE backend and of the normalizing change,
 # two orders tighter than the downstream invariant tolerances.
@@ -54,19 +54,6 @@ class CurveFormatError(ValueError):
     """Malformed curve description (JSON schema violation)."""
 
 
-def _matrix_tuple(coefficients, shape, what):
-    out = []
-    for i, c in enumerate(coefficients):
-        arr = np.array(c, dtype=float)
-        if arr.shape != shape:
-            raise CurveFormatError(
-                f"{what} coefficient {i} has shape {arr.shape}, expected {shape}"
-            )
-        arr.setflags(write=False)
-        out.append(arr)
-    return tuple(out)
-
-
 def _require_finite(coefficients, what):
     """Reject curve data with NaN or infinite entries (checked once at construction)."""
     for i, c in enumerate(coefficients):
@@ -76,16 +63,16 @@ def _require_finite(coefficients, what):
 
 @dataclass(frozen=True, eq=False)
 class PolynomialMatrix:
-    """Matrix polynomial ``sum_i C_i t^i`` in the global time variable."""
+    """Matrix polynomial ``sum_i C_i t^i`` in the global time variable.
 
-    coefficients: tuple
+    ``coefficients`` is one read-only array of shape ``(degree + 1, rows, cols)``.
+    """
+
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        if len(self.coefficients) == 0:
-            raise CurveFormatError("a polynomial needs at least one coefficient")
-        shape = np.asarray(self.coefficients[0], dtype=float).shape
         object.__setattr__(
-            self, "coefficients", _matrix_tuple(self.coefficients, shape, "polynomial")
+            self, "coefficients", coefficient_stack(self.coefficients, CurveFormatError)
         )
 
     @property
@@ -94,44 +81,46 @@ class PolynomialMatrix:
 
     @property
     def shape(self):
-        return self.coefficients[0].shape
+        return self.coefficients.shape[1:]
 
     def value(self, t):
-        val = np.array(self.coefficients[-1])
-        for c in self.coefficients[-2::-1]:
-            val = val * float(t) + c
-        return val
+        return horner(self.coefficients, float(t))
 
     def jet_at(self, t, order):
         """Exact Taylor re-expansion about base time ``t``, truncated at ``order``."""
         t = float(t)
-        coeffs = []
-        for j in range(order + 1):
-            c = np.zeros(self.shape)
+        coeffs = np.zeros((order + 1,) + self.shape)
+        for j, c in enumerate(coeffs):
             for i in range(j, self.degree + 1):
-                c = c + math.comb(i, j) * self.coefficients[i] * t ** (i - j)
-            coeffs.append(c)
-        return MatrixJet(t, tuple(coeffs))
+                c += math.comb(i, j) * self.coefficients[i] * t ** (i - j)
+        return MatrixJet(t, coeffs)
 
     def __matmul__(self, other):
         """Polynomial product by coefficient convolution."""
-        coeffs = [
-            np.zeros((self.shape[0], other.shape[1]))
-            for _ in range(self.degree + other.degree + 1)
-        ]
+        coeffs = np.zeros(
+            (self.degree + other.degree + 1, self.shape[0], other.shape[1])
+        )
         for i, a in enumerate(self.coefficients):
             for j, b in enumerate(other.coefficients):
-                coeffs[i + j] = coeffs[i + j] + a @ b
-        return PolynomialMatrix(tuple(coeffs))
+                coeffs[i + j] += a @ b
+        return PolynomialMatrix(coeffs)
+
+
+def nilpotent_matrix(k, n):
+    """Block nilpotent with superdiagonal blocks ``1 I, 2 I, ..., (k-1) I``."""
+    m = np.zeros((k * n, k * n))
+    for j in range(k - 1):
+        m[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = (j + 1) * np.eye(n)
+    return m
 
 
 def _derivative_blocks(coeffs, orders, count):
     """Taylor coefficients ``0 .. count-1`` of ``A^(j)``, j in ``orders``, side by side.
 
-    ``coeffs`` are those of ``A``; block ``j`` of coefficient ``m`` is
-    ``perm(m + j, j) * c_(m+j)``, and zero past the last of ``coeffs``.
+    ``coeffs`` is the coefficient stack of ``A``; block ``j`` of coefficient
+    ``m`` is ``perm(m + j, j) * c_(m+j)``, and zero past the last of ``coeffs``.
     """
-    rows, cols = coeffs[0].shape
+    rows, cols = coeffs.shape[1:]
     blocks = np.zeros((count, rows, len(orders) * cols))
     for b, j in enumerate(orders):
         for m in range(min(count, len(coeffs) - j)):
@@ -181,14 +170,14 @@ class FrameJet:
                 f"derivative {j} needs jet order >= {j}, have {self.jet.order}"
             )
         blocks = _derivative_blocks(self.jet.coeffs, (j,), self.jet.order - j + 1)
-        return MatrixJet(self.base_time, tuple(blocks))
+        return MatrixJet(self.base_time, blocks)
 
     @cached_property
     def juxtaposed(self):
         """kn x kn jet of ``(A | A' | ... | A^(k-1))``."""
         count = self.jet.order - self.k + 2
         blocks = _derivative_blocks(self.jet.coeffs, range(self.k), count)
-        return MatrixJet(self.base_time, tuple(blocks))
+        return MatrixJet(self.base_time, blocks)
 
     @cached_property
     def condition(self):
@@ -222,28 +211,38 @@ class FrameJet:
                 f"equation coefficients need frame order >= {k}, have {self.order}"
             )
         self.require_fanning()
-        stacked = jet_mul(self.juxtaposed_inverse, -self.derivative_jet(k))
-        ps = []
-        for i in range(1, k + 1):
-            j = k - i
-            scale = 1.0 / math.comb(k, i)
-            coeffs = tuple(scale * c[j * n : (j + 1) * n, :] for c in stacked.coeffs)
-            ps.append(MatrixJet(self.base_time, coeffs))
-        return tuple(ps)
+        stacked = jet_mul(self.juxtaposed_inverse, -self.derivative_jet(k)).coeffs
+        return tuple(
+            MatrixJet(
+                self.base_time,
+                (1.0 / math.comb(k, i)) * stacked[:, (k - i) * n : (k - i + 1) * n, :],
+            )
+            for i in range(1, k + 1)
+        )
+
+    @cached_property
+    def fundamental_endomorphism(self):
+        """The equivariant endomorphism with ``F A^(i) = i A^(i-1)``, as a jet.
+
+        Built once per frame jet as the conjugate of the canonical nilpotent
+        by the juxtaposed lift; a frame jet of order R gives it to order
+        R - k + 1.
+        """
+        self.require_fanning()
+        lifted = self.juxtaposed.coeffs @ nilpotent_matrix(self.k, self.n)
+        return jet_mul(MatrixJet(self.base_time, lifted), self.juxtaposed_inverse)
 
     def left_multiplied(self, t_matrix):
         """Frame jet of ``T A`` for a constant ambient matrix ``T``."""
         t_matrix = np.asarray(t_matrix, dtype=float)
-        coeffs = tuple(t_matrix @ c for c in self.jet.coeffs)
-        return FrameJet(MatrixJet(self.base_time, coeffs))
+        return FrameJet(MatrixJet(self.base_time, t_matrix @ self.jet.coeffs))
 
     def right_multiplied(self, x):
         """Frame jet of ``A X`` for a constant n x n matrix or an n x n jet."""
         if isinstance(x, MatrixJet):
             return FrameJet(jet_mul(self.jet, x))
         x = np.asarray(x, dtype=float)
-        coeffs = tuple(c @ x for c in self.jet.coeffs)
-        return FrameJet(MatrixJet(self.base_time, coeffs))
+        return FrameJet(MatrixJet(self.base_time, self.jet.coeffs @ x))
 
     def truncated(self, order):
         return FrameJet(self.jet.truncated(order))
@@ -252,8 +251,8 @@ class FrameJet:
         """Pad with zero coefficients; used to fix a jet extension explicitly."""
         if order <= self.jet.order:
             return self
-        zero = np.zeros(self.jet.shape)
-        coeffs = self.jet.coeffs + (zero,) * (order - self.jet.order)
+        zeros = np.zeros((order - self.jet.order,) + self.jet.shape)
+        coeffs = np.concatenate((self.jet.coeffs, zeros))
         return FrameJet(MatrixJet(self.base_time, coeffs))
 
     def __repr__(self):
@@ -269,16 +268,19 @@ class PolynomialFrameCurve:
 
     k: int
     n: int
-    coefficients: tuple
+    coefficients: np.ndarray
 
     def __post_init__(self):
         if self.k < 2 or self.n < 1:
             raise CurveFormatError(f"need k >= 2 and n >= 1, got k={self.k}, n={self.n}")
+        stack = coefficient_stack(self.coefficients, CurveFormatError)
         shape = (self.k * self.n, self.n)
-        object.__setattr__(
-            self, "coefficients", _matrix_tuple(self.coefficients, shape, "frame")
-        )
-        _require_finite(self.coefficients, "frame")
+        if stack.shape[1:] != shape:
+            raise CurveFormatError(
+                f"frame coefficients have shape {stack.shape[1:]}, expected {shape}"
+            )
+        _require_finite(stack, "frame")
+        object.__setattr__(self, "coefficients", stack)
 
     @property
     def degree(self):
@@ -296,12 +298,7 @@ class PolynomialFrameCurve:
 
     def derivative_row(self, t):
         """Values of (A | A' | ... | A^(k)) at ``t`` in one Horner pass."""
-        stack = self._derivative_stack
-        val = np.array(stack[-1])
-        t = float(t)
-        for c in stack[-2::-1]:
-            val = val * t + c
-        return val
+        return horner(self._derivative_stack, float(t))
 
     def frame_jet(self, t, order):
         """Exact jet of the frame at base time ``t``."""
@@ -315,14 +312,12 @@ class PolynomialFrameCurve:
     def transformed(self, t_matrix):
         """The curve ``T A(t)`` for a constant kn x kn matrix ``T``."""
         t_matrix = np.asarray(t_matrix, dtype=float)
-        return PolynomialFrameCurve(
-            self.k, self.n, tuple(t_matrix @ c for c in self.coefficients)
-        )
+        return PolynomialFrameCurve(self.k, self.n, t_matrix @ self.coefficients)
 
     def right_multiplied(self, x):
         """The curve ``A(t) X(t)`` for a constant matrix or PolynomialMatrix."""
         if not isinstance(x, PolynomialMatrix):
-            x = PolynomialMatrix((np.asarray(x, dtype=float),))
+            x = PolynomialMatrix(np.asarray(x, dtype=float)[None])
         product = self.polynomial @ x
         return PolynomialFrameCurve(self.k, self.n, product.coefficients)
 
@@ -349,7 +344,7 @@ class OdeFrameCurve:
         ps = []
         for i, poly in enumerate(self.p):
             if not isinstance(poly, PolynomialMatrix):
-                poly = PolynomialMatrix(tuple(np.asarray(c, dtype=float) for c in poly))
+                poly = PolynomialMatrix(poly)
             if poly.shape != (self.n, self.n):
                 raise CurveFormatError(
                     f"P_{i + 1} has shape {poly.shape}, expected {(self.n, self.n)}"
@@ -390,7 +385,7 @@ class OdeFrameCurve:
                 stack[m, (k - i) * n : (k - i + 1) * n, (k - 1) * n :] = (
                     -math.comb(k, i) * c
                 )
-        return PolynomialMatrix(tuple(stack))
+        return PolynomialMatrix(stack)
 
     def frame_jet(self, t, order):
         """Integrate the frame state from t=0 to ``t`` and build its jet there."""
@@ -455,7 +450,9 @@ def _jet_from_state(curve, t, state, order):
     is a Cauchy product over lower coefficients.
     """
     k, n = curve.k, curve.n
-    coeffs = [state[:, j * n : (j + 1) * n] / math.factorial(j) for j in range(k)]
+    coeffs = np.empty((order + 1, k * n, n))
+    for j in range(k):
+        coeffs[j] = state[:, j * n : (j + 1) * n] / math.factorial(j)
     p_coeffs = [poly.jet_at(t, max(order - k, 0)).coeffs for poly in curve.p]
     for m in range(k, order + 1):
         idx = m - k
@@ -465,8 +462,8 @@ def _jet_from_state(curve, t, state, order):
                 top -= (
                     math.comb(k, i) * math.perm(r + k - i, k - i) * coeffs[r + k - i]
                 ) @ p_coeffs[i - 1][idx - r]
-        coeffs.append(top / math.perm(m, k))
-    return FrameJet(MatrixJet(t, tuple(coeffs)))
+        coeffs[m] = top / math.perm(m, k)
+    return FrameJet(MatrixJet(t, coeffs))
 
 
 def standard_jet(k, n, order, base_time=0.0):
@@ -477,23 +474,18 @@ def standard_jet(k, n, order, base_time=0.0):
     """
     if order < k - 1:
         raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
-    coeffs = []
-    for j in range(order + 1):
-        c = np.zeros((k * n, n))
-        if j <= k - 1:
-            c[j * n : (j + 1) * n] = np.eye(n) / math.factorial(j)
-        coeffs.append(c)
-    return FrameJet(MatrixJet(base_time, tuple(coeffs)))
+    coeffs = np.zeros((order + 1, k * n, n))
+    for j in range(k):
+        coeffs[j, j * n : (j + 1) * n] = np.eye(n) / math.factorial(j)
+    return FrameJet(MatrixJet(base_time, coeffs))
 
 
 def standard_curve(k, n):
     """The monomial curve ``A(t) = sum_j E_j t^j`` over the identity blocks."""
-    coeffs = []
+    coeffs = np.zeros((k, k * n, n))
     for j in range(k):
-        c = np.zeros((k * n, n))
-        c[j * n : (j + 1) * n] = np.eye(n)
-        coeffs.append(c)
-    return PolynomialFrameCurve(k, n, tuple(coeffs))
+        coeffs[j, j * n : (j + 1) * n] = np.eye(n)
+    return PolynomialFrameCurve(k, n, coeffs)
 
 
 # -- JSON curve format ----------------------------------------------------
@@ -514,7 +506,7 @@ def curve_from_dict(data):
     if kind == "polynomial":
         if "coefficients" not in data:
             raise CurveFormatError("polynomial curve needs 'coefficients'")
-        return PolynomialFrameCurve(k, n, tuple(data["coefficients"]))
+        return PolynomialFrameCurve(k, n, data["coefficients"])
     if kind == "ode":
         if "P" not in data or "A0" not in data:
             raise CurveFormatError("ode curve needs 'P' and 'A0'")
@@ -524,7 +516,7 @@ def curve_from_dict(data):
                 coeffs = entry["coefficients"]
             except (TypeError, KeyError) as exc:
                 raise CurveFormatError(f"P entry {i} lacks 'coefficients'") from exc
-            ps.append(PolynomialMatrix(tuple(coeffs)))
+            ps.append(PolynomialMatrix(coeffs))
         return OdeFrameCurve(k, n, tuple(ps), np.array(data["A0"], dtype=float))
     raise CurveFormatError(f"unknown curve kind {kind!r}")
 
@@ -535,7 +527,7 @@ def curve_to_dict(curve):
             "kind": "polynomial",
             "k": curve.k,
             "n": curve.n,
-            "coefficients": [c.tolist() for c in curve.coefficients],
+            "coefficients": curve.coefficients.tolist(),
         }
     if isinstance(curve, OdeFrameCurve):
         return {
@@ -543,7 +535,7 @@ def curve_to_dict(curve):
             "k": curve.k,
             "n": curve.n,
             "P": [
-                {"degree": poly.degree, "coefficients": [c.tolist() for c in poly.coefficients]}
+                {"degree": poly.degree, "coefficients": poly.coefficients.tolist()}
                 for poly in curve.p
             ],
             "A0": curve.initial_juxtaposed.tolist(),

@@ -20,6 +20,7 @@ from .curves import (
     InsufficientOrderError,
     IntegrationError,
     OdeFrameCurve,
+    nilpotent_matrix,
 )
 from .jets import MatrixJet, jet_mul
 
@@ -147,14 +148,14 @@ def normalizing_jet(p1, y0=None):
     ``X' = -X P_1``.
     """
     n = p1.rows
-    y0 = np.eye(n) if y0 is None else np.asarray(y0, dtype=float)
-    coeffs = [y0]
+    coeffs = np.empty((p1.order + 2, n, n))
+    coeffs[0] = np.eye(n) if y0 is None else y0
     for m in range(p1.order + 1):
         s = np.zeros((n, n))
         for i in range(m + 1):
             s += p1.coeffs[i] @ coeffs[m - i]
-        coeffs.append(s / (m + 1))
-    return MatrixJet(p1.base_time, tuple(coeffs))
+        coeffs[m + 1] = s / (m + 1)
+    return MatrixJet(p1.base_time, coeffs)
 
 
 def normalized_frame_jet(fj, y0=None):
@@ -269,25 +270,13 @@ def normal_frame(curve, grid, jet_order=None, jets=None):
 # -- endomorphism family ----------------------------------------------------
 
 
-def nilpotent_matrix(k, n):
-    """Block nilpotent with superdiagonal blocks ``1 I, 2 I, ..., (k-1) I``."""
-    m = np.zeros((k * n, k * n))
-    for j in range(k - 1):
-        m[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = (j + 1) * np.eye(n)
-    return m
-
-
 def fundamental_endomorphism(fj):
     """The equivariant endomorphism with ``F A^(i) = i A^(i-1)``, as a jet.
 
-    Computed as the conjugate of the canonical nilpotent by the juxtaposed
-    lift; a frame jet of order R gives it to order R - k + 1.
+    It is built once per frame jet and cached there
+    (:attr:`FrameJet.fundamental_endomorphism`).
     """
-    fj.require_fanning()
-    nil = MatrixJet.constant(
-        nilpotent_matrix(fj.k, fj.n), fj.base_time, fj.juxtaposed.order
-    )
-    return jet_mul(jet_mul(fj.juxtaposed, nil), fj.juxtaposed_inverse)
+    return fj.fundamental_endomorphism
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,13 +310,8 @@ def horizontal_derivative(fj):
         raise InsufficientOrderError(
             f"the horizontal derivative needs frame order >= {k + 1}, have {fj.order}"
         )
-    return _horizontal(fj, fundamental_endomorphism(fj))
-
-
-def _horizontal(fj, f):
-    """``H`` from the fundamental endomorphism jet ``f`` of the frame."""
-    k = fj.k
     top = fj.derivative_jet(k)
+    f = fundamental_endomorphism(fj)
     return fj.derivative_jet(k - 1).truncated(top.order) - (1.0 / k) * jet_mul(
         f.truncated(top.order), top
     )
@@ -362,12 +346,10 @@ def endomorphism_bundle(fj):
     pdot = -fddot / k
     jacobi = pdot @ pdot
 
-    h = _horizontal(fj, f)
+    h = horizontal_derivative(fj)
     h_alt = _horizontal_from_coefficients(fj, ode_coefficients(fj))
-    scale = 1.0 + max(np.max(np.abs(c)) for c in h.coeffs)
-    residual = max(
-        np.max(np.abs(a - b)) for a, b in zip(h.coeffs, h_alt.coeffs)
-    )
+    scale = 1.0 + np.max(np.abs(h.coeffs))
+    residual = np.max(np.abs(h.coeffs - h_alt.coeffs))
     if residual > CONSISTENCY_RTOL * scale:
         raise InternalConsistencyError(
             f"horizontal-derivative routes disagree: residual {residual:.3e}"
@@ -460,7 +442,7 @@ def maurer_cartan_pullback(fj, lift="with_H"):
             f"the pullback needs frame order >= {k + 1}, have {fj.order}"
         )
     # The H-lift replaces the last block column of the juxtaposed lift.
-    lifted = np.array(fj.juxtaposed.coeffs[:2])
+    lifted = fj.juxtaposed.coeffs[:2].copy()
     if lift == "with_H":
         lifted[:, :, (k - 1) * n :] = horizontal_derivative(fj).coeffs[:2]
     return np.linalg.solve(lifted[0], lifted[1])

@@ -7,6 +7,13 @@ matrix-valued curve about a base time ``t0``; the represented curve is
 entries stay O(1) for analytic curves and no factorial overflow occurs at
 high order; accessors convert on demand.
 
+The coefficients are one read-only float array of shape
+``(order + 1, rows, cols)``: ``coeffs[i]`` is ``c_i``, so coefficientwise
+operations are single array expressions and a constant right or left
+factor is one broadcast matmul.  Matrix polynomials in :mod:`fanning.curves`
+hold their coefficients in the same layout, and :func:`horner` evaluates
+either.
+
 Mixed-order binary operations truncate to the minimum order and never
 zero-pad: unknown higher derivatives are unknown, not zero.
 
@@ -38,29 +45,45 @@ class SingularLeadingCoefficientError(JetError):
         self.limit = limit
 
 
-def _freeze(c):
-    arr = np.array(c, dtype=float)
-    if arr.ndim != 2:
-        raise JetError(f"jet coefficients must be matrices, got ndim={arr.ndim}")
-    arr.setflags(write=False)
-    return arr
+def coefficient_stack(coeffs, error):
+    """``coeffs`` as one read-only float array of shape ``(count, rows, cols)``.
+
+    Raises ``error`` unless ``coeffs`` holds at least one matrix and all
+    its matrices share one shape.  The result is always a fresh copy, so
+    no caller holds a writable alias of it.
+    """
+    try:
+        stack = np.array(coeffs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"coefficients are not matrices of one shape: {exc}") from exc
+    if stack.shape[:1] == (0,):
+        raise error("at least one coefficient is needed")
+    if stack.ndim != 3:
+        raise error(f"coefficients must be matrices, got an array of shape {stack.shape}")
+    stack.setflags(write=False)
+    return stack
+
+
+def horner(coeffs, x):
+    """``sum_i coeffs[i] x**i`` by Horner's rule over the first axis of ``coeffs``."""
+    val = np.array(coeffs[-1])
+    for c in coeffs[-2::-1]:
+        val = val * x + c
+    return val
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixJet:
-    """Taylor coefficients ``c_0 .. c_r`` of a matrix curve at ``base_time``."""
+    """Taylor coefficients ``c_0 .. c_r`` of a matrix curve at ``base_time``.
+
+    ``coeffs`` is one read-only array of shape ``(r + 1, rows, cols)``.
+    """
 
     base_time: float
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise JetError("a jet needs at least its constant coefficient")
-        frozen = tuple(_freeze(c) for c in self.coeffs)
-        shapes = {c.shape for c in frozen}
-        if len(shapes) != 1:
-            raise JetError(f"jet coefficients have mixed shapes {sorted(shapes)}")
-        object.__setattr__(self, "coeffs", frozen)
+        object.__setattr__(self, "coeffs", coefficient_stack(self.coeffs, JetError))
         object.__setattr__(self, "base_time", float(self.base_time))
 
     # -- construction --------------------------------------------------
@@ -68,8 +91,9 @@ class MatrixJet:
     @classmethod
     def constant(cls, value, base_time=0.0, order=0):
         value = np.asarray(value, dtype=float)
-        zero = np.zeros_like(value)
-        return cls(base_time, (value,) + (zero,) * order)
+        coeffs = np.zeros((order + 1,) + value.shape)
+        coeffs[0] = value
+        return cls(base_time, coeffs)
 
     @classmethod
     def identity(cls, dim, base_time=0.0, order=0):
@@ -77,7 +101,7 @@ class MatrixJet:
 
     @classmethod
     def zero(cls, rows, cols, base_time=0.0, order=0):
-        return cls(base_time, tuple(np.zeros((rows, cols)) for _ in range(order + 1)))
+        return cls(base_time, np.zeros((order + 1, rows, cols)))
 
     # -- structure -----------------------------------------------------
 
@@ -87,15 +111,15 @@ class MatrixJet:
 
     @property
     def rows(self):
-        return self.coeffs[0].shape[0]
+        return self.coeffs.shape[1]
 
     @property
     def cols(self):
-        return self.coeffs[0].shape[1]
+        return self.coeffs.shape[2]
 
     @property
     def shape(self):
-        return self.coeffs[0].shape
+        return self.coeffs.shape[1:]
 
     def value(self):
         """Curve value at the base time (the constant coefficient)."""
@@ -121,14 +145,13 @@ class MatrixJet:
         return jet_add(self, -other)
 
     def __neg__(self):
-        return MatrixJet(self.base_time, tuple(-c for c in self.coeffs))
+        return MatrixJet(self.base_time, -self.coeffs)
 
     def __matmul__(self, other):
         return jet_mul(self, other)
 
     def __mul__(self, scalar):
-        scalar = float(scalar)
-        return MatrixJet(self.base_time, tuple(scalar * c for c in self.coeffs))
+        return MatrixJet(self.base_time, float(scalar) * self.coeffs)
 
     __rmul__ = __mul__
 
@@ -158,20 +181,21 @@ def jet_add(a, b):
     """Coefficientwise sum, truncated to the smaller order."""
     _check_compatible(a, b, same_shape=True)
     m = min(a.order, b.order)
-    return MatrixJet(a.base_time, tuple(a.coeffs[i] + b.coeffs[i] for i in range(m + 1)))
+    return MatrixJet(a.base_time, a.coeffs[: m + 1] + b.coeffs[: m + 1])
 
 
 def jet_mul(a, b):
     """Cauchy product ``c_m = sum_i a_i b_(m-i)``, truncated to the smaller order."""
     _check_compatible(a, b, same_shape=False)
     m = min(a.order, b.order)
-    coeffs = []
-    for j in range(m + 1):
-        c = a.coeffs[0] @ b.coeffs[j]
+    # Accumulated term by term from a_0 b_j: a pairwise .sum(axis=0) would
+    # round 1 x 1 blocks differently.
+    out = np.empty((m + 1, a.rows, b.cols))
+    for j, c in enumerate(out):
+        np.matmul(a.coeffs[0], b.coeffs[j], out=c)
         for i in range(1, j + 1):
             c += a.coeffs[i] @ b.coeffs[j - i]
-        coeffs.append(c)
-    return MatrixJet(a.base_time, tuple(coeffs))
+    return MatrixJet(a.base_time, out)
 
 
 def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
@@ -180,7 +204,8 @@ def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
     Solves ``b_0 = c_0^-1`` and ``b_m = -b_0 * sum_(i=1..m) c_i b_(m-i)``
     recursively.  Fails loudly when the constant term's condition number
     exceeds ``condition_limit`` (pass ``None`` to skip the check), and
-    raises ``LinAlgError`` when the recursion overflows.
+    raises ``LinAlgError`` when a coefficient of the recursion is not
+    finite (an overflow, reported by this error rather than by a warning).
     """
     if a.rows != a.cols:
         raise JetError(f"only square jets can be inverted, got shape {a.shape}")
@@ -193,29 +218,27 @@ def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
         lu = lu_factor(c0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - cond check catches first
         raise SingularLeadingCoefficientError(np.inf, condition_limit or np.inf) from exc
-    b = [lu_solve(lu, np.eye(a.rows))]
-    for m in range(1, a.order + 1):
-        s = a.coeffs[1] @ b[m - 1]
-        for i in range(2, m + 1):
-            s += a.coeffs[i] @ b[m - i]
-        try:
-            b.append(-lu_solve(lu, s))
-        except ValueError as exc:  # lu_solve refuses the inf or NaN of an overflow
-            raise np.linalg.LinAlgError(f"jet inverse overflowed at order {m}: {exc}") from exc
-    return MatrixJet(a.base_time, tuple(b))
+    b = np.empty_like(a.coeffs)
+    b[0] = lu_solve(lu, np.eye(a.rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, a.order + 1):
+            s = a.coeffs[1] @ b[m - 1]
+            for i in range(2, m + 1):
+                s += a.coeffs[i] @ b[m - i]
+            b[m] = -lu_solve(lu, s, check_finite=False)
+            if not np.isfinite(b[m]).all():
+                raise np.linalg.LinAlgError(f"jet inverse overflowed at order {m}")
+    return MatrixJet(a.base_time, b)
 
 
 def jet_derivative(a):
     """d/dt of the jet; the order drops by one."""
     if a.order < 1:
         raise JetError("cannot differentiate an order-0 jet")
-    return MatrixJet(a.base_time, tuple((i + 1) * a.coeffs[i + 1] for i in range(a.order)))
+    factors = np.arange(1, a.order + 1, dtype=float)[:, None, None]
+    return MatrixJet(a.base_time, factors * a.coeffs[1:])
 
 
 def jet_eval(a, t):
     """Horner evaluation of the jet polynomial at time ``t``."""
-    dt = float(t) - a.base_time
-    val = np.array(a.coeffs[-1])
-    for c in a.coeffs[-2::-1]:
-        val = val * dt + c
-    return val
+    return horner(a.coeffs, float(t) - a.base_time)

@@ -114,6 +114,18 @@ class TestInvariantsCommand:
             assert main(["invariants", path, "--grid", "0:1:3"]) == 6
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_numerical_failure_is_one_line(self, tmp_path):
+        path = write_coefficients(tmp_path / "huge.json", HUGE)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanning.cli", "invariants", path, "--grid", "0:1:3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 6
+        assert proc.stderr.splitlines() == [
+            "numerical failure: jet inverse overflowed at order 2"
+        ]
+
     def test_one_note_for_non_normal_frames(self, tmp_path, capsys, rng):
         path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 1, rng))
         argv = ["invariants", path, "--grid", "0:0.4:3", "--jacobi", "--maurer-cartan", "H"]
@@ -141,6 +153,26 @@ class TestInvariantsCommand:
         assert main(argv) == 0
         # one solve for the input jet and one for its normalized jet
         assert len(solved) == 2 * 5
+
+    def test_fundamental_endomorphism_built_once_per_jet(self, tmp_path, monkeypatch, rng):
+        build = FrameJet.fundamental_endomorphism.func
+        built = []
+
+        def counted(fj):
+            built.append(fj.base_time)
+            return build(fj)
+
+        prop = cached_property(counted)
+        prop.__set_name__(FrameJet, "fundamental_endomorphism")
+        monkeypatch.setattr(FrameJet, "fundamental_endomorphism", prop)
+        general = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        normal = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
+        for path, jets_per_point in ((general, 2), (normal, 1)):
+            built.clear()
+            argv = ["invariants", path, "--grid", "0:0.4:5", "--jacobi", "--maurer-cartan", "H"]
+            assert main(argv) == 0
+            # the input jet, and its normalized jet unless the frame is normal
+            assert len(built) == jets_per_point * 5
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"

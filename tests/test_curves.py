@@ -229,6 +229,8 @@ class TestJsonFormat:
             {"kind": "polynomial", "k": 2, "n": 1},
             {"kind": "ode", "k": 2, "n": 1},
             [1, 2, 3],
+            {"kind": "polynomial", "k": 2, "n": 1, "coefficients": [[[1.0], [0.0]], [[1.0]]]},
+            {"kind": "polynomial", "k": 2, "n": 1, "coefficients": [{"c": 1.0}]},
         ],
     )
     def test_malformed_rejected(self, data):
@@ -240,6 +242,26 @@ class TestJsonFormat:
             curve_from_dict(
                 {"kind": "polynomial", "k": 2, "n": 1, "coefficients": [[[1.0]]]}
             )
+
+    def test_coefficients_are_one_read_only_array(self):
+        curve = curve_from_dict(curve_to_dict(standard_curve(3, 2)))
+        ode = curve_from_dict(
+            {
+                "kind": "ode",
+                "k": 2,
+                "n": 1,
+                "P": [{"coefficients": [[[0.0]]]}, {"coefficients": [[[1.0]], [[0.5]]]}],
+                "A0": np.eye(2).tolist(),
+            }
+        )
+        for stack, shape in (
+            (curve.coefficients, (3, 6, 2)),
+            (curve.polynomial.coefficients, (3, 6, 2)),
+            (ode.p[1].coefficients, (2, 1, 1)),
+        ):
+            assert isinstance(stack, np.ndarray) and stack.shape == shape
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
 
 
 def _drifting_curve(rng, k=3, n=2):

@@ -36,6 +36,27 @@ def poly_mul_oracle(a, b):
     return full[: min(a.order, b.order) + 1]
 
 
+class TestLayout:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(np.eye(2), np.eye(3)), (np.ones(2), np.ones(2)), ()],
+        ids=["mixed-shape", "non-matrix", "empty"],
+    )
+    def test_invalid_coefficients_rejected(self, coeffs):
+        with pytest.raises(JetError):
+            MatrixJet(0.0, coeffs)
+
+    def test_coefficients_are_one_read_only_array(self, rng):
+        source = rng.standard_normal((5, 2, 3))
+        a = MatrixJet(0.0, source)
+        assert isinstance(a.coeffs, np.ndarray)
+        assert a.coeffs.shape == (5, 2, 3) and a.coeffs.dtype == np.float64
+        with pytest.raises(ValueError):
+            a.coeffs[1, 0, 0] = 1.0
+        source[1, 0, 0] = 1e9
+        assert a.coeffs[1, 0, 0] != 1e9
+
+
 class TestAdd:
     def test_additive_identity(self, rng):
         a = random_jet(2, 3, 3, rng)
@@ -94,6 +115,17 @@ class TestMul:
         out = jet_mul(a, b)
         for c, expected in zip(out.coeffs, poly_mul_oracle(a, b)):
             np.testing.assert_allclose(c, expected, atol=1e-14)
+        # A constant factor on either side is one broadcast matmul on the stack.
+        right = MatrixJet.constant(b.value(), order=4)
+        left = MatrixJet.constant(a.value(), order=4)
+        for x, y, broadcast in (
+            (a, right, a.coeffs @ right.value()),
+            (left, b, left.value() @ b.coeffs),
+        ):
+            out = jet_mul(x, y)
+            for c, expected in zip(out.coeffs, poly_mul_oracle(x, y)):
+                np.testing.assert_allclose(c, expected, atol=1e-14)
+            np.testing.assert_array_equal(broadcast, out.coeffs)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(JetError):
