@@ -23,33 +23,33 @@ from .congruence import (
 )
 from .curves import (
     CurveFormatError,
+    EndomorphismBundle,
     FrameJet,
     InsufficientOrderError,
     IntegrationError,
+    InternalConsistencyError,
     NotFanningError,
     OdeFrameCurve,
     PolynomialFrameCurve,
     PolynomialMatrix,
     curve_from_dict,
     curve_to_dict,
+    horizontal_derivative,
     load_curve,
+    nilpotent_matrix,
     standard_curve,
     standard_jet,
 )
 from .invariants import (
     CoefficientSet,
-    EndomorphismBundle,
-    InternalConsistencyError,
     NormalizationRecord,
     NotNormalError,
     endomorphism_bundle,
     fundamental_endomorphism,
-    horizontal_derivative,
     invariants_from_coefficients,
     is_normal,
     jacobi_matrix,
     maurer_cartan_pullback,
-    nilpotent_matrix,
     normal_frame,
     normalized_frame_jet,
     normalizing_jet,

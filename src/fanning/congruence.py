@@ -45,19 +45,26 @@ def simultaneous_conjugator(
     """
     if len(pairs) == 0:
         raise ValueError("at least one matrix pair is required")
-    n = np.asarray(pairs[0][0]).shape[0]
+    try:
+        ms = np.array([m for m, _ in pairs], dtype=float)
+        ns = np.array([nn for _, nn in pairs], dtype=float)
+    except ValueError as exc:
+        raise ValueError("all pairs must be square matrices of one size") from exc
+    n = ms.shape[-1]
+    if ms.shape != (len(pairs), n, n) or ns.shape != ms.shape:
+        raise ValueError("all pairs must be square matrices of one size")
+    scale = max(1.0, np.max(np.abs(ms)), np.max(np.abs(ns)))
+    # Row-major vec: vec(M X - X N) = (M kron I - I kron N^T) vec(X).  Entry
+    # (p, a, b, c, d) is M_p[a, c] I[b, d] - I[a, c] N_p[d, b]: one broadcast
+    # product per Kronecker factor over all pairs, signed zeros included.
     eye = np.eye(n)
-    blocks = []
-    scale = 1.0
-    for m, nn in pairs:
-        m = np.asarray(m, dtype=float)
-        nn = np.asarray(nn, dtype=float)
-        if m.shape != (n, n) or nn.shape != (n, n):
-            raise ValueError("all pairs must be square matrices of one size")
-        scale = max(scale, np.max(np.abs(m)), np.max(np.abs(nn)))
-        # Row-major vec: vec(M X - X N) = (M kron I - I kron N^T) vec(X).
-        blocks.append(np.kron(m, eye) - np.kron(eye, nn.T))
-    basis = nullspace(np.vstack(blocks), rtol=rtol, floor=rtol * scale)
+    system = (
+        ms[:, :, None, :, None] * eye[:, None, :]
+        - eye[:, None, :, None] * ns.transpose(0, 2, 1)[:, None, :, None, :]
+    )
+    basis = nullspace(
+        system.reshape(len(pairs) * n * n, n * n), rtol=rtol, floor=rtol * scale
+    )
     if basis.shape[1] == 0:
         return None
 

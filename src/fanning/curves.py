@@ -13,13 +13,15 @@ from t=0 for each of them.
 A frame curve takes values in the kn x n matrices; its value at ``t``
 spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
 juxtaposed kn x kn matrix ``(A | A' | ... | A^(k-1))`` is invertible
-there.
+there.  A :class:`FrameJet` caches what is computed once per jet: the
+juxtaposed lift and its inverse, the equation coefficients ``P_j``, the
+fundamental endomorphism and the endomorphism bundle.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -30,6 +32,8 @@ from .jets import DEFAULT_CONDITION_LIMIT, MatrixJet, coefficient_stack, horner,
 # two orders tighter than the downstream invariant tolerances.
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
+# Relative agreement required of two routes to the same quantity.
+CONSISTENCY_RTOL = 1e-6
 
 
 class NotFanningError(RuntimeError):
@@ -52,6 +56,10 @@ class IntegrationError(RuntimeError):
 
 class CurveFormatError(ValueError):
     """Malformed curve description (JSON schema violation)."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """Two independent computation routes disagreed beyond tolerance."""
 
 
 def _require_finite(coefficients, what):
@@ -87,12 +95,20 @@ class PolynomialMatrix:
         return horner(self.coefficients, float(t))
 
     def jet_at(self, t, order):
-        """Exact Taylor re-expansion about base time ``t``, truncated at ``order``."""
+        """Exact Taylor re-expansion about base time ``t``, truncated at ``order``.
+
+        Coefficient ``j`` is ``sum_i C(i, j) t^(i-j) C_i``: one contraction of
+        the coefficient stack with the Taylor-shift matrix.  Raises
+        ``LinAlgError`` when the shift overflows.
+        """
         t = float(t)
-        coeffs = np.zeros((order + 1,) + self.shape)
-        for j, c in enumerate(coeffs):
-            for i in range(j, self.degree + 1):
-                c += math.comb(i, j) * self.coefficients[i] * t ** (i - j)
+        binomials = _binomials(order + 1, self.degree + 1)
+        powers = np.maximum(np.arange(self.degree + 1) - np.arange(order + 1)[:, None], 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = binomials * np.power(t, powers)
+            coeffs = np.tensordot(shift, self.coefficients, axes=1)
+        if not np.isfinite(coeffs).all():
+            raise np.linalg.LinAlgError(f"Taylor shift to t={t!r} overflowed")
         return MatrixJet(t, coeffs)
 
     def __matmul__(self, other):
@@ -104,6 +120,14 @@ class PolynomialMatrix:
             for j, b in enumerate(other.coefficients):
                 coeffs[i + j] += a @ b
         return PolynomialMatrix(coeffs)
+
+
+@cache
+def _binomials(rows, cols):
+    """Read-only ``rows x cols`` table of ``C(i, j)`` at row ``j``, column ``i``."""
+    table = np.array([[math.comb(i, j) for i in range(cols)] for j in range(rows)], dtype=float)
+    table.setflags(write=False)
+    return table
 
 
 def nilpotent_matrix(k, n):
@@ -123,8 +147,12 @@ def _derivative_blocks(coeffs, orders, count):
     rows, cols = coeffs.shape[1:]
     blocks = np.zeros((count, rows, len(orders) * cols))
     for b, j in enumerate(orders):
-        for m in range(min(count, len(coeffs) - j)):
-            blocks[m, :, b * cols : (b + 1) * cols] = math.perm(m + j, j) * coeffs[m + j]
+        filled = min(count, len(coeffs) - j)
+        if filled > 0:
+            scale = np.array([math.perm(m + j, j) for m in range(filled)], dtype=float)
+            blocks[:filled, :, b * cols : (b + 1) * cols] = (
+                scale[:, None, None] * coeffs[j : j + filled]
+            )
     return blocks
 
 
@@ -232,6 +260,55 @@ class FrameJet:
         lifted = self.juxtaposed.coeffs @ nilpotent_matrix(self.k, self.n)
         return jet_mul(MatrixJet(self.base_time, lifted), self.juxtaposed_inverse)
 
+    @cached_property
+    def endomorphism_bundle(self):
+        """All pointwise endomorphism data, built once per frame jet.
+
+        The horizontal derivative is built through F and through the
+        equation coefficients; the two routes must agree.
+        """
+        k, n = self.k, self.n
+        if self.order < k + 1:
+            raise InsufficientOrderError(
+                f"the endomorphism bundle needs frame order >= {k + 1}, have {self.order}"
+            )
+        self.require_fanning()
+        f = self.fundamental_endomorphism
+        eye = np.eye(k * n)
+        fdot = f.derivative_value(1)
+        reflection = (2.0 * fdot - (k - 2) * eye) / k
+        projection = (eye - reflection) / 2.0
+        fddot = f.derivative_value(2)
+        pdot = -fddot / k
+        jacobi = pdot @ pdot
+
+        h = horizontal_derivative(self)
+        h_alt = _horizontal_from_coefficients(self, self.equation_coefficients)
+        scale = 1.0 + np.max(np.abs(h.coeffs))
+        residual = np.max(np.abs(h.coeffs - h_alt.coeffs))
+        if residual > CONSISTENCY_RTOL * scale:
+            raise InternalConsistencyError(
+                f"horizontal-derivative routes disagree: residual {residual:.3e}"
+            )
+
+        moving = np.empty((k * n, k * n))
+        for j in range(k - 1):
+            moving[:, j * n : (j + 1) * n] = self.derivative_jet(j).value()
+        moving[:, (k - 1) * n :] = h.value()
+
+        return EndomorphismBundle(
+            fundamental=f,
+            reflection=reflection,
+            projection=projection,
+            pdot=pdot,
+            jacobi=jacobi,
+            horizontal=h,
+            moving_frame=moving,
+            nilpotent=nilpotent_matrix(k, n),
+            base_time=self.base_time,
+            horizontal_residual=float(residual),
+        )
+
     def left_multiplied(self, t_matrix):
         """Frame jet of ``T A`` for a constant ambient matrix ``T``."""
         t_matrix = np.asarray(t_matrix, dtype=float)
@@ -260,6 +337,56 @@ class FrameJet:
             f"FrameJet(k={self.k}, n={self.n}, order={self.order}, "
             f"base_time={self.base_time})"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class EndomorphismBundle:
+    """Pointwise endomorphism data of a fanning frame.
+
+    ``fundamental`` is the endomorphism jet; ``reflection`` its derivative
+    scaled to an involution; ``projection`` projects onto the vertical
+    space along the horizontal curve; ``pdot`` is the projection's time
+    derivative, ``jacobi`` its square; ``horizontal`` spans the horizontal
+    curve; ``moving_frame`` juxtaposes ``(A | ... | A^(k-2) | H)`` at the
+    base time.
+    """
+
+    fundamental: MatrixJet
+    reflection: np.ndarray
+    projection: np.ndarray
+    pdot: np.ndarray
+    jacobi: np.ndarray
+    horizontal: MatrixJet
+    moving_frame: np.ndarray
+    nilpotent: np.ndarray
+    base_time: float
+    horizontal_residual: float
+
+
+def horizontal_derivative(fj):
+    """Jet of ``H = A^(k-1) - (1/k) F A^(k)``, the span of the horizontal curve."""
+    k = fj.k
+    if fj.order < k + 1:
+        raise InsufficientOrderError(
+            f"the horizontal derivative needs frame order >= {k + 1}, have {fj.order}"
+        )
+    top = fj.derivative_jet(k)
+    f = fj.fundamental_endomorphism
+    return fj.derivative_jet(k - 1).truncated(top.order) - (1.0 / k) * jet_mul(
+        f.truncated(top.order), top
+    )
+
+
+def _horizontal_from_coefficients(fj, p):
+    """Eq-derived route: ``H = A^(k-1) + sum C(k-1, i) A^(k-1-i) P_i``."""
+    k = fj.k
+    order = fj.order - k
+    acc = fj.derivative_jet(k - 1).truncated(order)
+    for i in range(1, k):
+        acc = acc + math.comb(k - 1, i) * jet_mul(
+            fj.derivative_jet(k - 1 - i).truncated(order), p[i - 1].truncated(order)
+        )
+    return acc
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ the order-k linear equation satisfied by the frame, the matrix Schwarzian
 and the Wilczynski-type invariants ``h_j``, normalizing frame changes, and
 the endomorphism family (fundamental endomorphism, reflection, projection,
 horizontal derivative and Jacobi endomorphism) together with their
-moving-frame matrices.
+moving-frame matrices.  What is computed once per frame jet (``P_j``, F
+and the endomorphism bundle) is cached on :class:`~fanning.curves.FrameJet`
+and read here.
 """
 
 import math
@@ -15,26 +17,22 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .curves import (
+    CONSISTENCY_RTOL,
     ODE_ATOL,
     ODE_RTOL,
     InsufficientOrderError,
     IntegrationError,
+    InternalConsistencyError,
     OdeFrameCurve,
-    nilpotent_matrix,
+    horizontal_derivative,
 )
 from .jets import MatrixJet, jet_mul
 
 NORMALITY_RTOL = 1e-8
-# Relative agreement required of two routes to the same quantity.
-CONSISTENCY_RTOL = 1e-6
 
 
 class NotNormalError(ValueError):
     """An operation defined only for normal frames received a non-normal one."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two independent computation routes disagreed beyond tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,99 +277,13 @@ def fundamental_endomorphism(fj):
     return fj.fundamental_endomorphism
 
 
-@dataclass(frozen=True, eq=False)
-class EndomorphismBundle:
-    """Pointwise endomorphism data of a fanning frame.
-
-    ``fundamental`` is the endomorphism jet; ``reflection`` its derivative
-    scaled to an involution; ``projection`` projects onto the vertical
-    space along the horizontal curve; ``pdot`` is the projection's time
-    derivative, ``jacobi`` its square; ``horizontal`` spans the horizontal
-    curve; ``moving_frame`` juxtaposes ``(A | ... | A^(k-2) | H)`` at the
-    base time.
-    """
-
-    fundamental: MatrixJet
-    reflection: np.ndarray
-    projection: np.ndarray
-    pdot: np.ndarray
-    jacobi: np.ndarray
-    horizontal: MatrixJet
-    moving_frame: np.ndarray
-    nilpotent: np.ndarray
-    base_time: float
-    horizontal_residual: float
-
-
-def horizontal_derivative(fj):
-    """Jet of ``H = A^(k-1) - (1/k) F A^(k)``, the span of the horizontal curve."""
-    k = fj.k
-    if fj.order < k + 1:
-        raise InsufficientOrderError(
-            f"the horizontal derivative needs frame order >= {k + 1}, have {fj.order}"
-        )
-    top = fj.derivative_jet(k)
-    f = fundamental_endomorphism(fj)
-    return fj.derivative_jet(k - 1).truncated(top.order) - (1.0 / k) * jet_mul(
-        f.truncated(top.order), top
-    )
-
-
-def _horizontal_from_coefficients(fj, p):
-    """Eq-derived route: ``H = A^(k-1) + sum C(k-1, i) A^(k-1-i) P_i``."""
-    k = fj.k
-    order = fj.order - k
-    acc = fj.derivative_jet(k - 1).truncated(order)
-    for i in range(1, k):
-        acc = acc + math.comb(k - 1, i) * jet_mul(
-            fj.derivative_jet(k - 1 - i).truncated(order), p[i - 1].truncated(order)
-        )
-    return acc
-
-
 def endomorphism_bundle(fj):
-    """All pointwise endomorphism data; the two horizontal routes must agree."""
-    k, n = fj.k, fj.n
-    if fj.order < k + 1:
-        raise InsufficientOrderError(
-            f"the endomorphism bundle needs frame order >= {k + 1}, have {fj.order}"
-        )
-    fj.require_fanning()
-    f = fundamental_endomorphism(fj)
-    eye = np.eye(k * n)
-    fdot = f.derivative_value(1)
-    reflection = (2.0 * fdot - (k - 2) * eye) / k
-    projection = (eye - reflection) / 2.0
-    fddot = f.derivative_value(2)
-    pdot = -fddot / k
-    jacobi = pdot @ pdot
+    """All pointwise endomorphism data; the two horizontal routes must agree.
 
-    h = horizontal_derivative(fj)
-    h_alt = _horizontal_from_coefficients(fj, ode_coefficients(fj))
-    scale = 1.0 + np.max(np.abs(h.coeffs))
-    residual = np.max(np.abs(h.coeffs - h_alt.coeffs))
-    if residual > CONSISTENCY_RTOL * scale:
-        raise InternalConsistencyError(
-            f"horizontal-derivative routes disagree: residual {residual:.3e}"
-        )
-
-    moving = np.empty((k * n, k * n))
-    for j in range(k - 1):
-        moving[:, j * n : (j + 1) * n] = fj.derivative_jet(j).value()
-    moving[:, (k - 1) * n :] = h.value()
-
-    return EndomorphismBundle(
-        fundamental=f,
-        reflection=reflection,
-        projection=projection,
-        pdot=pdot,
-        jacobi=jacobi,
-        horizontal=h,
-        moving_frame=moving,
-        nilpotent=nilpotent_matrix(k, n),
-        base_time=fj.base_time,
-        horizontal_residual=float(residual),
-    )
+    It is built once per frame jet and cached there
+    (:attr:`FrameJet.endomorphism_bundle`).
+    """
+    return fj.endomorphism_bundle
 
 
 def jacobi_matrix(fj, which="K"):

@@ -10,9 +10,12 @@ high order; accessors convert on demand.
 The coefficients are one read-only float array of shape
 ``(order + 1, rows, cols)``: ``coeffs[i]`` is ``c_i``, so coefficientwise
 operations are single array expressions and a constant right or left
-factor is one broadcast matmul.  Matrix polynomials in :mod:`fanning.curves`
-hold their coefficients in the same layout, and :func:`horner` evaluates
-either.
+factor is one broadcast matmul.  The Cauchy product takes one broadcast
+matmul per term index against the whole other stack, and the inverse
+inverts the constant term once with numpy and multiplies by it; no
+kernel loops over coefficient pairs in Python or calls scipy.  Matrix
+polynomials in :mod:`fanning.curves` hold their coefficients in the same
+layout, and :func:`horner` evaluates either.
 
 Mixed-order binary operations truncate to the minimum order and never
 zero-pad: unknown higher derivatives are unknown, not zero.
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 DEFAULT_CONDITION_LIMIT = 1e8
 
@@ -188,46 +190,48 @@ def jet_mul(a, b):
     """Cauchy product ``c_m = sum_i a_i b_(m-i)``, truncated to the smaller order."""
     _check_compatible(a, b, same_shape=False)
     m = min(a.order, b.order)
-    # Accumulated term by term from a_0 b_j: a pairwise .sum(axis=0) would
-    # round 1 x 1 blocks differently.
-    out = np.empty((m + 1, a.rows, b.cols))
-    for j, c in enumerate(out):
-        np.matmul(a.coeffs[0], b.coeffs[j], out=c)
-        for i in range(1, j + 1):
-            c += a.coeffs[i] @ b.coeffs[j - i]
+    # Term i adds a_i b_(j-i) to every c_j at once, in increasing i, so each
+    # c_j is summed as a_0 b_j + a_1 b_(j-1) + ...: a pairwise .sum(axis=0)
+    # would round 1 x 1 blocks differently.
+    out = a.coeffs[0] @ b.coeffs[: m + 1]
+    for i in range(1, m + 1):
+        out[i:] += a.coeffs[i] @ b.coeffs[: m + 1 - i]
     return MatrixJet(a.base_time, out)
 
 
 def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
     """Multiplicative inverse to the truncation order.
 
-    Solves ``b_0 = c_0^-1`` and ``b_m = -b_0 * sum_(i=1..m) c_i b_(m-i)``
-    recursively.  Fails loudly when the constant term's condition number
-    exceeds ``condition_limit`` (pass ``None`` to skip the check), and
-    raises ``LinAlgError`` when a coefficient of the recursion is not
-    finite (an overflow, reported by this error rather than by a warning).
+    Inverts ``b_0 = c_0^-1`` once and recurses on
+    ``b_m = -b_0 sum_(i=1..m) c_i b_(m-i)``.  Fails loudly when the constant
+    term's condition number exceeds ``condition_limit`` (pass ``None`` to
+    skip the check), and raises ``LinAlgError`` when the constant term or a
+    coefficient of the recursion is not finite (an overflow, reported by
+    this error rather than by a warning).
     """
     if a.rows != a.cols:
         raise JetError(f"only square jets can be inverted, got shape {a.shape}")
     c0 = a.coeffs[0]
+    if not np.isfinite(c0).all():
+        raise np.linalg.LinAlgError("jet inverse of a non-finite leading coefficient")
     if condition_limit is not None:
         condition = np.linalg.cond(c0)
         if not condition < condition_limit:
             raise SingularLeadingCoefficientError(condition, condition_limit)
-    try:
-        lu = lu_factor(c0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond check catches first
-        raise SingularLeadingCoefficientError(np.inf, condition_limit or np.inf) from exc
     b = np.empty_like(a.coeffs)
-    b[0] = lu_solve(lu, np.eye(a.rows))
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            b[0] = np.linalg.inv(c0)
+        except np.linalg.LinAlgError as exc:
+            raise SingularLeadingCoefficientError(np.inf, condition_limit or np.inf) from exc
         for m in range(1, a.order + 1):
             s = a.coeffs[1] @ b[m - 1]
             for i in range(2, m + 1):
                 s += a.coeffs[i] @ b[m - i]
-            b[m] = -lu_solve(lu, s, check_finite=False)
-            if not np.isfinite(b[m]).all():
-                raise np.linalg.LinAlgError(f"jet inverse overflowed at order {m}")
+            b[m] = -(b[0] @ s)
+    overflowed = np.flatnonzero(~np.isfinite(b).all(axis=(1, 2)))
+    if overflowed.size:
+        raise np.linalg.LinAlgError(f"jet inverse overflowed at order {overflowed[0]}")
     return MatrixJet(a.base_time, b)
 
 

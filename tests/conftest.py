@@ -143,6 +143,36 @@ def derivative_value(curve, t, j):
     return val
 
 
+def taylor_shift(coefficients, t, order):
+    """Coefficients of ``sum_i C_i s^i`` re-expanded about ``s = t``, one term at a time.
+
+    Coefficient ``j`` is ``sum_(i >= j) C(i, j) t^(i-j) C_i``.
+    """
+    out = np.zeros((order + 1,) + coefficients.shape[1:])
+    for j in range(order + 1):
+        for i in range(j, len(coefficients)):
+            out[j] += math.comb(i, j) * coefficients[i] * t ** (i - j)
+    return out
+
+
+def jet_mul_reference(a, b):
+    """Cauchy product summed term by term: ``c_j = a_0 b_j``, then ``+= a_i b_(j-i)``."""
+    out = []
+    for j in range(min(a.order, b.order) + 1):
+        c = a.coeffs[0] @ b.coeffs[j]
+        for i in range(1, j + 1):
+            c = c + a.coeffs[i] @ b.coeffs[j - i]
+        out.append(c)
+    return np.array(out)
+
+
+def kron_system(pairs):
+    """The intertwining system ``M kron I - I kron N^T``, one Kronecker pair at a time."""
+    n = len(pairs[0][0])
+    eye = np.eye(n)
+    return np.vstack([np.kron(m, eye) - np.kron(eye, nn.T) for m, nn in pairs])
+
+
 def curve_p_values(curve, t):
     """Coefficients P_1 .. P_k of the frame equation by a direct value solve."""
     k, n = curve.k, curve.n

@@ -50,6 +50,8 @@ CUBIC = [[[1.0], [0.0]], [[0.0], [0.0]], [[0.0], [0.0]], [[0.0], [1.0]]]
 # Finite, fanning at t=0 (condition 1) but not at t=0.3 (condition 1.1e17);
 # its jet inverse at t=0 overflows.
 HUGE = [[[1.0], [0.0]], [[0.0], [1.0]], [[1e300], [1e300]]]
+# A(t) = (1, t + t^2): fanning everywhere, but t^2 overflows at t=1e200.
+QUAD = [[[1.0], [0.0]], [[0.0], [1.0]], [[0.0], [1.0]]]
 
 
 class TestInvariantsCommand:
@@ -126,6 +128,23 @@ class TestInvariantsCommand:
             "numerical failure: jet inverse overflowed at order 2"
         ]
 
+    @pytest.mark.parametrize(
+        "coefficients, argv",
+        [
+            (QUAD, ["congruent", "{path}", "{path}", "--grid", "1e200,2e200"]),
+            (QUAD, ["invariants", "{path}", "--grid", "1e200,2e200"]),
+            (QUAD, ["normal-frame", "{path}", "--grid", "1e200,2e200"]),
+            (QUAD, ["canonicalize", "{path}", "--t", "1e200"]),
+            (HUGE, ["invariants", "{path}", "--grid", "1e10,2e10"]),
+        ],
+        ids=["congruent", "invariants", "normal-frame", "canonicalize", "huge-invariants"],
+    )
+    def test_overflowing_taylor_shift_exit_code(self, coefficients, argv, tmp_path, capsys):
+        path = write_coefficients(tmp_path / "c.json", coefficients)
+        assert main([arg.format(path=path) for arg in argv]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: Taylor shift")
+
     def test_one_note_for_non_normal_frames(self, tmp_path, capsys, rng):
         path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 1, rng))
         argv = ["invariants", path, "--grid", "0:0.4:3", "--jacobi", "--maurer-cartan", "H"]
@@ -173,6 +192,31 @@ class TestInvariantsCommand:
             assert main(argv) == 0
             # the input jet, and its normalized jet unless the frame is normal
             assert len(built) == jets_per_point * 5
+
+    def test_endomorphism_bundle_built_once_per_jet(self, tmp_path, monkeypatch, rng):
+        build = FrameJet.endomorphism_bundle.func
+        built = []
+
+        def counted(fj):
+            built.append(fj.base_time)
+            return build(fj)
+
+        prop = cached_property(counted)
+        prop.__set_name__(FrameJet, "endomorphism_bundle")
+        monkeypatch.setattr(FrameJet, "endomorphism_bundle", prop)
+        general = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        normal = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
+        for path, jets_per_point in ((general, 2), (normal, 1)):
+            built.clear()
+            assert main(["invariants", path, "--grid", "0:0.4:5", "--jacobi"]) == 0
+            # the input jet, and its normalized jet unless the frame is normal
+            assert len(built) == jets_per_point * 5
+        for path, jets in ((general, 3), (normal, 2)):
+            built.clear()
+            assert main(["verify", path, "--t", "0.2"]) == 0
+            # the input jet, its image under the random ambient map, and its
+            # normalized jet unless the frame is normal
+            assert len(built) == jets
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -11,7 +11,9 @@ from fanning import (
     simultaneous_conjugator,
     standard_jet,
 )
+import fanning.congruence as congruence_mod
 from conftest import (
+    kron_system,
     random_invertible,
     random_polynomial_curve,
     tame_polynomial_curve,
@@ -59,6 +61,37 @@ class TestSimultaneousConjugator:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             simultaneous_conjugator([])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_system_equals_kronecker_construction(self, n, rng, monkeypatch):
+        pairs = [(rng.standard_normal((n, n)), rng.standard_normal((n, n))) for _ in range(5)]
+        pairs.append((np.zeros((n, n)), -np.eye(n)))
+        seen = []
+
+        def recording(matrix, **kwargs):
+            seen.append(matrix)
+            return np.zeros((n * n, 0))
+
+        monkeypatch.setattr(congruence_mod, "nullspace", recording)
+        assert simultaneous_conjugator(pairs) is None
+        (system,) = seen
+        expected = kron_system(pairs)
+        np.testing.assert_array_equal(system, expected)
+        # signed zeros too
+        assert np.array_equal(np.signbit(system), np.signbit(expected))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(np.eye(2), np.eye(3))],
+            [(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))],
+            [(np.ones((2, 3)), np.ones((2, 3)))],
+        ],
+        ids=["mixed-in-pair", "mixed-across-pairs", "non-square"],
+    )
+    def test_mismatched_shapes_rejected(self, pairs):
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            simultaneous_conjugator(pairs)
 
     def test_deterministic_given_seed(self, rng):
         mats = [rng.standard_normal((2, 2)) for _ in range(2)]

@@ -24,6 +24,7 @@ from conftest import (
     random_invertible,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
+    taylor_shift,
 )
 
 
@@ -53,11 +54,27 @@ class TestEvalFrameJet:
         t0, order = 0.3, k + 2
         fj = curve.frame_jet(t0, order)
         # oracle: binomial re-expansion, coefficient by coefficient
+        expected = taylor_shift(curve.coefficients, t0, order)
         for j in range(order + 1):
-            expected = np.zeros((k * n, n))
-            for i in range(j, curve.degree + 1):
-                expected += math.comb(i, j) * curve.coefficients[i] * t0 ** (i - j)
-            np.testing.assert_allclose(fj.jet.coeffs[j], expected, atol=1e-13)
+            np.testing.assert_allclose(fj.jet.coeffs[j], expected[j], atol=1e-13)
+
+    @pytest.mark.parametrize("t0", [-0.7, 0.0, 0.3, 2.5])
+    @pytest.mark.parametrize("extra", [-3, 0, 3])
+    def test_jet_at_matches_binomial_oracle(self, t0, extra, rng):
+        poly = random_polynomial_matrix_curve(3, 6, rng)
+        order = poly.degree + extra
+        jet = poly.jet_at(t0, order)
+        assert jet.base_time == t0 and jet.coeffs.shape == (order + 1, 3, 3)
+        # within 1e-15 per term of the bound sum_i C(i, j) |t0|^(i-j) |C_i|
+        bound = taylor_shift(np.abs(poly.coefficients), abs(t0), order)
+        error = np.abs(jet.coeffs - taylor_shift(poly.coefficients, t0, order))
+        assert np.all(error <= 1e-15 * (poly.degree + 1) * bound)
+
+    @pytest.mark.parametrize("t0", [1e200, -1e200, 1e160])
+    def test_overflowing_shift_is_a_numerical_failure(self, t0):
+        poly = PolynomialMatrix(np.array([[[1.0]], [[0.0]], [[1.0]]]))
+        with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
+            poly.jet_at(t0, 4)
 
     def test_coefficients_beyond_degree_are_zero(self, rng):
         curve = random_polynomial_curve(2, 1, rng, degree=3)

@@ -16,7 +16,7 @@ from fanning import (
     jet_inverse,
     jet_mul,
 )
-from conftest import random_jet
+from conftest import jet_mul_reference, random_jet
 
 
 def poly_add_oracle(a, b):
@@ -131,6 +131,22 @@ class TestMul:
         with pytest.raises(JetError):
             jet_mul(random_jet(2, 3, 1, rng), random_jet(2, 3, 1, rng))
 
+    @pytest.mark.parametrize("orders", [(0, 0), (1, 4), (6, 3), (8, 8), (12, 12)])
+    def test_term_order_matches_reference_loop(self, orders, rng):
+        # 1 x 1 blocks: every product is exact, so only the summation order
+        # can change a bit, and the reference fixes it.
+        a = random_jet(1, 1, orders[0], rng)
+        b = random_jet(1, 1, orders[1], rng)
+        np.testing.assert_array_equal(jet_mul(a, b).coeffs, jet_mul_reference(a, b))
+        # Larger blocks: within 1e-15 of the magnitude bound sum_i |a_i| |b_(j-i)|.
+        a = random_jet(3, 4, orders[0], rng)
+        b = random_jet(4, 2, orders[1], rng)
+        bound = jet_mul_reference(
+            MatrixJet(0.0, np.abs(a.coeffs)), MatrixJet(0.0, np.abs(b.coeffs))
+        )
+        error = np.abs(jet_mul(a, b).coeffs - jet_mul_reference(a, b))
+        assert np.all(error <= 1e-15 * bound)
+
 
 class TestInverse:
     def test_identity(self):
@@ -178,6 +194,21 @@ class TestInverse:
     def test_non_square(self, rng):
         with pytest.raises(JetError):
             jet_inverse(random_jet(2, 3, 1, rng))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("condition_limit", [None, 1e8])
+    def test_non_finite_leading_coefficient(self, bad, condition_limit):
+        c0 = np.eye(2)
+        c0[0, 0] = bad
+        a = MatrixJet(0.0, (c0, np.eye(2)))
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            jet_inverse(a, condition_limit=condition_limit)
+
+    def test_overflowing_inverse_of_constant_term(self):
+        # Well conditioned, but its inverse is beyond the float range.
+        a = MatrixJet.constant(1e-310 * np.eye(2), order=1)
+        with pytest.raises(np.linalg.LinAlgError, match="overflowed at order 0"):
+            jet_inverse(a, condition_limit=None)
 
 
 class TestDerivative:
