@@ -296,6 +296,11 @@ class FrameJet:
             moving[:, j * n : (j + 1) * n] = self.derivative_jet(j).value()
         moving[:, (k - 1) * n :] = h.value()
 
+        # The bundle is shared by every reader of this jet, so its matrices
+        # are read-only like the jets'.
+        nilpotent = nilpotent_matrix(k, n)
+        for matrix in (reflection, projection, pdot, jacobi, moving, nilpotent):
+            matrix.setflags(write=False)
         return EndomorphismBundle(
             fundamental=f,
             reflection=reflection,
@@ -304,7 +309,7 @@ class FrameJet:
             jacobi=jacobi,
             horizontal=h,
             moving_frame=moving,
-            nilpotent=nilpotent_matrix(k, n),
+            nilpotent=nilpotent,
             base_time=self.base_time,
             horizontal_residual=float(residual),
         )

@@ -175,6 +175,15 @@ class TestBundle:
             fj = random_frame_jet(k, n, k + 2, rng)
             assert endomorphism_bundle(fj).horizontal_residual < 1e-9
 
+    def test_cached_bundle_is_read_only(self, rng):
+        fj = random_frame_jet(3, 2, 5, rng)
+        b = endomorphism_bundle(fj)
+        for matrix in (b.reflection, b.projection, b.pdot, b.jacobi,
+                       b.moving_frame, b.nilpotent):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+        assert endomorphism_bundle(fj) is b
+
 
 class TestJacobiMatrix:
     def test_standard_jet_patterns(self):

@@ -1,9 +1,9 @@
 """Compare two source trees of ``fanning`` command by command on the benchmark's inputs.
 
-    python3 tools/parity.py OLD_TREE NEW_TREE [--seeds 1 2 3] [--workloads ...]
+    python3 tools/parity.py OLD_TREE NEW_TREE
 
-Builds every workload of this checkout's ``perfbench/workloads.py`` for each
-seed and writes its curve files once.  Each source tree then runs every
+Builds the three workloads of this checkout's ``perfbench/workloads.py`` at
+full size for seeds 1, 2 and 3 and writes their curve files once.  Each source tree then runs every
 command of the workload, ``fanning.cli.main(argv)`` with stdout and stderr
 captured, in a fresh interpreter that imports ``fanning`` from that tree's
 ``src/``.  The two runs must agree on exit codes, stderr and congruence
@@ -13,7 +13,7 @@ and ambient map that differ from OLD_TREE's only by one common sign count as
 equal (both are determined up to that sign).
 
 Prints one line per workload and seed and a summary; exits 1 on any
-mismatch or when the worst difference exceeds ``--tol``.  Uses numpy and the
+mismatch or when the worst difference exceeds ``1e-9``.  Uses numpy and the
 modules of ``perfbench/``, which it only imports.
 """
 
@@ -30,7 +30,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 PERFBENCH = HERE.parent / "perfbench"
 WORKLOADS = ("grid-poly", "congruence", "grid-ode")
-DEFAULT_TOL = 1e-9
+SEEDS = (1, 2, 3)
+TOLERANCE = 1e-9
 # Report keys of a congruence witness that are determined up to one common sign.
 SIGNED_PAIR = ("conjugator", "ambient")
 
@@ -43,10 +44,6 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old", nargs="?", help="source tree whose outputs are the reference")
     p.add_argument("new", nargs="?", help="source tree to compare against it")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    p.add_argument("--quick", action="store_true", help="the benchmark's small inputs")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     # Internal: run the commands of JOBS with TREE's fanning, write the results to OUT.
     p.add_argument("--child", nargs=3, metavar=("TREE", "JOBS", "OUT"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -89,24 +86,6 @@ def tree_results(tree, jobs_path, out_path):
     subprocess.run(cmd, check=True)
     with open(out_path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def parse_report(text):
-    """A JSON report as parsed data; a CSV report as a list of rows."""
-    if text.startswith("{"):
-        return json.loads(text)
-    rows = []
-    for line in text.splitlines():
-        t, name, i, j, value = line.split(",")
-        rows.append([_number(t), name, i, j, _number(value)])
-    return rows
-
-
-def _number(text):
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def worst_difference(a, b, where=""):
@@ -158,9 +137,11 @@ def report_difference(a, b):
     return max(signed, worst_difference(rest_a, rest_b))
 
 
-def compare_op(name, old, new):
+def compare_op(op, old, new):
     """``(problems, worst difference, where)`` for one command's two results."""
-    problems = []
+    import checks
+
+    name, problems = op.name, []
     if old["code"] != new["code"]:
         problems.append(f"{name}: exit {old['code']!r} vs {new['code']!r}")
     if old["stderr"] != new["stderr"]:
@@ -168,7 +149,7 @@ def compare_op(name, old, new):
     if old["stdout"] == new["stdout"]:
         return problems, 0.0, ""
     try:
-        a, b = parse_report(old["stdout"]), parse_report(new["stdout"])
+        a, b = checks.parse(op, old["stdout"]), checks.parse(op, new["stdout"])
         if isinstance(a, dict) and a.get("verdict") != b.get("verdict"):
             problems.append(f"{name}: verdict {a.get('verdict')} vs {b.get('verdict')}")
         worst, where = report_difference(a, b)
@@ -178,21 +159,21 @@ def compare_op(name, old, new):
     return problems, worst, f"{name}{where}"
 
 
-def compare_workload(args, name, seed, scratch):
+def compare_workload(old_tree, new_tree, name, seed, scratch):
     import workloads
 
-    workload = workloads.build(name, seed, args.quick)
+    workload = workloads.build(name, seed)
     directory = scratch / f"{name}-{seed}"
     directory.mkdir()
     paths = workload.write(str(directory))
     jobs_path = directory / "jobs.json"
     with open(jobs_path, "w", encoding="utf-8") as fh:
         json.dump([op.argv(paths) for op in workload.ops], fh)
-    old = tree_results(args.old, jobs_path, directory / "old.json")
-    new = tree_results(args.new, jobs_path, directory / "new.json")
+    old = tree_results(old_tree, jobs_path, directory / "old.json")
+    new = tree_results(new_tree, jobs_path, directory / "new.json")
     problems, worst, where, identical = [], 0.0, "", 0
     for op, a, b in zip(workload.ops, old, new):
-        op_problems, op_worst, op_where = compare_op(op.name, a, b)
+        op_problems, op_worst, op_where = compare_op(op, a, b)
         problems += op_problems
         identical += a["stdout"] == b["stdout"]
         if op_worst > worst:
@@ -213,17 +194,18 @@ def main(argv=None):
     sys.path.insert(0, str(PERFBENCH))
     total, problems, worst, where = 0, [], 0.0, ""
     with tempfile.TemporaryDirectory(prefix="fanning-parity-") as scratch:
-        for name in args.workloads:
-            for seed in args.seeds:
-                count, found, w, at = compare_workload(args, name, seed, Path(scratch))
+        for name in WORKLOADS:
+            for seed in SEEDS:
+                count, found, w, at = compare_workload(args.old, args.new, name, seed,
+                                                       Path(scratch))
                 total += count
                 problems += found
                 if w > worst:
                     worst, where = w, at
-    failed = bool(problems) or worst > args.tol
+    failed = bool(problems) or worst > TOLERANCE
     print(f"{total} commands, {len(problems)} mismatches, worst |a - b| / (1 + |a|) "
           f"{worst:.3g}" + (f" at {where}" if where else "")
-          + f": {'FAIL' if failed else 'PASS'} (tolerance {args.tol:g})")
+          + f": {'FAIL' if failed else 'PASS'} (tolerance {TOLERANCE:g})")
     return 1 if failed else 0
 
 
