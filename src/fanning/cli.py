@@ -435,7 +435,7 @@ def main(argv=None):
         return EXIT_INTERNAL
 
     if config.output_format == "json":
-        text = report_mod.dumps_json(report, indent=2)
+        text = report_mod.dumps_json(report)
     else:
         text = report_mod.dumps_csv(rows)
     if config.out:

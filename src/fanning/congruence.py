@@ -148,7 +148,6 @@ def are_congruent(
     samples,
     tol=DEFAULT_SPAN_TOL,
     seed=0,
-    conjugator_rtol=DEFAULT_CONJUGATOR_RTOL,
     condition_limit=DEFAULT_CONDITION_LIMIT,
 ):
     """Decide congruence of two fanning curves from sampled invariants.
@@ -176,9 +175,7 @@ def are_congruent(
     pairs = []
     for va, vb in zip(vals_a, vals_b):
         pairs.extend(zip(va, vb))
-    x = simultaneous_conjugator(
-        pairs, rtol=conjugator_rtol, seed=seed, condition_limit=condition_limit
-    )
+    x = simultaneous_conjugator(pairs, seed=seed, condition_limit=condition_limit)
     if x is None:
         return _refused(
             "not_congruent", samples, "no common conjugator for the sampled invariants"

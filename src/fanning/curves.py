@@ -4,18 +4,19 @@ Two curve representations are supported: polynomial frame curves, whose
 jets at any base time are exact Taylor shifts, and ODE-defined frame
 curves.  An ODE curve's juxtaposed state ``Y`` solves ``Y' = Y C(t)`` with
 the block companion matrix ``C(t)``; an adaptive Runge-Kutta 5(4)
-integrator advances it, and derivatives of order k and above come from
-differentiating the defining equation.  Both kinds offer ``frame_jet`` at
-one time and ``frame_jets`` at many; for an ODE curve the latter sweeps
-once outward from t=0 through the sorted times instead of integrating
-from t=0 for each of them.
+integrator advances it, and its jet at a time is the first block column
+of the companion series there (:func:`~fanning.jets.linear_taylor`).
+Both kinds offer ``frame_jet`` at one time and ``frame_jets`` at many; for
+an ODE curve the latter sweeps once outward from t=0 through the sorted
+times instead of integrating from t=0 for each of them.
 
 A frame curve takes values in the kn x n matrices; its value at ``t``
 spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
 juxtaposed kn x kn matrix ``(A | A' | ... | A^(k-1))`` is invertible
 there.  A :class:`FrameJet` caches what is computed once per jet: the
 juxtaposed lift and its inverse, the equation coefficients ``P_j``, the
-fundamental endomorphism and the endomorphism bundle.
+fundamental endomorphism, the horizontal derivative and the endomorphism
+bundle.
 """
 
 import json
@@ -26,7 +27,14 @@ from functools import cache, cached_property
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .jets import DEFAULT_CONDITION_LIMIT, MatrixJet, coefficient_stack, horner, jet_mul
+from .jets import (
+    DEFAULT_CONDITION_LIMIT,
+    MatrixJet,
+    coefficient_stack,
+    horner,
+    jet_mul,
+    linear_taylor,
+)
 
 # Integration tolerances of the ODE backend and of the normalizing change,
 # two orders tighter than the downstream invariant tolerances.
@@ -261,6 +269,20 @@ class FrameJet:
         return jet_mul(MatrixJet(self.base_time, lifted), self.juxtaposed_inverse)
 
     @cached_property
+    def horizontal(self):
+        """Jet of ``H = A^(k-1) - (1/k) F A^(k)``, the span of the horizontal curve."""
+        k = self.k
+        if self.order < k + 1:
+            raise InsufficientOrderError(
+                f"the horizontal derivative needs frame order >= {k + 1}, have {self.order}"
+            )
+        top = self.derivative_jet(k)
+        f = self.fundamental_endomorphism
+        return self.derivative_jet(k - 1).truncated(top.order) - (1.0 / k) * jet_mul(
+            f.truncated(top.order), top
+        )
+
+    @cached_property
     def endomorphism_bundle(self):
         """All pointwise endomorphism data, built once per frame jet.
 
@@ -282,7 +304,7 @@ class FrameJet:
         pdot = -fddot / k
         jacobi = pdot @ pdot
 
-        h = horizontal_derivative(self)
+        h = self.horizontal
         h_alt = _horizontal_from_coefficients(self, self.equation_coefficients)
         scale = 1.0 + np.max(np.abs(h.coeffs))
         residual = np.max(np.abs(h.coeffs - h_alt.coeffs))
@@ -369,17 +391,8 @@ class EndomorphismBundle:
 
 
 def horizontal_derivative(fj):
-    """Jet of ``H = A^(k-1) - (1/k) F A^(k)``, the span of the horizontal curve."""
-    k = fj.k
-    if fj.order < k + 1:
-        raise InsufficientOrderError(
-            f"the horizontal derivative needs frame order >= {k + 1}, have {fj.order}"
-        )
-    top = fj.derivative_jet(k)
-    f = fj.fundamental_endomorphism
-    return fj.derivative_jet(k - 1).truncated(top.order) - (1.0 / k) * jet_mul(
-        f.truncated(top.order), top
-    )
+    """Jet of ``H``, cached on the frame jet (:attr:`FrameJet.horizontal`)."""
+    return fj.horizontal
 
 
 def _horizontal_from_coefficients(fj, p):
@@ -577,25 +590,11 @@ def _advance(curve, t0, t1, state):
 def _jet_from_state(curve, t, state, order):
     """Frame jet at ``t`` from the juxtaposed state there.
 
-    Coefficients of order >= k come from the defining equation: the
-    Taylor coefficient ``idx`` of ``A^(k) = -sum_i C(k, i) A^(k-i) P_i``
-    is a Cauchy product over lower coefficients.
+    The state's Taylor series comes from ``Y' = Y C`` with the companion
+    matrix expanded about ``t``; the frame is its first block column.
     """
-    k, n = curve.k, curve.n
-    coeffs = np.empty((order + 1, k * n, n))
-    for j in range(k):
-        coeffs[j] = state[:, j * n : (j + 1) * n] / math.factorial(j)
-    p_coeffs = [poly.jet_at(t, max(order - k, 0)).coeffs for poly in curve.p]
-    for m in range(k, order + 1):
-        idx = m - k
-        top = np.zeros((k * n, n))
-        for i in range(1, k + 1):
-            for r in range(idx + 1):
-                top -= (
-                    math.comb(k, i) * math.perm(r + k - i, k - i) * coeffs[r + k - i]
-                ) @ p_coeffs[i - 1][idx - r]
-        coeffs[m] = top / math.perm(m, k)
-    return FrameJet(MatrixJet(t, coeffs))
+    series = linear_taylor(state, curve.companion.jet_at(t, order - 1).coeffs)
+    return FrameJet(MatrixJet(t, series[:, :, : curve.n]))
 
 
 def standard_jet(k, n, order, base_time=0.0):

@@ -5,9 +5,9 @@ the order-k linear equation satisfied by the frame, the matrix Schwarzian
 and the Wilczynski-type invariants ``h_j``, normalizing frame changes, and
 the endomorphism family (fundamental endomorphism, reflection, projection,
 horizontal derivative and Jacobi endomorphism) together with their
-moving-frame matrices.  What is computed once per frame jet (``P_j``, F
-and the endomorphism bundle) is cached on :class:`~fanning.curves.FrameJet`
-and read here.
+moving-frame matrices.  What is computed once per frame jet (``P_j``, F,
+the horizontal derivative and the endomorphism bundle) is cached on
+:class:`~fanning.curves.FrameJet` and read here.
 """
 
 import math
@@ -24,9 +24,8 @@ from .curves import (
     IntegrationError,
     InternalConsistencyError,
     OdeFrameCurve,
-    horizontal_derivative,
 )
-from .jets import MatrixJet, jet_mul
+from .jets import MatrixJet, jet_mul, linear_taylor
 
 NORMALITY_RTOL = 1e-8
 
@@ -143,17 +142,12 @@ def normalizing_jet(p1, y0=None):
 
     ``Y`` solves ``Y' = P_1 Y`` with ``Y(t0) = y0`` (identity by default);
     it is the inverse of the reduction frame change ``X`` that solves
-    ``X' = -X P_1``.
+    ``X' = -X P_1``.  Its series is that of ``(Y^T)' = Y^T P_1^T``,
+    transposed back.
     """
-    n = p1.rows
-    coeffs = np.empty((p1.order + 2, n, n))
-    coeffs[0] = np.eye(n) if y0 is None else y0
-    for m in range(p1.order + 1):
-        s = np.zeros((n, n))
-        for i in range(m + 1):
-            s += p1.coeffs[i] @ coeffs[m - i]
-        coeffs[m + 1] = s / (m + 1)
-    return MatrixJet(p1.base_time, coeffs)
+    y0 = np.eye(p1.rows) if y0 is None else y0
+    series = linear_taylor(np.transpose(y0), p1.coeffs.transpose(0, 2, 1))
+    return MatrixJet(p1.base_time, series.transpose(0, 2, 1))
 
 
 def normalized_frame_jet(fj, y0=None):
@@ -356,5 +350,5 @@ def maurer_cartan_pullback(fj, lift="with_H"):
     # The H-lift replaces the last block column of the juxtaposed lift.
     lifted = fj.juxtaposed.coeffs[:2].copy()
     if lift == "with_H":
-        lifted[:, :, (k - 1) * n :] = horizontal_derivative(fj).coeffs[:2]
+        lifted[:, :, (k - 1) * n :] = fj.horizontal.coeffs[:2]
     return np.linalg.solve(lifted[0], lifted[1])

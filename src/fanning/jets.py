@@ -13,9 +13,11 @@ operations are single array expressions and a constant right or left
 factor is one broadcast matmul.  The Cauchy product takes one broadcast
 matmul per term index against the whole other stack, and the inverse
 inverts the constant term once with numpy and multiplies by it; no
-kernel loops over coefficient pairs in Python or calls scipy.  Matrix
-polynomials in :mod:`fanning.curves` hold their coefficients in the same
-layout, and :func:`horner` evaluates either.
+kernel loops over coefficient pairs in Python or calls scipy.
+:func:`linear_taylor` expands both linear equations ``Y' = Y C`` that the
+package solves by series, the ODE state's and the normalizing change's.
+Matrix polynomials in :mod:`fanning.curves` hold their coefficients in the
+same layout, and :func:`horner` evaluates either.
 
 Mixed-order binary operations truncate to the minimum order and never
 zero-pad: unknown higher derivatives are unknown, not zero.
@@ -233,6 +235,21 @@ def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
     if overflowed.size:
         raise np.linalg.LinAlgError(f"jet inverse overflowed at order {overflowed[0]}")
     return MatrixJet(a.base_time, b)
+
+
+def linear_taylor(y0, c):
+    """Taylor coefficients ``y_0 .. y_(r+1)`` of the solution of ``Y' = Y C``.
+
+    ``y0`` is ``Y`` at the base time and ``c`` the coefficient stack
+    ``c_0 .. c_r`` of ``C`` about it; each next coefficient is
+    ``y_(m+1) = sum_(i=0..m) y_i c_(m-i) / (m + 1)``.  Returns one array of
+    shape ``(r + 2, rows, cols)``.
+    """
+    y = np.empty((len(c) + 1,) + np.shape(y0))
+    y[0] = y0
+    for m in range(len(c)):
+        y[m + 1] = (y[: m + 1] @ c[m::-1]).sum(axis=0) / (m + 1)
+    return y
 
 
 def jet_derivative(a):

@@ -1,28 +1,31 @@
-"""Dense linear-algebra helpers: rank, nullspaces and subspace geometry."""
+"""Dense linear-algebra helpers: rank, nullspaces and subspace geometry.
+
+Every rank counts the singular values above a threshold relative to the
+largest one.
+"""
 
 import numpy as np
-import scipy.linalg
+
+# Relative singular-value cut of the column-span bases in span_distance.
+SPAN_RTOL = 1e-10
 
 
 def numeric_rank(m, rtol=1e-8):
-    """Rank from a rank-revealing (pivoted) QR with relative threshold ``rtol``."""
+    """Number of singular values above ``rtol`` times the largest."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.size == 0:
         return 0
-    r = scipy.linalg.qr(m, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(diag > rtol * diag[0]))
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > rtol * s[0]))
 
 
-def orthonormal_columns(m, rtol=1e-10):
+def orthonormal_columns(m):
     """Orthonormal basis of the column span, via SVD."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s.size == 0:
         return u[:, :0]
-    rank = int(np.count_nonzero(s > rtol * s[0]))
+    rank = int(np.count_nonzero(s > SPAN_RTOL * s[0]))
     return u[:, :rank]
 
 
@@ -65,10 +68,3 @@ def eigenvalue_multiplicity(m, eigenvalue, rtol=1e-8):
     m = np.asarray(m, dtype=float)
     shifted = m - eigenvalue * np.eye(m.shape[0])
     return m.shape[0] - numeric_rank(shifted, rtol=rtol)
-
-
-def eigenspace(m, eigenvalue, rtol=1e-8):
-    """Orthonormal basis of the (numerical) eigenspace for ``eigenvalue``."""
-    m = np.asarray(m, dtype=float)
-    shifted = m - eigenvalue * np.eye(m.shape[0])
-    return nullspace(shifted, rtol=rtol)

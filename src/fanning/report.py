@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+# Spaces per nesting level of a JSON report.
+INDENT = 2
+
 
 def _fmt(x):
     x = float(x)
@@ -18,42 +21,31 @@ def _fmt(x):
     return format(x, ".17g")
 
 
-def dumps_json(obj, indent=0):
+def dumps_json(obj):
     """Serialize nested dict/list/scalar data with 17-significant-digit floats."""
     out = io.StringIO()
-    _write_json(out, obj, indent, 0)
+    _write_json(out, obj, 0)
     out.write("\n")
     return out.getvalue()
 
 
-def _write_json(out, obj, indent, level):
-    pad = " " * (indent * (level + 1)) if indent else ""
-    closing = " " * (indent * level) if indent else ""
-    sep = ",\n" if indent else ", "
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n" if indent else "{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.write(sep)
-            out.write(f'{pad}"{key}": ')
-            _write_json(out, value, indent, level + 1)
-        out.write(("\n" + closing + "}") if indent else "}")
-    elif isinstance(obj, (list, tuple)):
-        items = list(obj)
+def _write_json(out, obj, level):
+    pad = " " * (INDENT * (level + 1))
+    closing = " " * (INDENT * level)
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        items = list(obj.items() if is_dict else enumerate(obj))
+        brackets = "{}" if is_dict else "[]"
         if not items:
-            out.write("[]")
+            out.write(brackets)
             return
-        out.write("[\n" if indent else "[")
-        for i, value in enumerate(items):
+        out.write(brackets[0] + "\n")
+        for i, (key, value) in enumerate(items):
             if i:
-                out.write(sep)
-            if indent:
-                out.write(pad)
-            _write_json(out, value, indent, level + 1)
-        out.write(("\n" + closing + "]") if indent else "]")
+                out.write(",\n")
+            out.write(f'{pad}"{key}": ' if is_dict else pad)
+            _write_json(out, value, level + 1)
+        out.write("\n" + closing + brackets[1])
     elif isinstance(obj, bool):
         out.write("true" if obj else "false")
     elif obj is None:
@@ -65,7 +57,7 @@ def _write_json(out, obj, indent, level):
     elif isinstance(obj, str):
         out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif isinstance(obj, np.ndarray):
-        _write_json(out, obj.tolist(), indent, level)
+        _write_json(out, obj.tolist(), level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

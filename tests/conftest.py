@@ -8,6 +8,7 @@ import pytest
 from fanning import MatrixJet, PolynomialFrameCurve
 from fanning.curves import FrameJet
 from fanning.jets import jet_mul
+from fanning.linalg import nullspace
 
 
 @pytest.fixture
@@ -101,6 +102,18 @@ def tame_polynomial_curve(k, n, rng, window=(0.0, 0.5), scale=None, peak=4.0, je
             return curve
 
 
+def drifting_ode_curve(rng, k=3, n=2):
+    """ODE curve whose coefficients drift linearly in t, away from a centre."""
+    from fanning import OdeFrameCurve, PolynomialMatrix
+
+    ps = []
+    for i in range(1, k + 1):
+        c0 = (0.25 if i == 2 else 0.0) * np.eye(n) + 0.05 * rng.standard_normal((n, n))
+        c1 = 0.02 * rng.standard_normal((n, n))
+        ps.append(PolynomialMatrix((c0, c1)))
+    return OdeFrameCurve(k, n, tuple(ps), random_invertible(k * n, rng, cond_max=10.0))
+
+
 def random_polynomial_matrix_curve(n, degree, rng, scale=0.5):
     """Random n x n matrix polynomial with invertible constant term."""
     from fanning import PolynomialMatrix
@@ -171,6 +184,51 @@ def kron_system(pairs):
     n = len(pairs[0][0])
     eye = np.eye(n)
     return np.vstack([np.kron(m, eye) - np.kron(eye, nn.T) for m, nn in pairs])
+
+
+def eigenspace(m, eigenvalue, rtol=1e-8):
+    """Orthonormal basis of the (numerical) eigenspace for ``eigenvalue``."""
+    m = np.asarray(m, dtype=float)
+    shifted = m - eigenvalue * np.eye(m.shape[0])
+    return nullspace(shifted, rtol=rtol)
+
+
+def ode_jet_reference(curve, t, state, order):
+    """Frame jet coefficients of an ODE curve from the equation, term by term.
+
+    Coefficients below k are the state's blocks over ``j!``; coefficient
+    ``m >= k`` solves the Taylor coefficient ``m - k`` of
+    ``A^(k) = -sum_i C(k, i) A^(k-i) P_i``, a Cauchy product over lower
+    coefficients with each ``P_i`` shifted to ``t`` on its own.
+    """
+    k, n = curve.k, curve.n
+    coeffs = np.empty((order + 1, k * n, n))
+    for j in range(k):
+        coeffs[j] = state[:, j * n : (j + 1) * n] / math.factorial(j)
+    p_coeffs = [poly.jet_at(t, max(order - k, 0)).coeffs for poly in curve.p]
+    for m in range(k, order + 1):
+        idx = m - k
+        top = np.zeros((k * n, n))
+        for i in range(1, k + 1):
+            for r in range(idx + 1):
+                top -= (
+                    math.comb(k, i) * math.perm(r + k - i, k - i) * coeffs[r + k - i]
+                ) @ p_coeffs[i - 1][idx - r]
+        coeffs[m] = top / math.perm(m, k)
+    return coeffs
+
+
+def normalizing_jet_reference(p1, y0):
+    """Coefficients of ``Y' = P_1 Y`` with ``Y(t0) = y0``, summed term by term."""
+    n = p1.rows
+    coeffs = np.empty((p1.order + 2, n, n))
+    coeffs[0] = y0
+    for m in range(p1.order + 1):
+        s = np.zeros((n, n))
+        for i in range(m + 1):
+            s += p1.coeffs[i] @ coeffs[m - i]
+        coeffs[m + 1] = s / (m + 1)
+    return coeffs
 
 
 def curve_p_values(curve, t):

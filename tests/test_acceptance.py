@@ -26,10 +26,11 @@ from fanning import (
     wilczynski_invariants,
 )
 from fanning.jets import jet_mul
-from fanning.linalg import eigenspace, eigenvalue_multiplicity, span_distance
+from fanning.linalg import eigenvalue_multiplicity, span_distance
 from conftest import (
     ALL_KN,
     classical_schwarzian,
+    eigenspace,
     h1_closed_form,
     h2_closed_form,
     random_frame_jet,

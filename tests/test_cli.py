@@ -193,6 +193,27 @@ class TestInvariantsCommand:
             # the input jet, and its normalized jet unless the frame is normal
             assert len(built) == jets_per_point * 5
 
+    def test_horizontal_derivative_built_once_per_jet(self, tmp_path, monkeypatch, rng):
+        build = FrameJet.horizontal.func
+        built = []
+
+        def counted(fj):
+            built.append(fj.base_time)
+            return build(fj)
+
+        prop = cached_property(counted)
+        prop.__set_name__(FrameJet, "horizontal")
+        monkeypatch.setattr(FrameJet, "horizontal", prop)
+        general = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        normal = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
+        for path, jets_per_point in ((general, 2), (normal, 1)):
+            built.clear()
+            argv = ["invariants", path, "--grid", "0:0.4:5", "--jacobi", "--maurer-cartan", "H"]
+            assert main(argv) == 0
+            # the input jet's bundle, and the normalized jet's bundle and
+            # H-lift pullback, which share one H, unless the frame is normal
+            assert len(built) == jets_per_point * 5
+
     def test_endomorphism_bundle_built_once_per_jet(self, tmp_path, monkeypatch, rng):
         build = FrameJet.endomorphism_bundle.func
         built = []

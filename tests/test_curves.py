@@ -18,9 +18,13 @@ from fanning import (
     standard_curve,
     standard_jet,
 )
+from fanning.curves import _jet_from_state
 from fanning.jets import jet_eval
 from conftest import (
+    ALL_KN,
     curve_p_values,
+    drifting_ode_curve,
+    ode_jet_reference,
     random_invertible,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
@@ -281,16 +285,6 @@ class TestJsonFormat:
                 stack[0, 0, 0] = 1.0
 
 
-def _drifting_curve(rng, k=3, n=2):
-    """ODE curve whose coefficients drift linearly in t, away from a centre."""
-    ps = []
-    for i in range(1, k + 1):
-        c0 = (0.25 if i == 2 else 0.0) * np.eye(n) + 0.05 * rng.standard_normal((n, n))
-        c1 = 0.02 * rng.standard_normal((n, n))
-        ps.append(PolynomialMatrix((c0, c1)))
-    return OdeFrameCurve(k, n, tuple(ps), random_invertible(k * n, rng, cond_max=10.0))
-
-
 def _harmonic_curve(omega):
     return OdeFrameCurve(
         2,
@@ -324,14 +318,14 @@ class TestOdeSweep:
             np.testing.assert_allclose(fj.jet.value(), exact, atol=1e-8)
 
     def test_drifting_coefficients_match_per_point(self, rng):
-        curve = _drifting_curve(rng)
+        curve = drifting_ode_curve(rng)
         times = np.linspace(0.0, 6.0, 9)
         swept = curve.frame_jets(times, 2 * curve.k + 2)
         for t, fj in zip(times, swept):
             _assert_jets_close(fj, curve.frame_jet(t, 2 * curve.k + 2), 1e-9)
 
     def test_caller_order_with_mixed_signs_and_repeats(self, rng):
-        curve = _drifting_curve(rng, k=2, n=1)
+        curve = drifting_ode_curve(rng, k=2, n=1)
         times = [0.5, -0.3, 0.0, 0.5, -0.7, 0.2, -0.3]
         swept = curve.frame_jets(times, 3)
         assert [fj.base_time for fj in swept] == times
@@ -342,7 +336,7 @@ class TestOdeSweep:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, bad, rng):
-        curve = _drifting_curve(rng, k=2, n=1)
+        curve = drifting_ode_curve(rng, k=2, n=1)
         with pytest.raises(ValueError, match="finite"):
             curve.frame_jets([0.1, bad], 3)
         with pytest.raises(ValueError, match="finite"):
@@ -361,7 +355,7 @@ class TestOdeSweep:
         import fanning.curves as curves_mod
 
         path = tmp_path / "ode.json"
-        path.write_text(json.dumps(curve_to_dict(_drifting_curve(rng, k=2, n=2))))
+        path.write_text(json.dumps(curve_to_dict(drifting_ode_curve(rng, k=2, n=2))))
         nfev = []
         solve_ivp = curves_mod.solve_ivp
 
@@ -377,3 +371,18 @@ class TestOdeSweep:
             assert fanning.cli.main(argv) == 0
         assert 0 < nfev[1] <= 2 * nfev[0], nfev
 
+
+
+class TestOdeJetKernel:
+    """The ODE frame jet is the series of ``Y' = Y C`` from the companion matrix."""
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_matches_equation_recursion(self, k, n, rng):
+        curve = drifting_ode_curve(rng, k, n)
+        order = 2 * k + 2
+        for t in (0.0, 0.7, -1.3):
+            state = random_invertible(k * n, rng, cond_max=10.0)
+            got = _jet_from_state(curve, t, state, order).jet.coeffs
+            expected = ode_jet_reference(curve, t, state, order)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

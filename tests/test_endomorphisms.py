@@ -18,8 +18,9 @@ from fanning import (
     standard_curve,
     standard_jet,
 )
-from fanning.linalg import eigenspace, numeric_rank, span_distance
+from fanning.linalg import numeric_rank, span_distance
 from conftest import (
+    eigenspace,
     random_frame_jet,
     random_invertible,
     random_polynomial_curve,

@@ -18,9 +18,12 @@ from fanning import (
 )
 from fanning.jets import jet_mul
 from conftest import (
+    ALL_KN,
     classical_schwarzian,
+    drifting_ode_curve,
     h1_closed_form,
     h2_closed_form,
+    normalizing_jet_reference,
     random_frame_jet,
     random_invertible,
     random_jet,
@@ -273,6 +276,17 @@ class TestNormalization:
         own = normal_frame(curve, grid)
         for a, b in zip(passed.frames, own.frames):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_normalizing_jet_matches_its_recursion(self, k, n, rng):
+        curve = drifting_ode_curve(rng, k, n)
+        for fj in curve.frame_jets((0.0, 0.7, -1.3), 2 * k + 2):
+            p1 = ode_coefficients(fj)[0]
+            for y0 in (None, random_invertible(n, rng)):
+                got = normalizing_jet(p1, y0).coeffs
+                expected = normalizing_jet_reference(p1, np.eye(n) if y0 is None else y0)
+                assert got.shape == expected.shape
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_normalizing_jet_solves_its_equation(self, rng):
         curve = random_polynomial_curve(3, 2, rng)

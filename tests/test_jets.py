@@ -16,6 +16,7 @@ from fanning import (
     jet_inverse,
     jet_mul,
 )
+from fanning.jets import linear_taylor
 from conftest import jet_mul_reference, random_jet
 
 
@@ -209,6 +210,28 @@ class TestInverse:
         a = MatrixJet.constant(1e-310 * np.eye(2), order=1)
         with pytest.raises(np.linalg.LinAlgError, match="overflowed at order 0"):
             jet_inverse(a, condition_limit=None)
+
+
+class TestLinearTaylor:
+    @pytest.mark.parametrize("order", [0, 1, 5, 12])
+    def test_constant_coefficient_gives_exponential_series(self, order, rng):
+        y0 = rng.standard_normal((4, 3))
+        c = rng.standard_normal((3, 3))
+        stack = np.zeros((order + 1, 3, 3))
+        stack[0] = c
+        series = linear_taylor(y0, stack)
+        assert series.shape == (order + 2, 4, 3)
+        for m, y in enumerate(series):
+            expected = y0 @ np.linalg.matrix_power(c, m) / math.factorial(m)
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_series_solves_its_equation(self, rng):
+        c = random_jet(3, 3, 6, rng)
+        y = MatrixJet(0.0, linear_taylor(rng.standard_normal((2, 3)), c.coeffs))
+        lhs = y.derivative()
+        rhs = jet_mul(y, c)
+        np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=1e-13, atol=1e-13)
 
 
 class TestDerivative:

@@ -3,12 +3,12 @@
 import numpy as np
 
 from fanning.linalg import (
-    eigenspace,
     eigenvalue_multiplicity,
     nullspace,
     numeric_rank,
     span_distance,
 )
+from conftest import eigenspace
 
 
 def test_numeric_rank_detects_near_dependence(rng):
