@@ -67,12 +67,14 @@ class RunConfig:
     output_format: str
     seed: int
     out: str | None
-    jacobi: bool = False
-    maurer_cartan: str | None = None
+    jacobi: bool
+    maurer_cartan: str | None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(
+                f"tolerance must be finite and positive, got {self.tolerance!r}"
+            )
         if not math.isfinite(self.base_time):
             raise ValueError(f"--t must be finite, got {self.base_time!r}")
         if self.command in ("invariants", "congruent", "normal-frame") and not self.grid:
@@ -105,12 +107,9 @@ def _default_tolerance():
     if env is None:
         return DEFAULT_TOL
     try:
-        value = float(env)
+        return float(env)
     except ValueError as exc:
         raise ValueError(f"FANNING_TOL is not a number: {env!r}") from exc
-    if value <= 0:
-        raise ValueError("FANNING_TOL must be positive")
-    return value
 
 
 def _build_parser():
@@ -214,7 +213,7 @@ def cmd_invariants(config):
         if config.jacobi or config.maurer_cartan is not None:
             if not was_normal:
                 not_normal.append(float(t))
-            normalized = fj if was_normal else normalized_frame_jet(fj)
+            normalized = normalized_frame_jet(fj)
         if config.jacobi:
             jac = jacobi_matrix(normalized, which="K")
             point["jacobi"] = jac
@@ -375,7 +374,7 @@ def cmd_verify(config):
 
     record("horizontal_formula_agreement", bundle.horizontal_residual, tol)
 
-    normalized = fj if is_normal(fj) else normalized_frame_jet(fj)
+    normalized = normalized_frame_jet(fj)
     nb = endomorphism_bundle(normalized)
     # With P_1 = 0 the normal frame's kappa is its coefficient P_2.
     kappa0 = ode_coefficients(normalized)[1].value()

@@ -19,27 +19,23 @@ from .invariants import normal_frame, normalized_frame_jet, ode_coefficients
 from .jets import DEFAULT_CONDITION_LIMIT
 from .linalg import nullspace, span_distance
 
-DEFAULT_CONJUGATOR_RTOL = 1e-9
+# Singular values below this fraction of the largest count as zero.
+CONJUGATOR_RTOL = 1e-9
 DEFAULT_SPAN_TOL = 1e-7
 # Seeded random nullspace combinations tried for a well-conditioned conjugator.
 CONJUGATOR_ATTEMPTS = 20
 
 
-def simultaneous_conjugator(
-    pairs,
-    rtol=DEFAULT_CONJUGATOR_RTOL,
-    seed=0,
-    condition_limit=DEFAULT_CONDITION_LIMIT,
-):
+def simultaneous_conjugator(pairs, seed=0, condition_limit=DEFAULT_CONDITION_LIMIT):
     """A constant invertible ``X`` with ``M X = X N`` for every pair, or None.
 
     The intertwining conditions stack into one linear system on the n^2
     unknowns; its SVD nullspace is searched for a well-conditioned
     element, first along the basis vectors and then along seeded random
-    combinations.  Singular values below ``rtol * sigma_max`` count as
-    zero, with an absolute floor of ``rtol`` times the input magnitude so
-    that a numerically vanishing system (equal invariants) reads as all
-    nullspace rather than as full rank.  Returns the best-conditioned
+    combinations.  Singular values below ``CONJUGATOR_RTOL * sigma_max``
+    count as zero, with an absolute floor of ``CONJUGATOR_RTOL`` times the
+    input magnitude so that a numerically vanishing system (equal
+    invariants) reads as all nullspace rather than as full rank.  Returns the best-conditioned
     candidate found; ``None`` when the nullspace is trivial.  Absence of
     an invertible solution is a valid outcome, not an error.
     """
@@ -63,7 +59,9 @@ def simultaneous_conjugator(
         - eye[:, None, :, None] * ns.transpose(0, 2, 1)[:, None, :, None, :]
     )
     basis = nullspace(
-        system.reshape(len(pairs) * n * n, n * n), rtol=rtol, floor=rtol * scale
+        system.reshape(len(pairs) * n * n, n * n),
+        rtol=CONJUGATOR_RTOL,
+        floor=CONJUGATOR_RTOL * scale,
     )
     if basis.shape[1] == 0:
         return None
@@ -112,7 +110,7 @@ class CongruenceWitness:
     residuals: tuple
     span_distances: tuple
     conjugator_condition: float
-    message: str = ""
+    message: str
 
 
 def _refused(verdict, samples, message, condition=np.inf):
@@ -128,20 +126,6 @@ def _refused(verdict, samples, message, condition=np.inf):
     )
 
 
-def _normal_invariant_values(curve, samples, jets, jet_order):
-    """Per-sample invariant values of the normal frame started at samples[0].
-
-    ``values[i]`` lists ``kappa, h_1, ..., h_(k-2)`` of the normal frame
-    at ``samples[i]``; with ``P_1 = 0`` these are its coefficients
-    ``P_2 .. P_k``, which the normalization record already carries.
-    """
-    record = normal_frame(curve, samples, jet_order=jet_order, jets=jets)
-    count = len(record.times)
-    return [
-        [record.q[j][i] for j in range(curve.k - 1)] for i in range(count)
-    ]
-
-
 def are_congruent(
     curve_a,
     curve_b,
@@ -152,10 +136,11 @@ def are_congruent(
 ):
     """Decide congruence of two fanning curves from sampled invariants.
 
-    Normal-frame invariants of both curves are collected on the sample
-    grid and fed to :func:`simultaneous_conjugator`; on success the
-    ambient transformation is reconstructed from the two normal lifts at
-    the first sample and verified against the sampled spans.
+    One :func:`normal_frame` pass per curve supplies everything: its
+    ``Q_j`` values on the sample grid feed :func:`simultaneous_conjugator`;
+    on success the ambient transformation is reconstructed from the two
+    normal lifts at the first sample and verified against the sampled
+    spans of the normal frames, which span the same planes as the curves.
     """
     if curve_a.k != curve_b.k or curve_a.n != curve_b.n:
         raise ValueError("curves live in different Grassmannians")
@@ -163,14 +148,12 @@ def are_congruent(
     if len(samples) < 2:
         raise ValueError("need at least two sample times")
     k = curve_a.k
-    # The invariant values need the normal frame's coefficients only at
-    # order zero, which a frame jet of order 2k-1 already pins.
-    jet_order = 2 * k - 1
-
-    jets_a = curve_a.frame_jets(samples, jet_order)
-    jets_b = curve_b.frame_jets(samples, jet_order)
-    vals_a = _normal_invariant_values(curve_a, samples, jets_a, jet_order)
-    vals_b = _normal_invariant_values(curve_b, samples, jets_b, jet_order)
+    rec_a = normal_frame(curve_a, samples)
+    rec_b = normal_frame(curve_b, samples)
+    # vals[i] lists Q_2 .. Q_k at samples[i]: kappa, h_1 .. h_(k-2) of the
+    # normal frame, whose P_1 vanishes.
+    vals_a = list(zip(*rec_a.q))
+    vals_b = list(zip(*rec_b.q))
 
     pairs = []
     for va, vb in zip(vals_a, vals_b):
@@ -194,42 +177,30 @@ def are_congruent(
         for va, vb in zip(vals_a, vals_b)
     )
 
-    # Normal lifts at the first sample: T maps the X-adjusted lift of A
-    # onto the lift of B, and must then map sampled spans onto spans.
-    jux_a = normalized_frame_jet(jets_a[0]).juxtaposed.value()
-    jux_b = normalized_frame_jet(jets_b[0]).juxtaposed.value()
+    # T maps the X-adjusted normal lift of A at the first sample onto that
+    # of B, and must then map sampled spans onto spans.
     x_block = np.kron(np.eye(k), x)
-    ambient = jux_b @ np.linalg.inv(jux_a @ x_block)
+    ambient = rec_b.lifts[0] @ np.linalg.inv(rec_a.lifts[0] @ x_block)
 
     spans = tuple(
-        float(span_distance(ambient @ ja.jet.value(), jb.jet.value()))
-        for ja, jb in zip(jets_a, jets_b)
+        float(span_distance(ambient @ ba, bb))
+        for ba, bb in zip(rec_a.frames, rec_b.frames)
     )
     invariant_scale = 1.0 + max(
         max(np.max(np.abs(m)) for m in va) for va in vals_a
     )
     max_residual = max(residuals) if residuals else 0.0
     max_span = max(spans) if spans else 0.0
-    if max_residual > tol * invariant_scale or max_span > tol:
-        return CongruenceWitness(
-            verdict="not_congruent",
-            conjugator=x,
-            ambient=ambient,
-            samples=samples,
-            residuals=residuals,
-            span_distances=spans,
-            conjugator_condition=x_cond,
-            message="conjugator found but verification failed",
-        )
+    failed = max_residual > tol * invariant_scale or max_span > tol
     return CongruenceWitness(
-        verdict="congruent",
+        verdict="not_congruent" if failed else "congruent",
         conjugator=x,
         ambient=ambient,
         samples=samples,
         residuals=residuals,
         span_distances=spans,
         conjugator_condition=x_cond,
-        message="",
+        message="conjugator found but verification failed" if failed else "",
     )
 
 

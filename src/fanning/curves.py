@@ -597,8 +597,9 @@ def _jet_from_state(curve, t, state, order):
     return FrameJet(MatrixJet(t, series[:, :, : curve.n]))
 
 
-def standard_jet(k, n, order, base_time=0.0):
-    """Canonical frame jet: ``A^(j) = j``-th block column for j <= k-1, zero above.
+def standard_jet(k, n, order):
+    """Canonical frame jet at t=0: ``A^(j)`` is the j-th block column for
+    j <= k-1 and zero above.
 
     Its juxtaposed value is the identity, so the jet is fanning and its
     fundamental endomorphism equals the canonical nilpotent matrix.
@@ -608,7 +609,7 @@ def standard_jet(k, n, order, base_time=0.0):
     coeffs = np.zeros((order + 1, k * n, n))
     for j in range(k):
         coeffs[j, j * n : (j + 1) * n] = np.eye(n) / math.factorial(j)
-    return FrameJet(MatrixJet(base_time, coeffs))
+    return FrameJet(MatrixJet(0.0, coeffs))
 
 
 def standard_curve(k, n):

@@ -164,18 +164,24 @@ def normalized_frame_jet(fj, y0=None):
 class NormalizationRecord:
     """Normalizing frame change integrated along a grid.
 
-    ``x[i]`` solves ``X' = -X P_1`` with ``X(times[0]) = I``; ``frames[i]``
-    is the normal frame value ``B = A X^-1`` at ``times[i]`` (the inverse
-    makes the order k-1 term vanish); ``q[j - 2][i]`` holds the
-    reduced-equation coefficient ``Q_j = P_j[B]`` there, and
+    ``x[i]`` solves ``X' = -X P_1`` with ``X(times[0]) = I``; ``lifts[i]``
+    is the normal lift ``(B | B' | ... | B^(k-1))`` of the normal frame
+    ``B = A X^-1`` at ``times[i]`` (the inverse makes the order k-1 term
+    vanish), and ``frames[i]`` its first block column B; ``q[j - 2][i]``
+    holds the reduced-equation coefficient ``Q_j = P_j[B]`` there, and
     ``p1_residuals`` the achieved ``max |P_1[B]|``.
     """
 
     times: tuple
     x: tuple
-    frames: tuple
+    lifts: tuple
     q: tuple
     p1_residuals: tuple
+
+    @property
+    def frames(self):
+        n = self.x[0].shape[0]
+        return tuple(lift[:, :n] for lift in self.lifts)
 
 
 def _p1_value(curve, t):
@@ -188,16 +194,15 @@ def _p1_value(curve, t):
     return s[(k - 1) * n :, :] / k
 
 
-def normal_frame(curve, grid, jet_order=None, jets=None):
+def normal_frame(curve, grid):
     """Integrate the normalizing change ``X' = -X P_1`` along a time grid.
 
     The grid must be strictly monotonic and the frame fanning at every
     grid time, which is checked before integrating; integration starts at
     the first grid point with ``X = I``.  Each returned sample carries the
-    normal frame value ``B = A X^-1`` and the coefficients
-    ``Q_j = P_j[B]``.  ``jets`` may pass the curve's frame jets at the
-    grid times, one per time in grid order and of order at least
-    ``jet_order``, when the caller already holds them.
+    normal lift of ``B = A X^-1`` and the coefficients ``Q_j = P_j[B]``,
+    all read from the curve's frame jets of order 2k-1, the lowest order
+    that fixes the ``Q_j`` values.
     """
     k, n = curve.k, curve.n
     times = [float(t) for t in grid]
@@ -206,16 +211,7 @@ def normal_frame(curve, grid, jet_order=None, jets=None):
     steps = np.diff(times)
     if len(times) > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("time grid must be strictly monotonic")
-    if jet_order is None:
-        jet_order = 2 * k + 1
-    if jets is None:
-        jets = curve.frame_jets(times, jet_order)
-    else:
-        jets = list(jets)
-        if len(jets) != len(times):
-            raise ValueError(f"got {len(jets)} jets for {len(times)} grid times")
-        if jets and min(fj.order for fj in jets) < jet_order:
-            raise ValueError(f"jets must have order >= {jet_order}")
+    jets = curve.frame_jets(times, 2 * k - 1)
     for fj in jets:
         fj.require_fanning()
 
@@ -238,14 +234,14 @@ def normal_frame(curve, grid, jet_order=None, jets=None):
             raise IntegrationError(f"normalization stopped early: {sol.message}")
         xs = [sol.y[:, i].reshape(n, n) for i in range(len(times))]
 
-    frames = []
+    lifts = []
     qs = []
     residuals = []
     for fj, x in zip(jets, xs):
         bjet = normalized_frame_jet(fj, y0=np.linalg.inv(x))
         pb = ode_coefficients(bjet)
         residuals.append(float(np.max(np.abs(pb[0].value()))))
-        frames.append(bjet.jet.value())
+        lifts.append(bjet.juxtaposed.value())
         qs.append([pb[j].value() for j in range(1, k)])
     q_by_index = tuple(
         tuple(qs[i][j] for i in range(len(times))) for j in range(k - 1)
@@ -253,7 +249,7 @@ def normal_frame(curve, grid, jet_order=None, jets=None):
     return NormalizationRecord(
         times=tuple(times),
         x=tuple(xs),
-        frames=tuple(frames),
+        lifts=tuple(lifts),
         q=q_by_index,
         p1_residuals=tuple(residuals),
     )

@@ -129,7 +129,7 @@ class MatrixJet:
         """Curve value at the base time (the constant coefficient)."""
         return self.coeffs[0]
 
-    def derivative_value(self, i=1):
+    def derivative_value(self, i):
         """i-th derivative at the base time, ``i! * c_i``."""
         if not 0 <= i <= self.order:
             raise JetError(f"derivative {i} is not held by an order-{self.order} jet")

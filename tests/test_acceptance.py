@@ -7,7 +7,6 @@ n in {1,2,3}, seeded random polynomial curves of degree <= k+3.
 import math
 
 import numpy as np
-import pytest
 
 from fanning import (
     are_congruent,
@@ -178,7 +177,7 @@ def test_criterion_05_normal_frame_fixed_point():
     for k, n in ALL_KN:
         curve = tame_polynomial_curve(k, n, rng, window=(0.0, 0.4))
         grid = np.linspace(0.0, 0.4, 5)
-        record = normal_frame(curve, grid, jet_order=3 * k)
+        record = normal_frame(curve, grid)
         worst_p1 = max(worst_p1, max(record.p1_residuals))
         for i, t in enumerate(grid):
             fj = curve.frame_jet(t, 3 * k)
@@ -360,11 +359,11 @@ def test_criterion_09_congruence_completeness_and_soundness():
             worst_span = max(worst_span, max(witness.span_distances))
 
         # soundness: perturb until kappa provably moves by >= 0.01
-        rec_a = normal_frame(curve, samples, jet_order=2 * k)
+        rec_a = normal_frame(curve, samples)
         while True:
             perturbed = _perturbed_copy(curve, rng)
             try:
-                rec_b = normal_frame(perturbed, samples, jet_order=2 * k)
+                rec_b = normal_frame(perturbed, samples)
             except Exception:
                 continue
             kappa_gap = max(

@@ -52,6 +52,13 @@ CUBIC = [[[1.0], [0.0]], [[0.0], [0.0]], [[0.0], [0.0]], [[0.0], [1.0]]]
 HUGE = [[[1.0], [0.0]], [[0.0], [1.0]], [[1e300], [1e300]]]
 # A(t) = (1, t + t^2): fanning everywhere, but t^2 overflows at t=1e200.
 QUAD = [[[1.0], [0.0]], [[0.0], [1.0]], [[0.0], [1.0]]]
+# A(t) = (1, t + t^3): P_1(0) = 0 but P_1'(0) = -3, so the frame is normal
+# at t=0 only to order zero.
+POINT_NORMAL = [[[1.0], [0.0]], [[0.0], [1.0]], [[0.0], [0.0]], [[0.0], [1.0]]]
+# A(t) = (1, t) and B(t) = (1, t + 0.5 t^4 - 1.5 t^5 + 1.25 t^6): not
+# congruent, span distance 2.2e-3 at t=0.4.
+LINE = [[[1.0], [0.0]], [[0.0], [1.0]]]
+BENT_LINE = LINE + [[[0.0], [0.0]]] * 2 + [[[0.0], [0.5]], [[0.0], [-1.5]], [[0.0], [1.25]]]
 
 
 class TestInvariantsCommand:
@@ -156,6 +163,13 @@ class TestInvariantsCommand:
             "matrix and pullback are those of the normal frame anchored at each"
         ]
 
+    def test_jacobi_of_frame_normal_at_one_point(self, tmp_path, capsys):
+        path = write_coefficients(tmp_path / "c.json", POINT_NORMAL)
+        assert main(["invariants", path, "--grid", "0,0.1", "--jacobi"]) == 0
+        out, err = capsys.readouterr()
+        assert [p["was_normal"] for p in json.loads(out)["points"]] == [True, False]
+        assert err.startswith("note: frame not normal at 1 of 2 grid times")
+
     def test_equation_coefficients_solved_once_per_jet(self, tmp_path, monkeypatch, rng):
         path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
         solve = FrameJet.equation_coefficients.func
@@ -186,12 +200,12 @@ class TestInvariantsCommand:
         monkeypatch.setattr(FrameJet, "fundamental_endomorphism", prop)
         general = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
         normal = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
-        for path, jets_per_point in ((general, 2), (normal, 1)):
+        for path in (general, normal):
             built.clear()
             argv = ["invariants", path, "--grid", "0:0.4:5", "--jacobi", "--maurer-cartan", "H"]
             assert main(argv) == 0
-            # the input jet, and its normalized jet unless the frame is normal
-            assert len(built) == jets_per_point * 5
+            # the input jet and its normalized jet
+            assert len(built) == 2 * 5
 
     def test_horizontal_derivative_built_once_per_jet(self, tmp_path, monkeypatch, rng):
         build = FrameJet.horizontal.func
@@ -206,13 +220,13 @@ class TestInvariantsCommand:
         monkeypatch.setattr(FrameJet, "horizontal", prop)
         general = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
         normal = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
-        for path, jets_per_point in ((general, 2), (normal, 1)):
+        for path in (general, normal):
             built.clear()
             argv = ["invariants", path, "--grid", "0:0.4:5", "--jacobi", "--maurer-cartan", "H"]
             assert main(argv) == 0
             # the input jet's bundle, and the normalized jet's bundle and
-            # H-lift pullback, which share one H, unless the frame is normal
-            assert len(built) == jets_per_point * 5
+            # H-lift pullback, which share one H
+            assert len(built) == 2 * 5
 
     def test_endomorphism_bundle_built_once_per_jet(self, tmp_path, monkeypatch, rng):
         build = FrameJet.endomorphism_bundle.func
@@ -227,17 +241,16 @@ class TestInvariantsCommand:
         monkeypatch.setattr(FrameJet, "endomorphism_bundle", prop)
         general = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
         normal = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
-        for path, jets_per_point in ((general, 2), (normal, 1)):
+        for path in (general, normal):
             built.clear()
             assert main(["invariants", path, "--grid", "0:0.4:5", "--jacobi"]) == 0
-            # the input jet, and its normalized jet unless the frame is normal
-            assert len(built) == jets_per_point * 5
-        for path, jets in ((general, 3), (normal, 2)):
+            # the input jet and its normalized jet
+            assert len(built) == 2 * 5
             built.clear()
             assert main(["verify", path, "--t", "0.2"]) == 0
             # the input jet, its image under the random ambient map, and its
-            # normalized jet unless the frame is normal
-            assert len(built) == jets
+            # normalized jet
+            assert len(built) == 3
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -335,6 +348,12 @@ class TestOtherCommands:
         for check in report["checks"]:
             assert check["pass"], check
             assert check["residual"] < 1e-8
+
+    def test_verify_frame_normal_at_one_point(self, tmp_path, capsys):
+        path = write_coefficients(tmp_path / "c.json", POINT_NORMAL)
+        assert main(["verify", path, "--t", "0"]) == 0
+        for check in json.loads(capsys.readouterr().out)["checks"]:
+            assert check["pass"], check
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_verify_high_k_curve(self, k, tmp_path, capsys, rng):
@@ -460,6 +479,21 @@ class TestPlumbing:
         path = write_curve(tmp_path / "std.json", standard_curve(2, 1))
         monkeypatch.setenv("FANNING_TOL", "zero")
         assert main(["verify", path]) == 2
+
+    @pytest.mark.parametrize(
+        "option, env", [(["--tol", "nan"], None), (["--tol", "inf"], None), ([], "nan")]
+    )
+    def test_non_finite_tolerance_exit_2(self, option, env, tmp_path, monkeypatch, capsys):
+        a = write_coefficients(tmp_path / "a.json", LINE)
+        b = write_coefficients(tmp_path / "b.json", BENT_LINE)
+        argv = ["congruent", a, b, "--grid", "0,0.4"]
+        assert main(argv) == 1
+        capsys.readouterr()
+        if env is not None:
+            monkeypatch.setenv("FANNING_TOL", env)
+        assert main(argv + option) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "tolerance must be finite and positive" in err
 
     def test_console_entry_point(self, tmp_path):
         path = write_curve(tmp_path / "std.json", standard_curve(2, 1))

@@ -15,7 +15,6 @@ from fanning import (
     nilpotent_matrix,
     normalized_frame_jet,
     ode_coefficients,
-    standard_curve,
     standard_jet,
 )
 from fanning.linalg import numeric_rank, span_distance

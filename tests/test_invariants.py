@@ -212,6 +212,10 @@ class TestNormalization:
             p1 = ode_coefficients(fj)[0]
             yjet = normalizing_jet(p1, y0=np.linalg.inv(record.x[i]))
             bjet = fj.right_multiplied(yjet)
+            # the record holds B's normal lift, whose first block column is B
+            lift = bjet.juxtaposed.value()
+            np.testing.assert_allclose(record.lifts[i], lift, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(record.frames[i], record.lifts[i][:, :1])
             residual = bjet.derivative_jet(2).value() + bjet.jet.value() @ record.q[
                 0
             ][i]
@@ -249,7 +253,7 @@ class TestNormalization:
         k, n = 3, 2
         curve = random_polynomial_curve(k, n, rng)
         grid = np.linspace(0.0, 0.4, 5)
-        record = normal_frame(curve, grid, jet_order=3 * k)
+        record = normal_frame(curve, grid)
         for i, t in enumerate(record.times):
             inv = wilczynski_invariants(curve.frame_jet(t, 2 * k + 2))
             hs = [inv.kappa.value()] + [h.value() for h in inv.h]
@@ -262,20 +266,6 @@ class TestNormalization:
         curve = random_polynomial_curve(2, 1, rng)
         with pytest.raises(ValueError):
             normal_frame(curve, [0.0, 0.2, 0.1])
-
-    def test_passed_jets_must_match_grid_and_order(self, rng):
-        k, n = 2, 1
-        curve = random_polynomial_curve(k, n, rng)
-        grid = [0.0, 0.1, 0.2]
-        jets = curve.frame_jets(grid, 2 * k + 1)
-        with pytest.raises(ValueError, match="3 grid times"):
-            normal_frame(curve, grid, jets=jets[:2])
-        with pytest.raises(ValueError, match="order"):
-            normal_frame(curve, grid, jets=curve.frame_jets(grid, 2 * k))
-        passed = normal_frame(curve, grid, jets=jets)
-        own = normal_frame(curve, grid)
-        for a, b in zip(passed.frames, own.frames):
-            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_normalizing_jet_matches_its_recursion(self, k, n, rng):
