@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from . import report as report_mod
 from .congruence import are_congruent, canonicalize_jet, orbit_coordinates
 from .curves import (
     CurveFormatError,
+    FrameJet,
     InsufficientOrderError,
     IntegrationError,
     NotFanningError,
@@ -39,7 +41,7 @@ from .invariants import (
     ode_coefficients,
     wilczynski_invariants,
 )
-from .jets import JetError
+from .jets import JetError, MatrixJet
 from .linalg import eigenvalue_multiplicity
 
 EXIT_OK = 0
@@ -112,7 +114,9 @@ def _default_tolerance():
         raise ValueError(f"FANNING_TOL is not a number: {env!r}") from exc
 
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fanning",
         description="Differential invariants and congruence of fanning curves "
@@ -182,51 +186,79 @@ def _config_from_args(args):
     )
 
 
-def cmd_invariants(config):
-    curve = load_curve(config.paths[0])
-    points = []
-    rows = []
-    not_normal = []
-    jets = curve.frame_jets(config.grid, _jet_order(curve))
-    for t, fj in zip(config.grid, jets):
+def _grid_invariants(fj, config):
+    """What ``invariants`` reports, each quantity computed once over the batch ``fj``.
+
+    Errors come in grid order: when a time is not fanning, the times before
+    it are computed first, and may fail first.  The caller holds no other
+    reference to ``fj``, so its cached lifts are freed once the normal frame,
+    which builds lifts of its own, is made from it.
+    """
+    fanning = np.ravel(fj.is_fanning)
+    if not fanning.all():
+        first = int(np.argmin(fanning))
+        if first:
+            prefix = MatrixJet(fj.base_time[:first], fj.jet.coeffs[:first])
+            _grid_invariants(FrameJet(prefix), config)
         fj.require_fanning()
-        was_normal = is_normal(fj)
-        inv = wilczynski_invariants(fj)
-        bundle = endomorphism_bundle(fj)
-        minus = eigenvalue_multiplicity(bundle.reflection, -1.0)
-        plus = eigenvalue_multiplicity(bundle.reflection, 1.0)
-        point = {
-            "t": float(t),
-            "fanning_condition": fj.condition,
-            "was_normal": was_normal,
-            "kappa": inv.kappa.value(),
-            "schwarzian": inv.schwarzian.value(),
-            "h": [h.value() for h in inv.h],
-            "reflection_eigencounts": {"minus_one": minus, "plus_one": plus},
-        }
-        rows.append(report_mod.scalar_row(t, "fanning_condition", fj.condition))
-        rows.extend(report_mod.matrix_rows(t, "kappa", inv.kappa.value()))
-        for j, h in enumerate(inv.h, start=1):
-            rows.extend(report_mod.matrix_rows(t, f"h{j}", h.value()))
-        rows.append(report_mod.scalar_row(t, "reflection_minus_one", minus))
-        rows.append(report_mod.scalar_row(t, "reflection_plus_one", plus))
-        if config.jacobi or config.maurer_cartan is not None:
-            if not was_normal:
-                not_normal.append(float(t))
-            normalized = normalized_frame_jet(fj)
+    was_normal = is_normal(fj)
+    inv = wilczynski_invariants(fj)
+    reflection = endomorphism_bundle(fj).reflection
+    values = {
+        "fanning_condition": fj.condition,
+        "was_normal": was_normal,
+        "kappa": inv.kappa.value(),
+        "schwarzian": inv.schwarzian.value(),
+        "h": [h.value() for h in inv.h],
+        "minus_one": eigenvalue_multiplicity(reflection, -1.0),
+        "plus_one": eigenvalue_multiplicity(reflection, 1.0),
+    }
+    if config.jacobi or config.maurer_cartan is not None:
+        normalized = normalized_frame_jet(fj)
+        del fj
         if config.jacobi:
-            jac = jacobi_matrix(normalized, which="K")
-            point["jacobi"] = jac
-            rows.extend(report_mod.matrix_rows(t, "jacobi", jac))
+            values["jacobi"] = jacobi_matrix(normalized, which="K")
         if config.maurer_cartan is not None:
             lift = "with_H" if config.maurer_cartan == "H" else "with_kth_derivative"
-            mc = maurer_cartan_pullback(normalized, lift=lift)
-            point["maurer_cartan"] = mc
-            rows.extend(report_mod.matrix_rows(t, "maurer_cartan", mc))
+            values["maurer_cartan"] = maurer_cartan_pullback(normalized, lift=lift)
+    return values
+
+
+def cmd_invariants(config):
+    """Invariants at every grid time: one batched pass, then the report rows of each time."""
+    curve = load_curve(config.paths[0])
+    values = _grid_invariants(curve.frame_jets(config.grid, _jet_order(curve)), config)
+
+    points = []
+    rows = []
+    for i, t in enumerate(config.grid):
+        condition = float(values["fanning_condition"][i])
+        kappa, hs = values["kappa"][i], [h[i] for h in values["h"]]
+        counts = {key: int(values[key][i]) for key in ("minus_one", "plus_one")}
+        point = {
+            "t": float(t),
+            "fanning_condition": condition,
+            "was_normal": bool(values["was_normal"][i]),
+            "kappa": kappa,
+            "schwarzian": values["schwarzian"][i],
+            "h": hs,
+            "reflection_eigencounts": counts,
+        }
+        rows.append(report_mod.scalar_row(t, "fanning_condition", condition))
+        rows.extend(report_mod.matrix_rows(t, "kappa", kappa))
+        for j, h in enumerate(hs, start=1):
+            rows.extend(report_mod.matrix_rows(t, f"h{j}", h))
+        for key in counts:
+            rows.append(report_mod.scalar_row(t, f"reflection_{key}", counts[key]))
+        for key in ("jacobi", "maurer_cartan"):
+            if key in values:
+                point[key] = values[key][i]
+                rows.extend(report_mod.matrix_rows(t, key, values[key][i]))
         points.append(point)
-    if not_normal:
+    not_normal = [float(t) for t, normal in zip(config.grid, values["was_normal"]) if not normal]
+    if not_normal and (config.jacobi or config.maurer_cartan is not None):
         print(
-            f"note: frame not normal at {len(not_normal)} of {len(jets)} grid times "
+            f"note: frame not normal at {len(not_normal)} of {len(config.grid)} grid times "
             f"(t={not_normal[0]!r} to {not_normal[-1]!r}); the Jacobi matrix and "
             "pullback are those of the normal frame anchored at each",
             file=sys.stderr,
@@ -409,8 +441,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         report, rows, code = _COMMANDS[args.command](config)

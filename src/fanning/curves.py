@@ -6,9 +6,12 @@ curves.  An ODE curve's juxtaposed state ``Y`` solves ``Y' = Y C(t)`` with
 the block companion matrix ``C(t)``; an adaptive Runge-Kutta 5(4)
 integrator advances it, and its jet at a time is the first block column
 of the companion series there (:func:`~fanning.jets.linear_taylor`).
-Both kinds offer ``frame_jet`` at one time and ``frame_jets`` at many; for
-an ODE curve the latter sweeps once outward from t=0 through the sorted
-times instead of integrating from t=0 for each of them.
+Both kinds offer ``frame_jet`` at one time and ``frame_jets`` at many.
+``frame_jets`` returns one :class:`FrameJet` whose jet carries a leading
+sample axis over the times (see :mod:`fanning.jets`): a polynomial curve
+Taylor-shifts to every time in one contraction, and an ODE curve sweeps
+once outward from t=0 through the sorted times instead of integrating
+from t=0 for each of them, then expands all states in one series.
 
 A frame curve takes values in the kn x n matrices; its value at ``t``
 spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
@@ -16,7 +19,9 @@ juxtaposed kn x kn matrix ``(A | A' | ... | A^(k-1))`` is invertible
 there.  A :class:`FrameJet` caches what is computed once per jet: the
 juxtaposed lift and its inverse, the equation coefficients ``P_j``, the
 fundamental endomorphism, the horizontal derivative and the endomorphism
-bundle.
+bundle.  Each of them broadcasts over the batch, so one function serves one
+time and a whole grid; the fanning condition and every consistency check
+test each sample and report the first that fails, in the caller's order.
 """
 
 import json
@@ -70,6 +75,16 @@ class InternalConsistencyError(RuntimeError):
     """Two independent computation routes disagreed beyond tolerance."""
 
 
+def first_failure(failed):
+    """Flat index of the first sample at which the boolean ``failed`` holds, or None.
+
+    Samples are numbered in the caller's order, so this is the first failing
+    grid time.
+    """
+    hits = np.flatnonzero(failed)
+    return int(hits[0]) if hits.size else None
+
+
 def _require_finite(coefficients, what):
     """Reject curve data with NaN or infinite entries (checked once at construction)."""
     for i, c in enumerate(coefficients):
@@ -88,7 +103,7 @@ class PolynomialMatrix:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coefficients", coefficient_stack(self.coefficients, CurveFormatError)
+            self, "coefficients", coefficient_stack(self.coefficients, CurveFormatError, ())
         )
 
     @property
@@ -102,22 +117,28 @@ class PolynomialMatrix:
     def value(self, t):
         return horner(self.coefficients, float(t))
 
-    def jet_at(self, t, order):
-        """Exact Taylor re-expansion about base time ``t``, truncated at ``order``.
+    def jet_at(self, times, order):
+        """Exact Taylor re-expansion about each base time, truncated at ``order``.
 
-        Coefficient ``j`` is ``sum_i C(i, j) t^(i-j) C_i``: one contraction of
-        the coefficient stack with the Taylor-shift matrix.  Raises
-        ``LinAlgError`` when the shift overflows.
+        ``times`` is one time (a jet of batch ``()``) or an array of them (a
+        jet batched over its shape).  Coefficient ``j`` is
+        ``sum_i C(i, j) t^(i-j) C_i``: one contraction of the coefficient
+        stack with the Taylor-shift matrices of all times.  Raises
+        ``LinAlgError`` naming the first time whose shift overflows.
         """
-        t = float(t)
+        times = np.array(times, dtype=float)
+        times.setflags(write=False)
         binomials = _binomials(order + 1, self.degree + 1)
         powers = np.maximum(np.arange(self.degree + 1) - np.arange(order + 1)[:, None], 0)
+        flat = self.coefficients.reshape(self.degree + 1, -1)
         with np.errstate(over="ignore", invalid="ignore"):
-            shift = binomials * np.power(t, powers)
-            coeffs = np.tensordot(shift, self.coefficients, axes=1)
-        if not np.isfinite(coeffs).all():
+            shift = binomials * np.power(times[..., None, None], powers)
+            coeffs = (shift @ flat).reshape(shift.shape[:-1] + self.shape)
+        finite = np.isfinite(coeffs).all(axis=(-3, -2, -1))
+        if not finite.all():
+            t = float(times[~finite][0])
             raise np.linalg.LinAlgError(f"Taylor shift to t={t!r} overflowed")
-        return MatrixJet(t, coeffs)
+        return MatrixJet(times, coeffs)
 
     def __matmul__(self, other):
         """Polynomial product by coefficient convolution."""
@@ -149,25 +170,27 @@ def nilpotent_matrix(k, n):
 def _derivative_blocks(coeffs, orders, count):
     """Taylor coefficients ``0 .. count-1`` of ``A^(j)``, j in ``orders``, side by side.
 
-    ``coeffs`` is the coefficient stack of ``A``; block ``j`` of coefficient
-    ``m`` is ``perm(m + j, j) * c_(m+j)``, and zero past the last of ``coeffs``.
+    ``coeffs`` is the coefficient stack of ``A``, batched or not; block ``j``
+    of coefficient ``m`` is ``perm(m + j, j) * c_(m+j)``, and zero past the
+    last of ``coeffs``.
     """
-    rows, cols = coeffs.shape[1:]
-    blocks = np.zeros((count, rows, len(orders) * cols))
+    rows, cols = coeffs.shape[-2:]
+    blocks = np.zeros(coeffs.shape[:-3] + (count, rows, len(orders) * cols))
     for b, j in enumerate(orders):
-        filled = min(count, len(coeffs) - j)
+        filled = min(count, coeffs.shape[-3] - j)
         if filled > 0:
             scale = np.array([math.perm(m + j, j) for m in range(filled)], dtype=float)
-            blocks[:filled, :, b * cols : (b + 1) * cols] = (
-                scale[:, None, None] * coeffs[j : j + filled]
+            blocks[..., :filled, :, b * cols : (b + 1) * cols] = (
+                scale[:, None, None] * coeffs[..., j : j + filled, :, :]
             )
     return blocks
 
 
 class FrameJet:
-    """Jet of a frame curve at one time, with its cached juxtaposed lift.
+    """Jet of a frame curve at one time or at a batch of times, with its cached juxtaposed lift.
 
-    ``jet`` is a kn x n :class:`MatrixJet` of order at least k-1.  The
+    ``jet`` is a kn x n :class:`MatrixJet` of order at least k-1, batched
+    or not; every property below has the jet's batch shape.  The
     juxtaposed jet stacks the jets of A, A', ..., A^(k-1) as block
     columns; the frame is fanning when its value at the base time is
     invertible within the conditioning threshold.
@@ -217,15 +240,21 @@ class FrameJet:
 
     @cached_property
     def condition(self):
-        return float(np.linalg.cond(self.juxtaposed.value()))
+        """Condition number of the juxtaposed value: a float, or an array over the batch."""
+        condition = np.linalg.cond(self.juxtaposed.value())
+        return float(condition) if condition.ndim == 0 else condition
 
     @property
     def is_fanning(self):
         return self.condition < DEFAULT_CONDITION_LIMIT
 
     def require_fanning(self):
-        if not self.is_fanning:
-            raise NotFanningError(self.condition, at_time=self.base_time)
+        """Raise :class:`NotFanningError` at the first sample that is not fanning."""
+        condition = np.ravel(self.condition)
+        i = first_failure(~(condition < DEFAULT_CONDITION_LIMIT))
+        if i is not None:
+            at_time = float(np.ravel(self.base_time)[i])
+            raise NotFanningError(float(condition[i]), at_time=at_time)
 
     @cached_property
     def juxtaposed_inverse(self):
@@ -251,7 +280,7 @@ class FrameJet:
         return tuple(
             MatrixJet(
                 self.base_time,
-                (1.0 / math.comb(k, i)) * stacked[:, (k - i) * n : (k - i + 1) * n, :],
+                (1.0 / math.comb(k, i)) * stacked[..., (k - i) * n : (k - i + 1) * n, :],
             )
             for i in range(1, k + 1)
         )
@@ -306,23 +335,29 @@ class FrameJet:
 
         h = self.horizontal
         h_alt = _horizontal_from_coefficients(self, self.equation_coefficients)
-        scale = 1.0 + np.max(np.abs(h.coeffs))
-        residual = np.max(np.abs(h.coeffs - h_alt.coeffs))
-        if residual > CONSISTENCY_RTOL * scale:
+        every = (-3, -2, -1)
+        scale = 1.0 + np.max(np.abs(h.coeffs), axis=every)
+        residual = np.max(np.abs(h.coeffs - h_alt.coeffs), axis=every)
+        i = first_failure(residual > CONSISTENCY_RTOL * scale)
+        if i is not None:
             raise InternalConsistencyError(
-                f"horizontal-derivative routes disagree: residual {residual:.3e}"
+                f"horizontal-derivative routes disagree: residual {np.ravel(residual)[i]:.3e}"
             )
 
-        moving = np.empty((k * n, k * n))
+        moving = np.empty(self.jet.batch + (k * n, k * n))
         for j in range(k - 1):
-            moving[:, j * n : (j + 1) * n] = self.derivative_jet(j).value()
-        moving[:, (k - 1) * n :] = h.value()
+            moving[..., :, j * n : (j + 1) * n] = self.derivative_jet(j).value()
+        moving[..., :, (k - 1) * n :] = h.value()
 
         # The bundle is shared by every reader of this jet, so its matrices
         # are read-only like the jets'.
         nilpotent = nilpotent_matrix(k, n)
         for matrix in (reflection, projection, pdot, jacobi, moving, nilpotent):
             matrix.setflags(write=False)
+        if np.ndim(residual) == 0:
+            residual = float(residual)
+        else:
+            residual.setflags(write=False)
         return EndomorphismBundle(
             fundamental=f,
             reflection=reflection,
@@ -333,7 +368,7 @@ class FrameJet:
             moving_frame=moving,
             nilpotent=nilpotent,
             base_time=self.base_time,
-            horizontal_residual=float(residual),
+            horizontal_residual=residual,
         )
 
     def left_multiplied(self, t_matrix):
@@ -355,8 +390,8 @@ class FrameJet:
         """Pad with zero coefficients; used to fix a jet extension explicitly."""
         if order <= self.jet.order:
             return self
-        zeros = np.zeros((order - self.jet.order,) + self.jet.shape)
-        coeffs = np.concatenate((self.jet.coeffs, zeros))
+        zeros = np.zeros(self.jet.batch + (order - self.jet.order,) + self.jet.shape)
+        coeffs = np.concatenate((self.jet.coeffs, zeros), axis=-3)
         return FrameJet(MatrixJet(self.base_time, coeffs))
 
     def __repr__(self):
@@ -375,7 +410,8 @@ class EndomorphismBundle:
     space along the horizontal curve; ``pdot`` is the projection's time
     derivative, ``jacobi`` its square; ``horizontal`` spans the horizontal
     curve; ``moving_frame`` juxtaposes ``(A | ... | A^(k-2) | H)`` at the
-    base time.
+    base time.  Every entry has the frame jet's batch shape; for a batched
+    jet ``base_time`` and ``horizontal_residual`` are arrays over it.
     """
 
     fundamental: MatrixJet
@@ -418,7 +454,7 @@ class PolynomialFrameCurve:
     def __post_init__(self):
         if self.k < 2 or self.n < 1:
             raise CurveFormatError(f"need k >= 2 and n >= 1, got k={self.k}, n={self.n}")
-        stack = coefficient_stack(self.coefficients, CurveFormatError)
+        stack = coefficient_stack(self.coefficients, CurveFormatError, ())
         shape = (self.k * self.n, self.n)
         if stack.shape[1:] != shape:
             raise CurveFormatError(
@@ -447,12 +483,13 @@ class PolynomialFrameCurve:
 
     def frame_jet(self, t, order):
         """Exact jet of the frame at base time ``t``."""
-        if order < self.k - 1:
-            raise InsufficientOrderError(f"order {order} is below k-1={self.k - 1}")
-        return FrameJet(self.polynomial.jet_at(t, order))
+        return self.frame_jets(float(t), order)
 
     def frame_jets(self, times, order):
-        return [self.frame_jet(t, order) for t in times]
+        """Exact frame jets at many times, batched over ``times`` in the caller's order."""
+        if order < self.k - 1:
+            raise InsufficientOrderError(f"order {order} is below k-1={self.k - 1}")
+        return FrameJet(self.polynomial.jet_at(times, order))
 
     def transformed(self, t_matrix):
         """The curve ``T A(t)`` for a constant kn x kn matrix ``T``."""
@@ -534,36 +571,37 @@ class OdeFrameCurve:
 
     def frame_jet(self, t, order):
         """Integrate the frame state from t=0 to ``t`` and build its jet there."""
-        return self.frame_jets((t,), order)[0]
+        return self.frame_jets(float(t), order)
 
     def frame_jets(self, times, order):
-        """Frame jets at many times from one integration sweep.
+        """Frame jets at many times from one integration sweep, batched over ``times``.
 
         The requested times are visited outward from t=0, positive times in
         ascending and negative times in descending order.  Each Runge-Kutta
         5(4) segment starts from the state at the previous requested time, so
         every requested time is a step endpoint (no dense-output
-        interpolation).  Jets come back in the caller's order; repeated times
-        share one jet.
+        interpolation).  The states are then expanded at all times in one
+        series, in the caller's order; a repeated time repeats its state.
         """
         k = self.k
         if order < k - 1:
             raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
-        times = [float(t) for t in times]
-        for t in times:
+        times = np.array(times, dtype=float)
+        flat = times.ravel().tolist()
+        for t in flat:
             if not math.isfinite(t):
                 raise ValueError(f"frame jet times must be finite, got {t!r}")
         states = {0.0: self.initial_juxtaposed}
-        positive = sorted({t for t in times if t > 0.0})
-        negative = sorted({t for t in times if t < 0.0}, reverse=True)
+        positive = sorted({t for t in flat if t > 0.0})
+        negative = sorted({t for t in flat if t < 0.0}, reverse=True)
         for side in (positive, negative):
             t_prev, state = 0.0, self.initial_juxtaposed
             for t in side:
                 state = _advance(self, t_prev, t, state)
                 states[t] = state
                 t_prev = t
-        jets = {t: _jet_from_state(self, t, states[t], order) for t in set(times)}
-        return [jets[t] for t in times]
+        stack = np.array([states[t] for t in flat]).reshape(times.shape + (k * self.n,) * 2)
+        return _jet_from_state(self, times, stack, order)
 
 
 def _ode_state_derivative(curve, t, state):
@@ -588,13 +626,14 @@ def _advance(curve, t0, t1, state):
 
 
 def _jet_from_state(curve, t, state, order):
-    """Frame jet at ``t`` from the juxtaposed state there.
+    """Frame jet at ``t`` from the juxtaposed state there (both batched alike, or not).
 
     The state's Taylor series comes from ``Y' = Y C`` with the companion
     matrix expanded about ``t``; the frame is its first block column.
     """
-    series = linear_taylor(state, curve.companion.jet_at(t, order - 1).coeffs)
-    return FrameJet(MatrixJet(t, series[:, :, : curve.n]))
+    companion = curve.companion.jet_at(t, order - 1)
+    series = linear_taylor(state, companion.coeffs)
+    return FrameJet(MatrixJet(companion.base_time, series[..., : curve.n]))
 
 
 def standard_jet(k, n, order):

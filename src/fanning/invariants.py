@@ -7,7 +7,9 @@ the endomorphism family (fundamental endomorphism, reflection, projection,
 horizontal derivative and Jacobi endomorphism) together with their
 moving-frame matrices.  What is computed once per frame jet (``P_j``, F,
 the horizontal derivative and the endomorphism bundle) is cached on
-:class:`~fanning.curves.FrameJet` and read here.
+:class:`~fanning.curves.FrameJet` and read here.  Every function takes a
+frame jet at one time or batched over a grid, and returns values of that
+batch shape, so a grid is one pass through each of them.
 """
 
 import math
@@ -24,6 +26,7 @@ from .curves import (
     IntegrationError,
     InternalConsistencyError,
     OdeFrameCurve,
+    first_failure,
 )
 from .jets import MatrixJet, jet_mul, linear_taylor
 
@@ -121,20 +124,28 @@ def wilczynski_invariants(fj):
     return invariants_from_coefficients(ode_coefficients(fj))
 
 
+def _p1_size(fj):
+    """``max |P_1|`` at the base time, per sample."""
+    return np.max(np.abs(ode_coefficients(fj)[0].value()), axis=(-2, -1))
+
+
 def is_normal(fj):
-    """Whether ``P_1`` vanishes at the base time, relative to ``P_2``."""
-    p = ode_coefficients(fj)
-    p1 = np.max(np.abs(p[0].value()))
-    p2 = np.max(np.abs(p[1].value()))
-    return bool(p1 < NORMALITY_RTOL * (1.0 + p2))
+    """Whether ``P_1`` vanishes at the base time, relative to ``P_2``.
+
+    A bool, or a bool array over the batch.
+    """
+    p2 = np.max(np.abs(ode_coefficients(fj)[1].value()), axis=(-2, -1))
+    normal = _p1_size(fj) < NORMALITY_RTOL * (1.0 + p2)
+    return bool(normal) if normal.ndim == 0 else normal
 
 
 def require_normal(fj):
-    if not is_normal(fj):
-        p1 = np.max(np.abs(ode_coefficients(fj)[0].value()))
-        raise NotNormalError(
-            f"frame is not normal at t={fj.base_time!r}: |P_1| = {p1:.3e}"
-        )
+    """Raise :class:`NotNormalError` at the first sample that is not normal."""
+    i = first_failure(np.logical_not(is_normal(fj)))
+    if i is not None:
+        t = float(np.ravel(fj.base_time)[i])
+        p1 = np.ravel(_p1_size(fj))[i]
+        raise NotNormalError(f"frame is not normal at t={t!r}: |P_1| = {p1:.3e}")
 
 
 def normalizing_jet(p1, y0=None):
@@ -146,14 +157,15 @@ def normalizing_jet(p1, y0=None):
     transposed back.
     """
     y0 = np.eye(p1.rows) if y0 is None else y0
-    series = linear_taylor(np.transpose(y0), p1.coeffs.transpose(0, 2, 1))
-    return MatrixJet(p1.base_time, series.transpose(0, 2, 1))
+    series = linear_taylor(np.swapaxes(y0, -1, -2), np.swapaxes(p1.coeffs, -1, -2))
+    return MatrixJet(p1.base_time, np.swapaxes(series, -1, -2))
 
 
 def normalized_frame_jet(fj, y0=None):
     """The normal frame jet through the same point: ``A Y`` with ``P_1 -> 0``.
 
-    ``Y(t0) = y0``, the identity by default.  The output order is
+    ``Y(t0) = y0``, the identity by default, or one matrix per sample of a
+    batched ``fj``.  The output order is
     ``R - k + 1`` for an input of order R, the most the normalizing change
     is determined to.
     """
@@ -202,7 +214,8 @@ def normal_frame(curve, grid):
     the first grid point with ``X = I``.  Each returned sample carries the
     normal lift of ``B = A X^-1`` and the coefficients ``Q_j = P_j[B]``,
     all read from the curve's frame jets of order 2k-1, the lowest order
-    that fixes the ``Q_j`` values.
+    that fixes the ``Q_j`` values.  The jets of the whole grid are one
+    batch, so ``B`` and its coefficients take one pass.
     """
     k, n = curve.k, curve.n
     times = [float(t) for t in grid]
@@ -212,14 +225,13 @@ def normal_frame(curve, grid):
     if len(times) > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("time grid must be strictly monotonic")
     jets = curve.frame_jets(times, 2 * k - 1)
-    for fj in jets:
-        fj.require_fanning()
+    jets.require_fanning()
 
     def rhs(t, y):
         x = y.reshape(n, n)
         return (-x @ _p1_value(curve, t)).reshape(-1)
 
-    xs = [np.eye(n)]
+    xs = np.eye(n)[None]
     if len(times) > 1:
         sol = solve_ivp(
             rhs,
@@ -232,26 +244,16 @@ def normal_frame(curve, grid):
         )
         if not sol.success:
             raise IntegrationError(f"normalization stopped early: {sol.message}")
-        xs = [sol.y[:, i].reshape(n, n) for i in range(len(times))]
+        xs = sol.y.T.reshape(len(times), n, n)
 
-    lifts = []
-    qs = []
-    residuals = []
-    for fj, x in zip(jets, xs):
-        bjet = normalized_frame_jet(fj, y0=np.linalg.inv(x))
-        pb = ode_coefficients(bjet)
-        residuals.append(float(np.max(np.abs(pb[0].value()))))
-        lifts.append(bjet.juxtaposed.value())
-        qs.append([pb[j].value() for j in range(1, k)])
-    q_by_index = tuple(
-        tuple(qs[i][j] for i in range(len(times))) for j in range(k - 1)
-    )
+    bjet = normalized_frame_jet(jets, y0=np.linalg.inv(xs))
+    pb = ode_coefficients(bjet)
     return NormalizationRecord(
         times=tuple(times),
         x=tuple(xs),
-        lifts=tuple(lifts),
-        q=q_by_index,
-        p1_residuals=tuple(residuals),
+        lifts=tuple(bjet.juxtaposed.value()),
+        q=tuple(tuple(pb[j].value()) for j in range(1, k)),
+        p1_residuals=tuple(_p1_size(bjet).tolist()),
     )
 
 
@@ -290,6 +292,7 @@ def jacobi_matrix(fj, which="K"):
     if which not in ("K", "Pdot"):
         raise ValueError(f"which must be 'K' or 'Pdot', got {which!r}")
     k, n = fj.k, fj.n
+    batch = fj.jet.batch
     require_normal(fj)
     # With P_1 = 0 the invariants kappa, h_1 .. h_(k-2) are P_2 .. P_k.
     invariants = ode_coefficients(fj)[1:]
@@ -298,32 +301,34 @@ def jacobi_matrix(fj, which="K"):
             f"the Jacobi matrix needs frame order >= {k + 1}, have {fj.order}"
         )
 
-    column = np.zeros((k * n, n))
+    column = np.zeros(batch + (k * n, n))
     for r in range(k - 1):
         h_hi = invariants[k - 2 - r].value()
         entry = h_hi.copy()
         if k - 3 - r >= 0:
             entry -= invariants[k - 3 - r].derivative_value(1)
         entry *= math.comb(k - 1, k - 1 - r)
-        column[r * n : (r + 1) * n] = entry
+        column[..., r * n : (r + 1) * n, :] = entry
     kappa = invariants[0].value()
 
-    pattern = np.zeros((k * n, k * n))
+    pattern = np.zeros(batch + (k * n, k * n))
     if which == "K":
-        pattern[:, (k - 2) * n : (k - 1) * n] = column
-        pattern[(k - 1) * n :, (k - 1) * n :] = (k - 1) * kappa
+        pattern[..., :, (k - 2) * n : (k - 1) * n] = column
+        pattern[..., (k - 1) * n :, (k - 1) * n :] = (k - 1) * kappa
     else:
-        pattern[:, (k - 1) * n :] = column
-        pattern[(k - 1) * n :, (k - 2) * n : (k - 1) * n] = np.eye(n)
+        pattern[..., :, (k - 1) * n :] = column
+        pattern[..., (k - 1) * n :, (k - 2) * n : (k - 1) * n] = np.eye(n)
 
     bundle = endomorphism_bundle(fj)
     target = bundle.jacobi if which == "K" else bundle.pdot
     direct = np.linalg.solve(bundle.moving_frame, target @ bundle.moving_frame)
-    scale = 1.0 + np.max(np.abs(direct))
-    residual = np.max(np.abs(direct - pattern))
-    if residual > CONSISTENCY_RTOL * scale:
+    scale = 1.0 + np.max(np.abs(direct), axis=(-2, -1))
+    residual = np.max(np.abs(direct - pattern), axis=(-2, -1))
+    i = first_failure(residual > CONSISTENCY_RTOL * scale)
+    if i is not None:
         raise InternalConsistencyError(
-            f"Jacobi pattern and change of basis disagree: residual {residual:.3e}"
+            "Jacobi pattern and change of basis disagree: "
+            f"residual {np.ravel(residual)[i]:.3e}"
         )
     return pattern
 
@@ -344,7 +349,7 @@ def maurer_cartan_pullback(fj, lift="with_H"):
             f"the pullback needs frame order >= {k + 1}, have {fj.order}"
         )
     # The H-lift replaces the last block column of the juxtaposed lift.
-    lifted = fj.juxtaposed.coeffs[:2].copy()
+    lifted = fj.juxtaposed.coeffs[..., :2, :, :].copy()
     if lift == "with_H":
-        lifted[:, :, (k - 1) * n :] = fj.horizontal.coeffs[:2]
-    return np.linalg.solve(lifted[0], lifted[1])
+        lifted[..., :, (k - 1) * n :] = fj.horizontal.coeffs[..., :2, :, :]
+    return np.linalg.solve(lifted[..., 0, :, :], lifted[..., 1, :, :])

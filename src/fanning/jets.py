@@ -8,19 +8,28 @@ entries stay O(1) for analytic curves and no factorial overflow occurs at
 high order; accessors convert on demand.
 
 The coefficients are one read-only float array of shape
-``(order + 1, rows, cols)``: ``coeffs[i]`` is ``c_i``, so coefficientwise
-operations are single array expressions and a constant right or left
-factor is one broadcast matmul.  The Cauchy product takes one broadcast
-matmul per term index against the whole other stack, and the inverse
-inverts the constant term once with numpy and multiplies by it; no
-kernel loops over coefficient pairs in Python or calls scipy.
-:func:`linear_taylor` expands both linear equations ``Y' = Y C`` that the
-package solves by series, the ODE state's and the normalizing change's.
-Matrix polynomials in :mod:`fanning.curves` hold their coefficients in the
-same layout, and :func:`horner` evaluates either.
+``(*batch, order + 1, rows, cols)``.  The optional leading batch axes hold
+independent samples, typically the jets of one curve at every time of a
+grid: ``base_time`` is then a float array of shape ``batch``, and a float
+for the unbatched jet (batch ``()``).  Every kernel indexes the
+coefficient axis as ``[..., i, :, :]``, so one function serves any batch
+shape and a batch costs one array operation where the samples would cost
+one each.  Coefficientwise operations are single array expressions and a
+constant right or left factor is one broadcast matmul.  The Cauchy product
+takes one broadcast matmul per term index against the whole other stack,
+and the inverse inverts the constant terms once with numpy and multiplies
+by them; no kernel loops over samples or coefficient pairs in Python or
+calls scipy.  Stacked matmul, ``inv`` and ``cond`` treat each sample as the
+unbatched call would, so a batch agrees bitwise with its samples computed
+one at a time.  :func:`linear_taylor` expands both linear equations
+``Y' = Y C`` that the package solves by series, the ODE state's and the
+normalizing change's.  Matrix polynomials in :mod:`fanning.curves` hold
+their coefficients in the unbatched layout, and :func:`horner` evaluates
+either.
 
 Mixed-order binary operations truncate to the minimum order and never
-zero-pad: unknown higher derivatives are unknown, not zero.
+zero-pad: unknown higher derivatives are unknown, not zero.  Binary
+operations need equal base times, and so equal batch shapes.
 
 Jets are immutable and all operations are pure functions, so shared jets
 are safe to use concurrently.
@@ -49,30 +58,39 @@ class SingularLeadingCoefficientError(JetError):
         self.limit = limit
 
 
-def coefficient_stack(coeffs, error):
-    """``coeffs`` as one read-only float array of shape ``(count, rows, cols)``.
+def coefficient_stack(coeffs, error, batch):
+    """``coeffs`` as one read-only float array of shape ``(*batch, count, rows, cols)``.
 
-    Raises ``error`` unless ``coeffs`` holds at least one matrix and all
-    its matrices share one shape.  The result is always a fresh copy, so
-    no caller holds a writable alias of it.
+    Raises ``error`` unless ``coeffs`` holds at least one matrix per sample
+    and all its matrices share one shape, and its leading axes are
+    ``batch``.  The result is always a fresh copy, so no caller holds a
+    writable alias of it.
     """
     try:
         stack = np.array(coeffs, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"coefficients are not matrices of one shape: {exc}") from exc
-    if stack.shape[:1] == (0,):
+    if stack.shape[len(batch) : len(batch) + 1] == (0,):
         raise error("at least one coefficient is needed")
-    if stack.ndim != 3:
+    if stack.ndim != len(batch) + 3:
         raise error(f"coefficients must be matrices, got an array of shape {stack.shape}")
+    if stack.shape[: len(batch)] != batch:
+        raise error(
+            f"coefficients of shape {stack.shape} do not have the batch shape {batch}"
+        )
     stack.setflags(write=False)
     return stack
 
 
 def horner(coeffs, x):
-    """``sum_i coeffs[i] x**i`` by Horner's rule over the first axis of ``coeffs``."""
-    val = np.array(coeffs[-1])
-    for c in coeffs[-2::-1]:
-        val = val * x + c
+    """``sum_i coeffs[..., i, :, :] x**i`` by Horner's rule over the coefficient axis.
+
+    ``x`` is a number or an array of the leading batch shape of ``coeffs``.
+    """
+    x = np.asarray(x, dtype=float)[..., None, None]
+    val = np.array(coeffs[..., -1, :, :])
+    for i in range(coeffs.shape[-3] - 2, -1, -1):
+        val = val * x + coeffs[..., i, :, :]
     return val
 
 
@@ -80,23 +98,34 @@ def horner(coeffs, x):
 class MatrixJet:
     """Taylor coefficients ``c_0 .. c_r`` of a matrix curve at ``base_time``.
 
-    ``coeffs`` is one read-only array of shape ``(r + 1, rows, cols)``.
+    ``coeffs`` is one read-only array of shape ``(*batch, r + 1, rows, cols)``
+    and ``base_time`` a float (batch ``()``) or a read-only float array of
+    shape ``batch``.
     """
 
     base_time: float
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", coefficient_stack(self.coeffs, JetError))
-        object.__setattr__(self, "base_time", float(self.base_time))
+        base_time = self.base_time
+        # A batch's base times are shared by the jets built from it.
+        shared = isinstance(base_time, np.ndarray) and base_time.dtype == float
+        if not (shared and not base_time.flags.writeable):
+            base_time = np.array(base_time, dtype=float)
+            base_time.setflags(write=False)
+        stack = coefficient_stack(self.coeffs, JetError, base_time.shape)
+        if base_time.ndim == 0:
+            base_time = float(base_time)
+        object.__setattr__(self, "coeffs", stack)
+        object.__setattr__(self, "base_time", base_time)
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def constant(cls, value, base_time=0.0, order=0):
         value = np.asarray(value, dtype=float)
-        coeffs = np.zeros((order + 1,) + value.shape)
-        coeffs[0] = value
+        coeffs = np.zeros(np.shape(base_time) + (order + 1,) + value.shape[-2:])
+        coeffs[..., 0, :, :] = value
         return cls(base_time, coeffs)
 
     @classmethod
@@ -105,40 +134,44 @@ class MatrixJet:
 
     @classmethod
     def zero(cls, rows, cols, base_time=0.0, order=0):
-        return cls(base_time, np.zeros((order + 1, rows, cols)))
+        return cls(base_time, np.zeros(np.shape(base_time) + (order + 1, rows, cols)))
 
     # -- structure -----------------------------------------------------
 
     @property
+    def batch(self):
+        return self.coeffs.shape[:-3]
+
+    @property
     def order(self):
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-3] - 1
 
     @property
     def rows(self):
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-2]
 
     @property
     def cols(self):
-        return self.coeffs.shape[2]
+        return self.coeffs.shape[-1]
 
     @property
     def shape(self):
-        return self.coeffs.shape[1:]
+        return self.coeffs.shape[-2:]
 
     def value(self):
         """Curve value at the base time (the constant coefficient)."""
-        return self.coeffs[0]
+        return self.coeffs[..., 0, :, :]
 
     def derivative_value(self, i):
         """i-th derivative at the base time, ``i! * c_i``."""
         if not 0 <= i <= self.order:
             raise JetError(f"derivative {i} is not held by an order-{self.order} jet")
-        return math.factorial(i) * self.coeffs[i]
+        return math.factorial(i) * self.coeffs[..., i, :, :]
 
     def truncated(self, order):
         if order > self.order:
             raise JetError(f"cannot extend an order-{self.order} jet to order {order}")
-        return MatrixJet(self.base_time, self.coeffs[: order + 1])
+        return MatrixJet(self.base_time, self.coeffs[..., : order + 1, :, :])
 
     # -- operator sugar --------------------------------------------------
 
@@ -166,14 +199,12 @@ class MatrixJet:
         return jet_inverse(self, condition_limit)
 
     def __repr__(self):
-        return (
-            f"MatrixJet(base_time={self.base_time}, order={self.order}, "
-            f"shape={self.shape})"
-        )
+        where = f"base_time={self.base_time}" if not self.batch else f"batch={self.batch}"
+        return f"MatrixJet({where}, order={self.order}, shape={self.shape})"
 
 
 def _check_compatible(a, b, same_shape):
-    if a.base_time != b.base_time:
+    if a.base_time is not b.base_time and not np.array_equal(a.base_time, b.base_time):
         raise JetError(f"base times differ: {a.base_time} vs {b.base_time}")
     if same_shape and a.shape != b.shape:
         raise JetError(f"shapes differ: {a.shape} vs {b.shape}")
@@ -185,7 +216,7 @@ def jet_add(a, b):
     """Coefficientwise sum, truncated to the smaller order."""
     _check_compatible(a, b, same_shape=True)
     m = min(a.order, b.order)
-    return MatrixJet(a.base_time, a.coeffs[: m + 1] + b.coeffs[: m + 1])
+    return MatrixJet(a.base_time, a.coeffs[..., : m + 1, :, :] + b.coeffs[..., : m + 1, :, :])
 
 
 def jet_mul(a, b):
@@ -193,11 +224,12 @@ def jet_mul(a, b):
     _check_compatible(a, b, same_shape=False)
     m = min(a.order, b.order)
     # Term i adds a_i b_(j-i) to every c_j at once, in increasing i, so each
-    # c_j is summed as a_0 b_j + a_1 b_(j-1) + ...: a pairwise .sum(axis=0)
-    # would round 1 x 1 blocks differently.
-    out = a.coeffs[0] @ b.coeffs[: m + 1]
+    # c_j is summed as a_0 b_j + a_1 b_(j-1) + ...: a pairwise sum over the
+    # term axis would round 1 x 1 blocks differently.
+    ac, bc = a.coeffs, b.coeffs
+    out = ac[..., :1, :, :] @ bc[..., : m + 1, :, :]
     for i in range(1, m + 1):
-        out[i:] += a.coeffs[i] @ b.coeffs[: m + 1 - i]
+        out[..., i:, :, :] += ac[..., i : i + 1, :, :] @ bc[..., : m + 1 - i, :, :]
     return MatrixJet(a.base_time, out)
 
 
@@ -209,29 +241,33 @@ def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
     term's condition number exceeds ``condition_limit`` (pass ``None`` to
     skip the check), and raises ``LinAlgError`` when the constant term or a
     coefficient of the recursion is not finite (an overflow, reported by
-    this error rather than by a warning).
+    this error rather than by a warning).  In a batch the first failing
+    sample is reported.
     """
     if a.rows != a.cols:
         raise JetError(f"only square jets can be inverted, got shape {a.shape}")
-    c0 = a.coeffs[0]
+    c = a.coeffs
+    c0 = c[..., 0, :, :]
     if not np.isfinite(c0).all():
         raise np.linalg.LinAlgError("jet inverse of a non-finite leading coefficient")
     if condition_limit is not None:
-        condition = np.linalg.cond(c0)
-        if not condition < condition_limit:
-            raise SingularLeadingCoefficientError(condition, condition_limit)
-    b = np.empty_like(a.coeffs)
+        condition = np.ravel(np.linalg.cond(c0))
+        failed = np.flatnonzero(~(condition < condition_limit))
+        if failed.size:
+            raise SingularLeadingCoefficientError(condition[failed[0]], condition_limit)
+    b = np.empty_like(c)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            b[0] = np.linalg.inv(c0)
+            b[..., 0, :, :] = np.linalg.inv(c0)
         except np.linalg.LinAlgError as exc:
             raise SingularLeadingCoefficientError(np.inf, condition_limit or np.inf) from exc
         for m in range(1, a.order + 1):
-            s = a.coeffs[1] @ b[m - 1]
+            s = c[..., 1, :, :] @ b[..., m - 1, :, :]
             for i in range(2, m + 1):
-                s += a.coeffs[i] @ b[m - i]
-            b[m] = -(b[0] @ s)
-    overflowed = np.flatnonzero(~np.isfinite(b).all(axis=(1, 2)))
+                s += c[..., i, :, :] @ b[..., m - i, :, :]
+            b[..., m, :, :] = -(b[..., 0, :, :] @ s)
+    finite = np.isfinite(b).all(axis=(-2, -1)).reshape(-1, a.order + 1).all(axis=0)
+    overflowed = np.flatnonzero(~finite)
     if overflowed.size:
         raise np.linalg.LinAlgError(f"jet inverse overflowed at order {overflowed[0]}")
     return MatrixJet(a.base_time, b)
@@ -241,14 +277,16 @@ def linear_taylor(y0, c):
     """Taylor coefficients ``y_0 .. y_(r+1)`` of the solution of ``Y' = Y C``.
 
     ``y0`` is ``Y`` at the base time and ``c`` the coefficient stack
-    ``c_0 .. c_r`` of ``C`` about it; each next coefficient is
-    ``y_(m+1) = sum_(i=0..m) y_i c_(m-i) / (m + 1)``.  Returns one array of
-    shape ``(r + 2, rows, cols)``.
+    ``c_0 .. c_r`` of ``C`` about it, of shape ``(*batch, r + 1, cols,
+    cols)``; ``y0`` is one matrix or one per sample.  Each next coefficient
+    is ``y_(m+1) = sum_(i=0..m) y_i c_(m-i) / (m + 1)``.  Returns one array
+    of shape ``(*batch, r + 2, rows, cols)``.
     """
-    y = np.empty((len(c) + 1,) + np.shape(y0))
-    y[0] = y0
-    for m in range(len(c)):
-        y[m + 1] = (y[: m + 1] @ c[m::-1]).sum(axis=0) / (m + 1)
+    y = np.empty(c.shape[:-3] + (c.shape[-3] + 1,) + np.shape(y0)[-2:])
+    y[..., 0, :, :] = y0
+    for m in range(c.shape[-3]):
+        terms = y[..., : m + 1, :, :] @ c[..., m::-1, :, :]
+        y[..., m + 1, :, :] = terms.sum(axis=-3) / (m + 1)
     return y
 
 
@@ -257,9 +295,9 @@ def jet_derivative(a):
     if a.order < 1:
         raise JetError("cannot differentiate an order-0 jet")
     factors = np.arange(1, a.order + 1, dtype=float)[:, None, None]
-    return MatrixJet(a.base_time, factors * a.coeffs[1:])
+    return MatrixJet(a.base_time, factors * a.coeffs[..., 1:, :, :])
 
 
 def jet_eval(a, t):
     """Horner evaluation of the jet polynomial at time ``t``."""
-    return horner(a.coeffs, float(t) - a.base_time)
+    return horner(a.coeffs, np.asarray(t, dtype=float) - a.base_time)

@@ -6,17 +6,24 @@ largest one.
 
 import numpy as np
 
+# Relative singular-value cut of numeric_rank and eigenvalue_multiplicity.
+RANK_RTOL = 1e-8
 # Relative singular-value cut of the column-span bases in span_distance.
 SPAN_RTOL = 1e-10
 
 
-def numeric_rank(m, rtol=1e-8):
-    """Number of singular values above ``rtol`` times the largest."""
+def numeric_rank(m):
+    """Number of singular values above ``RANK_RTOL`` times the largest.
+
+    ``m`` is one matrix (an int is returned) or a stack of them (an int
+    array, one count per matrix).
+    """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > rtol * s[0]))
+    rank = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+    return int(rank) if m.ndim == 2 else rank
 
 
 def orthonormal_columns(m):
@@ -63,8 +70,11 @@ def nullspace(m, rtol=1e-9, floor=0.0):
     return vt[rank:].T
 
 
-def eigenvalue_multiplicity(m, eigenvalue, rtol=1e-8):
-    """Geometric multiplicity of ``eigenvalue``, the nullity of ``m - lambda I``."""
+def eigenvalue_multiplicity(m, eigenvalue):
+    """Geometric multiplicity of ``eigenvalue``, the nullity of ``m - lambda I``.
+
+    One count for one square matrix, an array of counts for a stack of them.
+    """
     m = np.asarray(m, dtype=float)
-    shifted = m - eigenvalue * np.eye(m.shape[0])
-    return m.shape[0] - numeric_rank(shifted, rtol=rtol)
+    shifted = m - eigenvalue * np.eye(m.shape[-1])
+    return m.shape[-1] - numeric_rank(shifted)

@@ -47,6 +47,13 @@ def random_frame_jet(k, n, order, rng, base_time=0.0, scale=0.3, cond_max=50.0):
             return fj
 
 
+def frame_jet_samples(fj):
+    """The samples of a frame jet batched over one axis, as unbatched frame jets."""
+    return [
+        FrameJet(MatrixJet(float(t), coeffs)) for t, coeffs in zip(fj.base_time, fj.jet.coeffs)
+    ]
+
+
 def random_polynomial_curve(k, n, rng, degree=None, scale=0.25, window=(0.0, 0.6), cond_max=60.0):
     """Random polynomial frame curve staying well conditioned on ``window``.
 

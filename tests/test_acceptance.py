@@ -76,10 +76,10 @@ def test_criterion_02_reflection_eigenstructure():
             b = endomorphism_bundle(fj)
             # multiplicities via rank-revealing QR at threshold 1e-8
             counts_ok = counts_ok and (
-                eigenvalue_multiplicity(b.reflection, -1.0, rtol=1e-8) == (k - 1) * n
+                eigenvalue_multiplicity(b.reflection, -1.0) == (k - 1) * n
             )
             counts_ok = counts_ok and (
-                eigenvalue_multiplicity(b.reflection, 1.0, rtol=1e-8) == n
+                eigenvalue_multiplicity(b.reflection, 1.0) == n
             )
             plus = eigenspace(b.reflection, 1.0, rtol=1e-8)
             worst_angle = max(

@@ -176,7 +176,7 @@ class TestInvariantsCommand:
         solved = []
 
         def counted(fj):
-            solved.append(fj.base_time)
+            solved.extend(np.ravel(fj.base_time))
             return solve(fj)
 
         prop = cached_property(counted)
@@ -192,7 +192,7 @@ class TestInvariantsCommand:
         built = []
 
         def counted(fj):
-            built.append(fj.base_time)
+            built.extend(np.ravel(fj.base_time))
             return build(fj)
 
         prop = cached_property(counted)
@@ -212,7 +212,7 @@ class TestInvariantsCommand:
         built = []
 
         def counted(fj):
-            built.append(fj.base_time)
+            built.extend(np.ravel(fj.base_time))
             return build(fj)
 
         prop = cached_property(counted)
@@ -233,7 +233,7 @@ class TestInvariantsCommand:
         built = []
 
         def counted(fj):
-            built.append(fj.base_time)
+            built.extend(np.ravel(fj.base_time))
             return build(fj)
 
         prop = cached_property(counted)
@@ -311,6 +311,14 @@ class TestFanningCheckedBeforeIntegrating:
         path = write_coefficients(tmp_path / "huge.json", HUGE)
         assert main(["normal-frame", path, "--grid", "0:0.3:2"]) == 3
         assert "not fanning at t=0.3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invariants", "normal-frame"])
+    def test_batched_check_names_the_first_grid_time(self, command, tmp_path, capsys):
+        path = write_coefficients(tmp_path / "cubic.json", CUBIC)
+        assert main([command, path, "--grid", "0:1:3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: frame is not fanning at t=0.0: condition ")
 
 
 class TestOtherCommands:
@@ -436,6 +444,25 @@ class TestInputValidation:
 
 
 class TestPlumbing:
+    def test_parser_built_once_per_process(self, tmp_path, capsys):
+        path = write_curve(tmp_path / "std.json", standard_curve(2, 1))
+        cli_mod._build_parser.cache_clear()
+        assert main(["verify", path]) == 0
+        assert main(["invariants", path, "--grid", "0:0.2:2"]) == 0
+        info = cli_mod._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_cached_parser_keeps_usage_errors_and_help(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["invariants"])
+            assert info.value.code == 2
+            assert "the following arguments are required" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as info:
+                main(["--help"])
+            assert info.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: fanning")
+
     def test_byte_identical_reports(self, tmp_path, rng):
         curve = tame_polynomial_curve(2, 2, rng)
         path = write_curve(tmp_path / "c.json", curve)

@@ -24,6 +24,7 @@ from conftest import (
     ALL_KN,
     curve_p_values,
     drifting_ode_curve,
+    frame_jet_samples,
     ode_jet_reference,
     random_invertible,
     random_polynomial_curve,
@@ -79,6 +80,21 @@ class TestEvalFrameJet:
         poly = PolynomialMatrix(np.array([[[1.0]], [[0.0]], [[1.0]]]))
         with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
             poly.jet_at(t0, 4)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_jet_at_batch_is_stacked_per_time(self, dim, rng):
+        poly = random_polynomial_matrix_curve(dim, 9, rng)
+        times = np.array([0.4, -1.1, 0.0, 0.4, 2.0])
+        batched = poly.jet_at(times, 7)
+        assert batched.batch == (5,)
+        np.testing.assert_array_equal(batched.base_time, times)
+        expected = np.array([poly.jet_at(t, 7).coeffs for t in times])
+        np.testing.assert_array_equal(batched.coeffs, expected)
+
+    def test_overflowing_shift_names_the_first_such_time(self):
+        poly = PolynomialMatrix(np.array([[[1.0]], [[0.0]], [[1.0]]]))
+        with pytest.raises(np.linalg.LinAlgError, match=r"to t=-1e\+200 overflowed"):
+            poly.jet_at(np.array([0.5, -1e200, 1e200]), 4)
 
     def test_coefficients_beyond_degree_are_zero(self, rng):
         curve = random_polynomial_curve(2, 1, rng, degree=3)
@@ -311,7 +327,7 @@ class TestOdeSweep:
         omega = 1.3
         curve = _harmonic_curve(omega)
         times = np.linspace(0.0, 8.0, 17)
-        swept = curve.frame_jets(times, 4)
+        swept = frame_jet_samples(curve.frame_jets(times, 4))
         for t, fj in zip(times, swept):
             _assert_jets_close(fj, curve.frame_jet(t, 4), 1e-9)
             exact = np.array([[math.cos(omega * t)], [math.sin(omega * t) / omega]])
@@ -320,14 +336,14 @@ class TestOdeSweep:
     def test_drifting_coefficients_match_per_point(self, rng):
         curve = drifting_ode_curve(rng)
         times = np.linspace(0.0, 6.0, 9)
-        swept = curve.frame_jets(times, 2 * curve.k + 2)
+        swept = frame_jet_samples(curve.frame_jets(times, 2 * curve.k + 2))
         for t, fj in zip(times, swept):
             _assert_jets_close(fj, curve.frame_jet(t, 2 * curve.k + 2), 1e-9)
 
     def test_caller_order_with_mixed_signs_and_repeats(self, rng):
         curve = drifting_ode_curve(rng, k=2, n=1)
         times = [0.5, -0.3, 0.0, 0.5, -0.7, 0.2, -0.3]
-        swept = curve.frame_jets(times, 3)
+        swept = frame_jet_samples(curve.frame_jets(times, 3))
         assert [fj.base_time for fj in swept] == times
         for t, fj in zip(times, swept):
             _assert_jets_close(fj, curve.frame_jet(t, 3), 1e-9)
@@ -345,7 +361,7 @@ class TestOdeSweep:
     def test_polynomial_batch_is_pointwise(self, rng):
         curve = random_polynomial_curve(3, 2, rng)
         times = (0.3, -0.1, 0.3)
-        for t, fj in zip(times, curve.frame_jets(times, 6)):
+        for t, fj in zip(times, frame_jet_samples(curve.frame_jets(times, 6))):
             for a, b in zip(fj.jet.coeffs, curve.frame_jet(t, 6).jet.coeffs):
                 np.testing.assert_array_equal(a, b)
 

@@ -21,6 +21,7 @@ from conftest import (
     ALL_KN,
     classical_schwarzian,
     drifting_ode_curve,
+    frame_jet_samples,
     h1_closed_form,
     h2_closed_form,
     normalizing_jet_reference,
@@ -29,6 +30,7 @@ from conftest import (
     random_jet,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
+    tame_polynomial_curve,
     tan_curve,
     tan_taylor_coefficients,
 )
@@ -262,6 +264,37 @@ class TestNormalization:
                 expected = np.linalg.solve(x, h @ x)
                 np.testing.assert_allclose(record.q[j][i], expected, atol=1e-7)
 
+    @pytest.mark.parametrize("kind", ["polynomial", "ode"])
+    def test_batched_pass_matches_the_per_point_route(self, kind, rng):
+        """One batch over the grid gives each point's normal frame to 1e-12.
+
+        The per-point route normalizes each grid time's frame jet on its own,
+        from the record's X there.  An ODE curve's jets come from the grid
+        sweep, since a jet integrated from t=0 to one time differs at the
+        integrator's tolerance.
+        """
+        k, n = 3, 2
+        grid = np.linspace(0.0, 0.5, 6)
+        if kind == "polynomial":
+            curve = tame_polynomial_curve(k, n, rng)
+            jets = [curve.frame_jet(t, 2 * k - 1) for t in grid]
+        else:
+            curve = drifting_ode_curve(rng, k, n)
+            jets = frame_jet_samples(curve.frame_jets(grid, 2 * k - 1))
+        record = normal_frame(curve, grid)
+
+        def close(a, b):
+            return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+        for i, fj in enumerate(jets):
+            bjet = normalized_frame_jet(fj, y0=np.linalg.inv(record.x[i]))
+            pb = ode_coefficients(bjet)
+            assert close(record.lifts[i], bjet.juxtaposed.value())
+            for j in range(1, k):
+                assert close(record.q[j - 1][i], pb[j].value())
+            scale = 1.0 + np.max(np.abs(pb[1].value()))
+            assert abs(record.p1_residuals[i] - np.max(np.abs(pb[0].value()))) <= 1e-12 * scale
+
     def test_monotonic_grid_required(self, rng):
         curve = random_polynomial_curve(2, 1, rng)
         with pytest.raises(ValueError):
@@ -270,7 +303,7 @@ class TestNormalization:
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_normalizing_jet_matches_its_recursion(self, k, n, rng):
         curve = drifting_ode_curve(rng, k, n)
-        for fj in curve.frame_jets((0.0, 0.7, -1.3), 2 * k + 2):
+        for fj in frame_jet_samples(curve.frame_jets((0.0, 0.7, -1.3), 2 * k + 2)):
             p1 = ode_coefficients(fj)[0]
             for y0 in (None, random_invertible(n, rng)):
                 got = normalizing_jet(p1, y0).coeffs

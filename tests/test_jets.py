@@ -16,7 +16,7 @@ from fanning import (
     jet_inverse,
     jet_mul,
 )
-from fanning.jets import linear_taylor
+from fanning.jets import horner, linear_taylor
 from conftest import jet_mul_reference, random_jet
 
 
@@ -335,3 +335,86 @@ def test_inverse_residual_property(jets):
     assert np.max(np.abs(residual.coeffs[0] - np.eye(a.rows))) < 1e-10
     for c in residual.coeffs[1:]:
         assert np.max(np.abs(c)) < 1e-10
+
+
+class TestBatch:
+    """A batch of 5 samples gives bitwise the stacked results of the samples one at a time."""
+
+    TIMES = (0.0, 0.3, -0.2, 0.3, 1.5)
+
+    @staticmethod
+    def stack(jets):
+        return MatrixJet(np.array(TestBatch.TIMES), np.array([j.coeffs for j in jets]))
+
+    @staticmethod
+    def samples(rows, cols, order, rng):
+        return [random_jet(rows, cols, order, rng, base_time=t) for t in TestBatch.TIMES]
+
+    @staticmethod
+    def assert_stacked(batched, per_sample):
+        expected = np.array(per_sample)
+        assert batched.shape == expected.shape
+        np.testing.assert_array_equal(batched, expected)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 3)])
+    def test_binary_and_unary_kernels(self, dims, rng):
+        rows, cols = dims
+        a = self.samples(rows, cols, 6, rng)
+        b = self.samples(rows, cols, 4, rng)
+        c = self.samples(cols, cols, 5, rng)
+        ba, bb, bc = self.stack(a), self.stack(b), self.stack(c)
+        assert ba.batch == (5,) and ba.order == 6 and ba.shape == dims
+        self.assert_stacked(jet_add(ba, bb).coeffs, [jet_add(x, y).coeffs for x, y in zip(a, b)])
+        self.assert_stacked(jet_mul(ba, bc).coeffs, [jet_mul(x, y).coeffs for x, y in zip(a, c)])
+        self.assert_stacked(jet_derivative(ba).coeffs, [jet_derivative(x).coeffs for x in a])
+        self.assert_stacked(ba.truncated(2).coeffs, [x.truncated(2).coeffs for x in a])
+        self.assert_stacked(ba.value(), [x.value() for x in a])
+        for i in range(7):
+            self.assert_stacked(ba.derivative_value(i), [x.derivative_value(i) for x in a])
+        t = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        self.assert_stacked(jet_eval(ba, t), [jet_eval(x, s) for x, s in zip(a, t)])
+        self.assert_stacked(
+            horner(ba.coeffs, t), [horner(x.coeffs, s) for x, s in zip(a, t)]
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_inverse_and_linear_taylor(self, dim, rng):
+        a = [
+            jet_add(x, MatrixJet.constant(3.0 * np.eye(dim), x.base_time, x.order))
+            for x in self.samples(dim, dim, 7, rng)
+        ]
+        batched = jet_inverse(self.stack(a))
+        self.assert_stacked(batched.coeffs, [jet_inverse(x).coeffs for x in a])
+        np.testing.assert_array_equal(batched.base_time, self.TIMES)
+        y0 = rng.standard_normal((5, 2, dim))
+        c = np.array([x.coeffs for x in a])
+        self.assert_stacked(linear_taylor(y0, c), [linear_taylor(y, x) for y, x in zip(y0, c)])
+
+    def test_batch_of_one_time_per_axis_entry(self, rng):
+        a = self.stack(self.samples(2, 2, 2, rng))
+        assert a.base_time.shape == (5,) and not a.base_time.flags.writeable
+        eye = MatrixJet.identity(2, a.base_time, 2)
+        assert eye.batch == (5,)
+        np.testing.assert_array_equal(jet_mul(a, eye).coeffs, a.coeffs)
+
+    @pytest.mark.parametrize(
+        "base_time, shape",
+        [
+            (np.zeros(4), (5, 3, 2, 2)),
+            (np.zeros(5), (3, 2, 2)),
+            (0.0, (5, 3, 2, 2)),
+            (np.zeros((5, 1)), (5, 3, 2, 2)),
+        ],
+        ids=["wrong-length", "unbatched-coefficients", "scalar-time", "extra-axis"],
+    )
+    def test_base_time_shape_must_match_the_batch(self, base_time, shape):
+        with pytest.raises(JetError):
+            MatrixJet(base_time, np.zeros(shape))
+
+    def test_first_failing_sample_is_reported(self):
+        coeffs = np.array([np.eye(2), np.diag([1.0, 1e-12]), np.zeros((2, 2))])[:, None]
+        a = MatrixJet(np.array([0.0, 1.0, 2.0]), coeffs)
+        with pytest.raises(SingularLeadingCoefficientError) as info:
+            jet_inverse(a)
+        assert info.value.condition == pytest.approx(1e12)
+

@@ -55,3 +55,14 @@ def test_eigen_helpers():
     space = eigenspace(d, -1.0)
     assert space.shape[1] == 2
     assert np.max(np.abs(space[0, :])) < 1e-12
+
+
+def test_counts_of_a_stack_are_per_matrix(rng):
+    a = rng.standard_normal((5, 3))
+    ms = np.array([np.hstack([a, a[:, :r] @ rng.standard_normal((r, 2))]) for r in (1, 2)])
+    ms = np.concatenate([ms, rng.standard_normal((1, 5, 5))])
+    ranks = numeric_rank(ms)
+    assert ranks.tolist() == [numeric_rank(m) for m in ms] == [3, 3, 5]
+    ds = np.array([np.diag(d) for d in ([1.0, -1.0, -1.0], [1.0, 1.0, -1.0], [2.0, 3.0, 4.0])])
+    assert eigenvalue_multiplicity(ds, -1.0).tolist() == [2, 1, 0]
+    assert eigenvalue_multiplicity(ds, 1.0).tolist() == [1, 2, 0]
