@@ -225,12 +225,11 @@ def _grid_invariants(fj, config):
 
 
 def cmd_invariants(config):
-    """Invariants at every grid time: one batched pass, then the report rows of each time."""
+    """Invariants at every grid time: one batched pass, then the report point of each time."""
     curve = load_curve(config.paths[0])
     values = _grid_invariants(curve.frame_jets(config.grid, _jet_order(curve)), config)
 
     points = []
-    rows = []
     for i, t in enumerate(config.grid):
         condition = float(values["fanning_condition"][i])
         kappa, hs = values["kappa"][i], [h[i] for h in values["h"]]
@@ -244,16 +243,9 @@ def cmd_invariants(config):
             "h": hs,
             "reflection_eigencounts": counts,
         }
-        rows.append(report_mod.scalar_row(t, "fanning_condition", condition))
-        rows.extend(report_mod.matrix_rows(t, "kappa", kappa))
-        for j, h in enumerate(hs, start=1):
-            rows.extend(report_mod.matrix_rows(t, f"h{j}", h))
-        for key in counts:
-            rows.append(report_mod.scalar_row(t, f"reflection_{key}", counts[key]))
         for key in ("jacobi", "maurer_cartan"):
             if key in values:
                 point[key] = values[key][i]
-                rows.extend(report_mod.matrix_rows(t, key, values[key][i]))
         points.append(point)
     not_normal = [float(t) for t, normal in zip(config.grid, values["was_normal"]) if not normal]
     if not_normal and (config.jacobi or config.maurer_cartan is not None):
@@ -271,7 +263,20 @@ def cmd_invariants(config):
         "tolerance": config.tolerance,
         "points": points,
     }
-    return report, rows, EXIT_OK
+
+    def csv_entries():
+        for t, point in zip(config.grid, points):
+            yield t, "fanning_condition", point["fanning_condition"]
+            yield t, "kappa", point["kappa"]
+            for j, h in enumerate(point["h"], start=1):
+                yield t, f"h{j}", h
+            for key, count in point["reflection_eigencounts"].items():
+                yield t, f"reflection_{key}", count
+            for key in ("jacobi", "maurer_cartan"):
+                if key in point:
+                    yield t, key, point[key]
+
+    return report, csv_entries(), EXIT_OK
 
 
 def cmd_congruent(config):
@@ -292,20 +297,23 @@ def cmd_congruent(config):
         "message": witness.message,
         "tolerance": config.tolerance,
     }
-    rows = [report_mod.scalar_row(None, "verdict_" + witness.verdict, 1.0)]
-    if witness.conjugator is not None:
-        rows.extend(report_mod.matrix_rows(None, "conjugator", witness.conjugator))
-        rows.extend(report_mod.matrix_rows(None, "ambient", witness.ambient))
-    for t, r in zip(witness.samples, witness.residuals):
-        rows.append(report_mod.scalar_row(t, "residual", r))
-    for t, s in zip(witness.samples, witness.span_distances):
-        rows.append(report_mod.scalar_row(t, "span_distance", s))
+
+    def csv_entries():
+        yield None, "verdict_" + witness.verdict, 1.0
+        if witness.conjugator is not None:
+            yield None, "conjugator", witness.conjugator
+            yield None, "ambient", witness.ambient
+        for t, r in zip(witness.samples, witness.residuals):
+            yield t, "residual", r
+        for t, s in zip(witness.samples, witness.span_distances):
+            yield t, "span_distance", s
+
     code = {
         "congruent": EXIT_OK,
         "not_congruent": EXIT_FAILED,
         "inconclusive": EXIT_INCONCLUSIVE,
     }[witness.verdict]
-    return report, rows, code
+    return report, csv_entries(), code
 
 
 def cmd_canonicalize(config):
@@ -325,13 +333,16 @@ def cmd_canonicalize(config):
         "orbit_coordinates": list(coords.entries),
         "tolerance": config.tolerance,
     }
-    t0 = config.base_time
-    rows = [*report_mod.matrix_rows(t0, "ambient", ambient)]
-    for i, c in enumerate(standard.jet.coeffs):
-        rows.extend(report_mod.matrix_rows(t0, f"jet_coefficient_{i}", c))
-    for i, entry in enumerate(coords.entries, start=1):
-        rows.extend(report_mod.matrix_rows(t0, f"orbit_entry_{i}", entry))
-    return report, rows, EXIT_OK
+
+    def csv_entries():
+        t0 = config.base_time
+        yield t0, "ambient", ambient
+        for i, c in enumerate(standard.jet.coeffs):
+            yield t0, f"jet_coefficient_{i}", c
+        for i, entry in enumerate(coords.entries, start=1):
+            yield t0, f"orbit_entry_{i}", entry
+
+    return report, csv_entries(), EXIT_OK
 
 
 def cmd_normal_frame(config):
@@ -340,20 +351,22 @@ def cmd_normal_frame(config):
     report = {
         "command": "normal-frame",
         "grid": list(record.times),
-        "x": list(record.x),
-        "frames": list(record.frames),
-        "q": [list(qj) for qj in record.q],
-        "p1_residuals": list(record.p1_residuals),
+        "x": record.x,
+        "frames": record.frames,
+        "q": record.q,
+        "p1_residuals": record.p1_residuals,
         "tolerance": config.tolerance,
     }
-    rows = []
-    for i, t in enumerate(record.times):
-        rows.extend(report_mod.matrix_rows(t, "x", record.x[i]))
-        rows.extend(report_mod.matrix_rows(t, "frame", record.frames[i]))
-        for j in range(curve.k - 1):
-            rows.extend(report_mod.matrix_rows(t, f"q{j + 2}", record.q[j][i]))
-        rows.append(report_mod.scalar_row(t, "p1_residual", record.p1_residuals[i]))
-    return report, rows, EXIT_OK
+
+    def csv_entries():
+        for i, t in enumerate(record.times):
+            yield t, "x", record.x[i]
+            yield t, "frame", record.frames[i]
+            for j, qj in enumerate(record.q, start=2):
+                yield t, f"q{j}", qj[i]
+            yield t, "p1_residual", record.p1_residuals[i]
+
+    return report, csv_entries(), EXIT_OK
 
 
 def cmd_verify(config):
@@ -423,14 +436,17 @@ def cmd_verify(config):
         "checks": checks,
         "passed": passed,
     }
-    rows = [
-        report_mod.scalar_row(None, f"{c['name']}_residual", c["residual"])
-        for c in checks
-    ]
-    rows.append(report_mod.scalar_row(None, "passed", 1.0 if passed else 0.0))
-    return report, rows, EXIT_OK if passed else EXIT_FAILED
+
+    def csv_entries():
+        for c in checks:
+            yield None, f"{c['name']}_residual", c["residual"]
+        yield None, "passed", 1.0 if passed else 0.0
+
+    return report, csv_entries(), EXIT_OK if passed else EXIT_FAILED
 
 
+# Each command returns its report, a generator of the report's CSV entries
+# ``(t, name, value)`` (run only for ``--format csv``) and its exit code.
 _COMMANDS = {
     "invariants": cmd_invariants,
     "congruent": cmd_congruent,
@@ -444,7 +460,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        report, rows, code = _COMMANDS[args.command](config)
+        report, csv_entries, code = _COMMANDS[args.command](config)
     except NotFanningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_FANNING
@@ -467,7 +483,7 @@ def main(argv=None):
     if config.output_format == "json":
         text = report_mod.dumps_json(report)
     else:
-        text = report_mod.dumps_csv(rows)
+        text = report_mod.dumps_csv(csv_entries)
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)

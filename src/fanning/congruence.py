@@ -17,10 +17,8 @@ import numpy as np
 from .curves import InsufficientOrderError
 from .invariants import normal_frame, normalized_frame_jet, ode_coefficients
 from .jets import DEFAULT_CONDITION_LIMIT
-from .linalg import nullspace, span_distance
+from .linalg import NULLSPACE_RTOL, nullspace, span_distance
 
-# Singular values below this fraction of the largest count as zero.
-CONJUGATOR_RTOL = 1e-9
 DEFAULT_SPAN_TOL = 1e-7
 # Seeded random nullspace combinations tried for a well-conditioned conjugator.
 CONJUGATOR_ATTEMPTS = 20
@@ -29,27 +27,29 @@ CONJUGATOR_ATTEMPTS = 20
 def simultaneous_conjugator(pairs, seed=0, condition_limit=DEFAULT_CONDITION_LIMIT):
     """A constant invertible ``X`` with ``M X = X N`` for every pair, or None.
 
-    The intertwining conditions stack into one linear system on the n^2
-    unknowns; its SVD nullspace is searched for a well-conditioned
+    ``pairs`` is a sequence of ``(M, N)`` pairs or their ``(P, 2, n, n)``
+    array.  The intertwining conditions stack into one linear system on the
+    n^2 unknowns; its SVD nullspace is searched for a well-conditioned
     element, first along the basis vectors and then along seeded random
-    combinations.  Singular values below ``CONJUGATOR_RTOL * sigma_max``
-    count as zero, with an absolute floor of ``CONJUGATOR_RTOL`` times the
+    combinations.  Singular values below ``NULLSPACE_RTOL * sigma_max``
+    count as zero, with an absolute floor of ``NULLSPACE_RTOL`` times the
     input magnitude so that a numerically vanishing system (equal
-    invariants) reads as all nullspace rather than as full rank.  Returns the best-conditioned
-    candidate found; ``None`` when the nullspace is trivial.  Absence of
-    an invertible solution is a valid outcome, not an error.
+    invariants) reads as all nullspace rather than as full rank.  Returns
+    the best-conditioned candidate found; ``None`` when the nullspace is
+    trivial.  Absence of an invertible solution is a valid outcome, not an
+    error.
     """
     if len(pairs) == 0:
         raise ValueError("at least one matrix pair is required")
     try:
-        ms = np.array([m for m, _ in pairs], dtype=float)
-        ns = np.array([nn for _, nn in pairs], dtype=float)
+        pairs = np.array(pairs, dtype=float)
     except ValueError as exc:
         raise ValueError("all pairs must be square matrices of one size") from exc
-    n = ms.shape[-1]
-    if ms.shape != (len(pairs), n, n) or ns.shape != ms.shape:
+    count, n = len(pairs), pairs.shape[-1]
+    if pairs.shape != (count, 2, n, n):
         raise ValueError("all pairs must be square matrices of one size")
-    scale = max(1.0, np.max(np.abs(ms)), np.max(np.abs(ns)))
+    ms, ns = pairs[:, 0], pairs[:, 1]
+    scale = max(1.0, np.max(np.abs(pairs)))
     # Row-major vec: vec(M X - X N) = (M kron I - I kron N^T) vec(X).  Entry
     # (p, a, b, c, d) is M_p[a, c] I[b, d] - I[a, c] N_p[d, b]: one broadcast
     # product per Kronecker factor over all pairs, signed zeros included.
@@ -58,11 +58,7 @@ def simultaneous_conjugator(pairs, seed=0, condition_limit=DEFAULT_CONDITION_LIM
         ms[:, :, None, :, None] * eye[:, None, :]
         - eye[:, None, :, None] * ns.transpose(0, 2, 1)[:, None, :, None, :]
     )
-    basis = nullspace(
-        system.reshape(len(pairs) * n * n, n * n),
-        rtol=CONJUGATOR_RTOL,
-        floor=CONJUGATOR_RTOL * scale,
-    )
+    basis = nullspace(system.reshape(count * n * n, n * n), floor=NULLSPACE_RTOL * scale)
     if basis.shape[1] == 0:
         return None
 
@@ -144,20 +140,16 @@ def are_congruent(
     """
     if curve_a.k != curve_b.k or curve_a.n != curve_b.n:
         raise ValueError("curves live in different Grassmannians")
-    samples = tuple(float(t) for t in samples)
+    samples = tuple(np.asarray(samples, dtype=float).tolist())
     if len(samples) < 2:
         raise ValueError("need at least two sample times")
-    k = curve_a.k
+    k, n = curve_a.k, curve_a.n
     rec_a = normal_frame(curve_a, samples)
     rec_b = normal_frame(curve_b, samples)
-    # vals[i] lists Q_2 .. Q_k at samples[i]: kappa, h_1 .. h_(k-2) of the
-    # normal frame, whose P_1 vanishes.
-    vals_a = list(zip(*rec_a.q))
-    vals_b = list(zip(*rec_b.q))
-
-    pairs = []
-    for va, vb in zip(vals_a, vals_b):
-        pairs.extend(zip(va, vb))
+    # q[j - 2, i] is Q_j at samples[i]: kappa, h_1 .. h_(k-2) of the normal
+    # frame, whose P_1 vanishes.  The pairs run sample by sample.
+    qa, qb = rec_a.q, rec_b.q
+    pairs = np.stack([qa, qb], axis=2).swapaxes(0, 1).reshape(-1, 2, n, n)
     x = simultaneous_conjugator(pairs, seed=seed, condition_limit=condition_limit)
     if x is None:
         return _refused(
@@ -172,33 +164,23 @@ def are_congruent(
             condition=x_cond,
         )
 
-    residuals = tuple(
-        float(max(np.max(np.abs(ma @ x - x @ mb)) for ma, mb in zip(va, vb)))
-        for va, vb in zip(vals_a, vals_b)
-    )
+    residuals = np.max(np.abs(qa @ x - x @ qb), axis=(0, 2, 3))
 
     # T maps the X-adjusted normal lift of A at the first sample onto that
     # of B, and must then map sampled spans onto spans.
     x_block = np.kron(np.eye(k), x)
     ambient = rec_b.lifts[0] @ np.linalg.inv(rec_a.lifts[0] @ x_block)
+    spans = span_distance(ambient @ rec_a.frames, rec_b.frames)
 
-    spans = tuple(
-        float(span_distance(ambient @ ba, bb))
-        for ba, bb in zip(rec_a.frames, rec_b.frames)
-    )
-    invariant_scale = 1.0 + max(
-        max(np.max(np.abs(m)) for m in va) for va in vals_a
-    )
-    max_residual = max(residuals) if residuals else 0.0
-    max_span = max(spans) if spans else 0.0
-    failed = max_residual > tol * invariant_scale or max_span > tol
+    invariant_scale = 1.0 + np.max(np.abs(qa))
+    failed = not (np.max(residuals) <= tol * invariant_scale and np.max(spans) <= tol)
     return CongruenceWitness(
         verdict="not_congruent" if failed else "congruent",
         conjugator=x,
         ambient=ambient,
         samples=samples,
-        residuals=residuals,
-        span_distances=spans,
+        residuals=tuple(residuals.tolist()),
+        span_distances=tuple(spans.tolist()),
         conjugator_condition=x_cond,
         message="conjugator found but verification failed" if failed else "",
     )

@@ -174,26 +174,28 @@ def normalized_frame_jet(fj, y0=None):
 
 @dataclass(frozen=True, eq=False)
 class NormalizationRecord:
-    """Normalizing frame change integrated along a grid.
+    """Normalizing frame change integrated along a grid of N times.
 
-    ``x[i]`` solves ``X' = -X P_1`` with ``X(times[0]) = I``; ``lifts[i]``
-    is the normal lift ``(B | B' | ... | B^(k-1))`` of the normal frame
-    ``B = A X^-1`` at ``times[i]`` (the inverse makes the order k-1 term
-    vanish), and ``frames[i]`` its first block column B; ``q[j - 2][i]``
-    holds the reduced-equation coefficient ``Q_j = P_j[B]`` there, and
-    ``p1_residuals`` the achieved ``max |P_1[B]|``.
+    Every field but ``times`` is an array whose sample axis runs over the
+    grid.  ``x``, of shape (N, n, n), solves ``X' = -X P_1`` with
+    ``X(times[0]) = I``; ``lifts``, of shape (N, kn, kn), holds the normal
+    lift ``(B | B' | ... | B^(k-1))`` of the normal frame ``B = A X^-1``
+    (the inverse makes the order k-1 term vanish), and ``frames`` is its
+    first block column B, of shape (N, kn, n); ``q``, of shape
+    (k-1, N, n, n), holds the reduced-equation coefficients, ``q[j - 2][i]``
+    being ``Q_j = P_j[B]`` at ``times[i]``; and ``p1_residuals``, of shape
+    (N,), the achieved ``max |P_1[B]|``.
     """
 
     times: tuple
-    x: tuple
-    lifts: tuple
-    q: tuple
-    p1_residuals: tuple
+    x: np.ndarray
+    lifts: np.ndarray
+    q: np.ndarray
+    p1_residuals: np.ndarray
 
     @property
     def frames(self):
-        n = self.x[0].shape[0]
-        return tuple(lift[:, :n] for lift in self.lifts)
+        return self.lifts[..., : self.x.shape[-1]]
 
 
 def _p1_value(curve, t):
@@ -218,7 +220,9 @@ def normal_frame(curve, grid):
     batch, so ``B`` and its coefficients take one pass.
     """
     k, n = curve.k, curve.n
-    times = [float(t) for t in grid]
+    times = np.asarray(grid, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("time grid must be a sequence of times")
     if len(times) < 1:
         raise ValueError("empty time grid")
     steps = np.diff(times)
@@ -249,11 +253,11 @@ def normal_frame(curve, grid):
     bjet = normalized_frame_jet(jets, y0=np.linalg.inv(xs))
     pb = ode_coefficients(bjet)
     return NormalizationRecord(
-        times=tuple(times),
-        x=tuple(xs),
-        lifts=tuple(bjet.juxtaposed.value()),
-        q=tuple(tuple(pb[j].value()) for j in range(1, k)),
-        p1_residuals=tuple(_p1_size(bjet).tolist()),
+        times=tuple(times.tolist()),
+        x=xs,
+        lifts=bjet.juxtaposed.value(),
+        q=np.stack([pb[j].value() for j in range(1, k)]),
+        p1_residuals=_p1_size(bjet),
     )
 
 

@@ -10,6 +10,8 @@ import numpy as np
 RANK_RTOL = 1e-8
 # Relative singular-value cut of the column-span bases in span_distance.
 SPAN_RTOL = 1e-10
+# Relative singular-value cut of nullspace.
+NULLSPACE_RTOL = 1e-9
 
 
 def numeric_rank(m):
@@ -26,37 +28,34 @@ def numeric_rank(m):
     return int(rank) if m.ndim == 2 else rank
 
 
-def orthonormal_columns(m):
-    """Orthonormal basis of the column span, via SVD."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0:
-        return u[:, :0]
-    rank = int(np.count_nonzero(s > SPAN_RTOL * s[0]))
-    return u[:, :rank]
-
-
 def span_distance(u, v):
     """sin of the largest principal angle between the column spans of u and v.
 
-    Returns 1.0 when the spans have different dimensions.
+    ``u`` and ``v`` are one pair of matrices (a float is returned) or two
+    stacks with the same leading axes (an array, one distance per pair).
+    Each span's orthonormal basis is its left singular vectors above
+    ``SPAN_RTOL`` times the largest singular value, padded with zero columns
+    past the rank, so that the bases of a stack share one shape.  Returns 1.0
+    for a pair whose spans have different dimensions.
     """
-    uo = orthonormal_columns(u)
-    vo = orthonormal_columns(v)
-    if uo.shape[1] != vo.shape[1]:
-        return 1.0
-    if uo.shape[1] == 0:
-        return 0.0
-    resid = vo - uo @ (uo.T @ vo)
-    return float(np.linalg.norm(resid, 2))
+    bases, ranks = [], []
+    for m in (u, v):
+        w, s, _ = np.linalg.svd(np.atleast_2d(np.asarray(m, dtype=float)), full_matrices=False)
+        kept = s > SPAN_RTOL * s[..., :1]
+        bases.append(w * kept[..., None, :])
+        ranks.append(np.count_nonzero(kept, axis=-1))
+    uo, vo = bases
+    resid = vo - uo @ (np.swapaxes(uo, -1, -2) @ vo)
+    distance = np.where(ranks[0] == ranks[1], np.linalg.norm(resid, 2, axis=(-2, -1)), 1.0)
+    return float(distance) if distance.ndim == 0 else distance
 
 
-def nullspace(m, rtol=1e-9, floor=0.0):
+def nullspace(m, floor=0.0):
     """Columns spanning the numerical right nullspace of ``m``.
 
-    Singular values at or below ``max(rtol * sigma_max, floor)`` count as
-    zero; ``floor`` guards against operators that are numerically zero
-    altogether, where a purely relative cut would report full rank.  Tall
+    Singular values at or below ``max(NULLSPACE_RTOL * sigma_max, floor)``
+    count as zero; ``floor`` guards against operators that are numerically
+    zero altogether, where a purely relative cut would report full rank.  Tall
     inputs take the thin SVD, which never forms the rows x rows ``U``; wide
     ones need the full ``V``, whose extra rows span part of the nullspace.
     """
@@ -65,7 +64,7 @@ def nullspace(m, rtol=1e-9, floor=0.0):
     _, s, vt = np.linalg.svd(m, full_matrices=rows < cols)
     if s.size == 0:
         return np.eye(cols)
-    cut = max(rtol * s[0], floor)
+    cut = max(NULLSPACE_RTOL * s[0], floor)
     rank = int(np.count_nonzero(s > cut))
     return vt[rank:].T
 

@@ -63,7 +63,7 @@ def _write_json(out, obj, level):
 
 
 def matrix_rows(t, name, matrix):
-    """CSV rows ``t, name, i, j, value`` for one matrix (row-major)."""
+    """CSV rows ``t, name, i, j, value`` for one matrix (row-major) or scalar."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     t_text = "" if t is None else _fmt(t)
     rows = []
@@ -73,10 +73,7 @@ def matrix_rows(t, name, matrix):
     return rows
 
 
-def scalar_row(t, name, value):
-    t_text = "" if t is None else _fmt(t)
-    return f"{t_text},{name},0,0,{_fmt(value)}"
-
-
-def dumps_csv(rows):
+def dumps_csv(entries):
+    """CSV text of ``(t, name, matrix)`` entries, one row per matrix entry."""
+    rows = [row for t, name, value in entries for row in matrix_rows(t, name, value)]
     return "\n".join(["t,name,i,j,value", *rows]) + "\n"

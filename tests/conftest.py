@@ -8,7 +8,6 @@ import pytest
 from fanning import MatrixJet, PolynomialFrameCurve
 from fanning.curves import FrameJet
 from fanning.jets import jet_mul
-from fanning.linalg import nullspace
 
 
 @pytest.fixture
@@ -194,10 +193,14 @@ def kron_system(pairs):
 
 
 def eigenspace(m, eigenvalue, rtol=1e-8):
-    """Orthonormal basis of the (numerical) eigenspace for ``eigenvalue``."""
+    """Orthonormal basis of the (numerical) eigenspace for ``eigenvalue``.
+
+    The right singular vectors of ``m - lambda I`` whose singular values are
+    at or below ``rtol`` times the largest.
+    """
     m = np.asarray(m, dtype=float)
-    shifted = m - eigenvalue * np.eye(m.shape[0])
-    return nullspace(shifted, rtol=rtol)
+    _, s, vt = np.linalg.svd(m - eigenvalue * np.eye(m.shape[0]))
+    return vt[np.count_nonzero(s > rtol * s[0]) :].T
 
 
 def ode_jet_reference(curve, t, state, order):

@@ -12,6 +12,7 @@ from fanning import curve_to_dict, standard_curve
 from fanning.cli import main
 from fanning.curves import FrameJet, InsufficientOrderError
 import fanning.cli as cli_mod
+import fanning.report as report_mod
 from conftest import tame_polynomial_curve, tan_curve, random_invertible
 
 
@@ -474,6 +475,27 @@ class TestPlumbing:
             )
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "{a}", "--grid", "0:0.2:3", "--jacobi", "--maurer-cartan", "H"],
+            ["congruent", "{a}", "{a}", "--grid", "0:0.4:7"],
+            ["canonicalize", "{a}", "--t", "0.1"],
+            ["normal-frame", "{a}", "--grid", "0:0.4:5"],
+            ["verify", "{a}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_reports_build_no_csv_rows(self, argv, tmp_path, monkeypatch, capsys, rng):
+        path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 1, rng))
+
+        def refuse(*args):
+            raise AssertionError("CSV rows built for a JSON report")
+
+        monkeypatch.setattr(report_mod, "matrix_rows", refuse)
+        assert main([arg.format(a=path) for arg in argv]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
 
     def test_insufficient_order_maps_to_exit_4(self, tmp_path, monkeypatch):
         path = write_curve(tmp_path / "c.json", standard_curve(2, 1))

@@ -43,6 +43,8 @@ class TestSimultaneousConjugator:
         pairs = [(x0 @ m @ np.linalg.inv(x0), m) for m in mats]
         x = simultaneous_conjugator(pairs)
         assert x is not None
+        # the (P, 2, n, n) array of the pairs is the same input
+        np.testing.assert_array_equal(simultaneous_conjugator(np.array(pairs)), x)
         # generic tuples have a one-dimensional joint commutant, so the
         # recovered conjugator is a scalar multiple of the constructed one
         ratio = x @ np.linalg.inv(x0)
@@ -86,8 +88,9 @@ class TestSimultaneousConjugator:
             [(np.eye(2), np.eye(3))],
             [(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))],
             [(np.ones((2, 3)), np.ones((2, 3)))],
+            np.ones((2, 3, 2, 2)),
         ],
-        ids=["mixed-in-pair", "mixed-across-pairs", "non-square"],
+        ids=["mixed-in-pair", "mixed-across-pairs", "non-square", "triples"],
     )
     def test_mismatched_shapes_rejected(self, pairs):
         with pytest.raises(ValueError, match="square matrices of one size"):

@@ -282,6 +282,12 @@ class TestNormalization:
             curve = drifting_ode_curve(rng, k, n)
             jets = frame_jet_samples(curve.frame_jets(grid, 2 * k - 1))
         record = normal_frame(curve, grid)
+        size = len(grid)
+        assert record.x.shape == (size, n, n)
+        assert record.lifts.shape == (size, k * n, k * n)
+        assert record.frames.shape == (size, k * n, n)
+        assert record.q.shape == (k - 1, size, n, n)
+        assert record.p1_residuals.shape == (size,)
 
         def close(a, b):
             return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
@@ -299,6 +305,10 @@ class TestNormalization:
         curve = random_polynomial_curve(2, 1, rng)
         with pytest.raises(ValueError):
             normal_frame(curve, [0.0, 0.2, 0.1])
+        with pytest.raises(ValueError, match="sequence of times"):
+            normal_frame(curve, [[0.0], [0.2]])
+        with pytest.raises(ValueError, match="empty time grid"):
+            normal_frame(curve, [])
 
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_normalizing_jet_matches_its_recursion(self, k, n, rng):

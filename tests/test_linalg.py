@@ -28,6 +28,23 @@ def test_span_distance_basic():
     assert span_distance(u, w) == 1.0  # dimension mismatch
 
 
+def test_span_distance_of_a_stack_is_per_pair(rng):
+    """A stack of pairs gives each pair's own distance, bit for bit."""
+    a, b = rng.standard_normal((2, 4, 1))
+    us = rng.standard_normal((5, 4, 2))
+    vs = rng.standard_normal((5, 4, 2))
+    vs[1] = us[1] @ rng.standard_normal((2, 2))  # one span
+    us[2], vs[2] = np.hstack([a, 2 * a]), np.hstack([b, -b])  # both of rank 1
+    vs[3] = np.hstack([b, 3 * b])  # ranks 2 and 1
+    us[4] = vs[4] = 0.0  # both of rank 0
+    distances = span_distance(us, vs)
+    np.testing.assert_array_equal(distances, [span_distance(u, v) for u, v in zip(us, vs)])
+    assert distances[1] < 1e-14
+    assert 0.0 < distances[2] < 1.0
+    assert distances[3] == 1.0
+    assert distances[4] == 0.0
+
+
 def test_nullspace_and_floor(rng):
     m = rng.standard_normal((4, 4))
     m[:, 3] = m[:, 0] + m[:, 1]
