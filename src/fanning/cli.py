@@ -9,7 +9,8 @@ default verification tolerance.
 Exit codes: 0 success (``congruent`` verdict: congruent), 1 not congruent
 or failed verification checks, 2 parse/usage error, 3 non-fanning input,
 4 insufficient jet order, 5 inconclusive congruence, 6 numerical failure,
-10 internal error.
+10 internal error.  A report that cannot be written to ``--out`` is a usage
+error (2).
 """
 
 import argparse
@@ -22,7 +23,7 @@ from functools import cache
 import numpy as np
 
 from . import report as report_mod
-from .congruence import are_congruent, canonicalize_jet, orbit_coordinates
+from .congruence import are_congruent, canonicalize_jet
 from .curves import (
     CurveFormatError,
     FrameJet,
@@ -39,6 +40,7 @@ from .invariants import (
     normal_frame,
     normalized_frame_jet,
     ode_coefficients,
+    orbit_entries,
     wilczynski_invariants,
 )
 from .jets import JetError, MatrixJet
@@ -320,7 +322,7 @@ def cmd_canonicalize(config):
     curve = load_curve(config.paths[0])
     fj = curve.frame_jet(config.base_time, _jet_order(curve))
     standard, ambient = canonicalize_jet(fj)
-    coords = orbit_coordinates(fj)
+    entries = orbit_entries(standard)
     report = {
         "command": "canonicalize",
         "t": float(config.base_time),
@@ -330,7 +332,7 @@ def cmd_canonicalize(config):
             "order": standard.order,
             "coefficients": standard.jet.coeffs,
         },
-        "orbit_coordinates": list(coords.entries),
+        "orbit_coordinates": list(entries),
         "tolerance": config.tolerance,
     }
 
@@ -339,7 +341,7 @@ def cmd_canonicalize(config):
         yield t0, "ambient", ambient
         for i, c in enumerate(standard.jet.coeffs):
             yield t0, f"jet_coefficient_{i}", c
-        for i, entry in enumerate(coords.entries, start=1):
+        for i, entry in enumerate(entries, start=1):
             yield t0, f"orbit_entry_{i}", entry
 
     return report, csv_entries(), EXIT_OK
@@ -485,8 +487,12 @@ def main(argv=None):
     else:
         text = report_mod.dumps_csv(csv_entries)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(text)
     return code

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import InsufficientOrderError
-from .invariants import normal_frame, normalized_frame_jet, ode_coefficients
+from .invariants import normal_frame, normalized_frame_jet, orbit_entries
 from .jets import DEFAULT_CONDITION_LIMIT
 from .linalg import NULLSPACE_RTOL, nullspace, span_distance
 
@@ -24,7 +24,7 @@ DEFAULT_SPAN_TOL = 1e-7
 CONJUGATOR_ATTEMPTS = 20
 
 
-def simultaneous_conjugator(pairs, seed=0, condition_limit=DEFAULT_CONDITION_LIMIT):
+def simultaneous_conjugator(pairs, seed=0):
     """A constant invertible ``X`` with ``M X = X N`` for every pair, or None.
 
     ``pairs`` is a sequence of ``(M, N)`` pairs or their ``(P, 2, n, n)``
@@ -79,7 +79,7 @@ def simultaneous_conjugator(pairs, seed=0, condition_limit=DEFAULT_CONDITION_LIM
             best, best_cond = x, cond
     rng = np.random.default_rng(seed)
     for _ in range(CONJUGATOR_ATTEMPTS):
-        if best_cond < condition_limit:
+        if best_cond < DEFAULT_CONDITION_LIMIT:
             break
         x, cond = candidate(rng.standard_normal(basis.shape[1]))
         if cond < best_cond:
@@ -122,14 +122,7 @@ def _refused(verdict, samples, message, condition=np.inf):
     )
 
 
-def are_congruent(
-    curve_a,
-    curve_b,
-    samples,
-    tol=DEFAULT_SPAN_TOL,
-    seed=0,
-    condition_limit=DEFAULT_CONDITION_LIMIT,
-):
+def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     """Decide congruence of two fanning curves from sampled invariants.
 
     One :func:`normal_frame` pass per curve supplies everything: its
@@ -150,13 +143,13 @@ def are_congruent(
     # frame, whose P_1 vanishes.  The pairs run sample by sample.
     qa, qb = rec_a.q, rec_b.q
     pairs = np.stack([qa, qb], axis=2).swapaxes(0, 1).reshape(-1, 2, n, n)
-    x = simultaneous_conjugator(pairs, seed=seed, condition_limit=condition_limit)
+    x = simultaneous_conjugator(pairs, seed=seed)
     if x is None:
         return _refused(
             "not_congruent", samples, "no common conjugator for the sampled invariants"
         )
     x_cond = float(np.linalg.cond(x))
-    if not x_cond < condition_limit:
+    if not x_cond < DEFAULT_CONDITION_LIMIT:
         return _refused(
             "inconclusive",
             samples,
@@ -231,15 +224,9 @@ class OrbitCoordinates:
 def orbit_coordinates(fj):
     """Orbit coordinates of a (k+1)-jet, via internal canonicalization.
 
-    Computed from the standardized jet's equation coefficients: with
-    ``P_1 = 0`` the invariants are ``kappa = P_2`` and ``h_j = P_(j+2)``,
-    and every entry uses at most one derivative of them.
+    They are :func:`~fanning.invariants.orbit_entries` of the standardized
+    jet, whose ``P_1`` vanishes; every entry uses at most one derivative of
+    its invariants.
     """
-    k = fj.k
     standard, _ = canonicalize_jet(fj)
-    p = ode_coefficients(standard)
-    entries = [(k - 1) * p[1].value()]
-    for j in range(2, k):
-        entry = p[j].value() - p[j - 1].derivative_value(1)
-        entries.append(math.comb(k - 1, j) * entry)
-    return OrbitCoordinates(base_time=fj.base_time, entries=tuple(entries))
+    return OrbitCoordinates(base_time=fj.base_time, entries=orbit_entries(standard))

@@ -3,15 +3,20 @@
 Two curve representations are supported: polynomial frame curves, whose
 jets at any base time are exact Taylor shifts, and ODE-defined frame
 curves.  An ODE curve's juxtaposed state ``Y`` solves ``Y' = Y C(t)`` with
-the block companion matrix ``C(t)``; an adaptive Runge-Kutta 5(4)
-integrator advances it, and its jet at a time is the first block column
-of the companion series there (:func:`~fanning.jets.linear_taylor`).
-Both kinds offer ``frame_jet`` at one time and ``frame_jets`` at many.
-``frame_jets`` returns one :class:`FrameJet` whose jet carries a leading
-sample axis over the times (see :mod:`fanning.jets`): a polynomial curve
-Taylor-shifts to every time in one contraction, and an ODE curve sweeps
-once outward from t=0 through the sorted times instead of integrating
-from t=0 for each of them, then expands all states in one series.
+the block companion matrix ``C(t)``; :func:`solve_ivp` integrates it, and
+its jet at a time is the first block column of the companion series there
+(:func:`~fanning.jets.linear_taylor`).  Both kinds offer ``frame_jet`` at
+one time and ``frame_jets`` at many.  ``frame_jets`` returns one
+:class:`FrameJet` whose jet carries a leading sample axis over the times
+(see :mod:`fanning.jets`): a polynomial curve Taylor-shifts to every time
+in one contraction, and an ODE curve integrates once outward from t=0 on
+each side, reading the states at the requested times from the
+integrator's dense output, then expands all states in one series.
+
+:func:`solve_ivp` is the package's one integrator: Runge-Kutta 5(4) at
+``ODE_RTOL``/``ODE_ATOL``, serving the ODE backend and the normalizing
+change of :mod:`fanning.invariants`.  It imports its integrator library on
+its first call, so commands that never integrate never load it.
 
 A frame curve takes values in the kn x n matrices; its value at ``t``
 spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
@@ -30,13 +35,13 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .jets import (
     DEFAULT_CONDITION_LIMIT,
     MatrixJet,
     coefficient_stack,
     horner,
+    jet_inverse,
     jet_mul,
     linear_taylor,
 )
@@ -52,9 +57,8 @@ CONSISTENCY_RTOL = 1e-6
 class NotFanningError(RuntimeError):
     """The juxtaposed derivative matrix is singular or too ill-conditioned."""
 
-    def __init__(self, condition, at_time=None):
-        where = "" if at_time is None else f" at t={at_time!r}"
-        super().__init__(f"frame is not fanning{where}: condition {condition:.3e}")
+    def __init__(self, condition, at_time):
+        super().__init__(f"frame is not fanning at t={at_time!r}: condition {condition:.3e}")
         self.condition = condition
         self.at_time = at_time
 
@@ -65,6 +69,28 @@ class InsufficientOrderError(ValueError):
 
 class IntegrationError(RuntimeError):
     """The adaptive integrator failed to reach the requested time."""
+
+
+def solve_ivp(fun, t_span, y0, t_eval):
+    """Integrate ``y' = fun(t, y)`` over ``t_span`` and sample it at ``t_eval``.
+
+    Runge-Kutta 5(4) (Dormand & Prince) at ``ODE_RTOL``/``ODE_ATOL``; the
+    samples come from its dense output, so the times of ``t_eval`` need not
+    be step endpoints.  Returns the integrator's result object, with ``y``
+    of shape ``(len(y0), len(t_eval))`` and the evaluation count ``nfev``.
+    Raises :class:`IntegrationError` when the integrator stops short of
+    ``t_span[1]``.
+    """
+    from scipy import integrate
+
+    sol = integrate.solve_ivp(
+        fun, t_span, y0, method="RK45", t_eval=t_eval, rtol=ODE_RTOL, atol=ODE_ATOL
+    )
+    if not sol.success:
+        raise IntegrationError(
+            f"integrator stopped before t={float(t_span[1])!r}: {sol.message}"
+        )
+    return sol
 
 
 class CurveFormatError(ValueError):
@@ -259,7 +285,7 @@ class FrameJet:
     @cached_property
     def juxtaposed_inverse(self):
         self.require_fanning()
-        return self.juxtaposed.inverse(condition_limit=None)
+        return jet_inverse(self.juxtaposed, None)
 
     @cached_property
     def equation_coefficients(self):
@@ -574,16 +600,15 @@ class OdeFrameCurve:
         return self.frame_jets(float(t), order)
 
     def frame_jets(self, times, order):
-        """Frame jets at many times from one integration sweep, batched over ``times``.
+        """Frame jets at many times from one integration per side of t=0.
 
-        The requested times are visited outward from t=0, positive times in
-        ascending and negative times in descending order.  Each Runge-Kutta
-        5(4) segment starts from the state at the previous requested time, so
-        every requested time is a step endpoint (no dense-output
-        interpolation).  The states are then expanded at all times in one
-        series, in the caller's order; a repeated time repeats its state.
+        Positive times are reached in ascending and negative times in
+        descending order, each side by one :func:`solve_ivp` call from the
+        initial state at t=0 that samples the side's distinct times.  The
+        states are then expanded at all times in one series, batched over
+        ``times`` in the caller's order; a repeated time repeats its state.
         """
-        k = self.k
+        k, kn = self.k, self.k * self.n
         if order < k - 1:
             raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
         times = np.array(times, dtype=float)
@@ -595,34 +620,16 @@ class OdeFrameCurve:
         positive = sorted({t for t in flat if t > 0.0})
         negative = sorted({t for t in flat if t < 0.0}, reverse=True)
         for side in (positive, negative):
-            t_prev, state = 0.0, self.initial_juxtaposed
-            for t in side:
-                state = _advance(self, t_prev, t, state)
-                states[t] = state
-                t_prev = t
-        stack = np.array([states[t] for t in flat]).reshape(times.shape + (k * self.n,) * 2)
+            if side:
+                sol = solve_ivp(
+                    lambda s, y: (y.reshape(kn, kn) @ self.companion.value(s)).reshape(-1),
+                    (0.0, side[-1]),
+                    self.initial_juxtaposed.reshape(-1),
+                    t_eval=side,
+                )
+                states.update(zip(side, sol.y.T.reshape(-1, kn, kn)))
+        stack = np.array([states[t] for t in flat]).reshape(times.shape + (kn, kn))
         return _jet_from_state(self, times, stack, order)
-
-
-def _ode_state_derivative(curve, t, state):
-    """``Y' = Y C(t)`` on the flattened juxtaposed state ``Y``."""
-    kn = curve.k * curve.n
-    return (state.reshape(kn, kn) @ curve.companion.value(t)).reshape(-1)
-
-
-def _advance(curve, t0, t1, state):
-    """The juxtaposed state at ``t1``, given ``state`` at ``t0``."""
-    sol = solve_ivp(
-        lambda s, y: _ode_state_derivative(curve, s, y),
-        (t0, t1),
-        state.reshape(-1),
-        method="RK45",
-        rtol=ODE_RTOL,
-        atol=ODE_ATOL,
-    )
-    if not sol.success:
-        raise IntegrationError(f"integrator stopped before t={t1}: {sol.message}")
-    return sol.y[:, -1].reshape(state.shape)
 
 
 def _jet_from_state(curve, t, state, order):

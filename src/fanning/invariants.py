@@ -9,24 +9,24 @@ moving-frame matrices.  What is computed once per frame jet (``P_j``, F,
 the horizontal derivative and the endomorphism bundle) is cached on
 :class:`~fanning.curves.FrameJet` and read here.  Every function takes a
 frame jet at one time or batched over a grid, and returns values of that
-batch shape, so a grid is one pass through each of them.
+batch shape, so a grid is one pass through each of them.  The one quantity
+integrated along a grid rather than read from jets is the normalizing
+change ``X' = -X P_1`` of :func:`normal_frame`; it goes through
+:func:`~fanning.curves.solve_ivp`, the package's one integrator.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .curves import (
     CONSISTENCY_RTOL,
-    ODE_ATOL,
-    ODE_RTOL,
     InsufficientOrderError,
-    IntegrationError,
     InternalConsistencyError,
     OdeFrameCurve,
     first_failure,
+    solve_ivp,
 )
 from .jets import MatrixJet, jet_mul, linear_taylor
 
@@ -237,17 +237,7 @@ def normal_frame(curve, grid):
 
     xs = np.eye(n)[None]
     if len(times) > 1:
-        sol = solve_ivp(
-            rhs,
-            (times[0], times[-1]),
-            np.eye(n).reshape(-1),
-            method="RK45",
-            t_eval=times,
-            rtol=ODE_RTOL,
-            atol=ODE_ATOL,
-        )
-        if not sol.success:
-            raise IntegrationError(f"normalization stopped early: {sol.message}")
+        sol = solve_ivp(rhs, (times[0], times[-1]), np.eye(n).reshape(-1), t_eval=times)
         xs = sol.y.T.reshape(len(times), n, n)
 
     bjet = normalized_frame_jet(jets, y0=np.linalg.inv(xs))
@@ -282,6 +272,23 @@ def endomorphism_bundle(fj):
     return fj.endomorphism_bundle
 
 
+def orbit_entries(fj):
+    """The stack ``C(k-1, j) (h_(j-1) - h_(j-2)')``, j = 1 .. k-1, of a normal frame jet.
+
+    Entry j - 1 is an n x n value at the base time, batched like ``fj``;
+    the first is ``(k-1) kappa`` (no derivative term) and the last
+    ``h_(k-2) - h_(k-3)'``.  They are the orbit coordinates of a standard
+    jet and, bottom entry first, the nonzero column of the Jacobi matrix.
+    """
+    # With P_1 = 0 the invariants kappa, h_1 .. h_(k-2) are P_2 .. P_k.
+    p = ode_coefficients(fj)
+    entries = [(fj.k - 1) * p[1].value()]
+    for j in range(2, fj.k):
+        entry = p[j].value() - p[j - 1].derivative_value(1)
+        entries.append(math.comb(fj.k - 1, j) * entry)
+    return tuple(entries)
+
+
 def jacobi_matrix(fj, which="K"):
     """Moving-frame matrix of the Jacobi endomorphism or of ``P'``.
 
@@ -298,27 +305,18 @@ def jacobi_matrix(fj, which="K"):
     k, n = fj.k, fj.n
     batch = fj.jet.batch
     require_normal(fj)
-    # With P_1 = 0 the invariants kappa, h_1 .. h_(k-2) are P_2 .. P_k.
-    invariants = ode_coefficients(fj)[1:]
-    if invariants[0].order < 1:
+    if ode_coefficients(fj)[1].order < 1:
         raise InsufficientOrderError(
             f"the Jacobi matrix needs frame order >= {k + 1}, have {fj.order}"
         )
 
-    column = np.zeros(batch + (k * n, n))
-    for r in range(k - 1):
-        h_hi = invariants[k - 2 - r].value()
-        entry = h_hi.copy()
-        if k - 3 - r >= 0:
-            entry -= invariants[k - 3 - r].derivative_value(1)
-        entry *= math.comb(k - 1, k - 1 - r)
-        column[..., r * n : (r + 1) * n, :] = entry
-    kappa = invariants[0].value()
-
+    entries = orbit_entries(fj)
+    # Entry j sits in block row k - j, counted from 1; block row k is zero.
+    column = np.concatenate(entries[::-1] + (np.zeros_like(entries[0]),), axis=-2)
     pattern = np.zeros(batch + (k * n, k * n))
     if which == "K":
         pattern[..., :, (k - 2) * n : (k - 1) * n] = column
-        pattern[..., (k - 1) * n :, (k - 1) * n :] = (k - 1) * kappa
+        pattern[..., (k - 1) * n :, (k - 1) * n :] = entries[0]
     else:
         pattern[..., :, (k - 1) * n :] = column
         pattern[..., (k - 1) * n :, (k - 2) * n : (k - 1) * n] = np.eye(n)

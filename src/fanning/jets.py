@@ -19,7 +19,7 @@ constant right or left factor is one broadcast matmul.  The Cauchy product
 takes one broadcast matmul per term index against the whole other stack,
 and the inverse inverts the constant terms once with numpy and multiplies
 by them; no kernel loops over samples or coefficient pairs in Python or
-calls scipy.  Stacked matmul, ``inv`` and ``cond`` treat each sample as the
+leaves numpy.  Stacked matmul, ``inv`` and ``cond`` treat each sample as the
 unbatched call would, so a batch agrees bitwise with its samples computed
 one at a time.  :func:`linear_taylor` expands both linear equations
 ``Y' = Y C`` that the package solves by series, the ODE state's and the
@@ -194,9 +194,6 @@ class MatrixJet:
 
     def derivative(self):
         return jet_derivative(self)
-
-    def inverse(self, condition_limit=DEFAULT_CONDITION_LIMIT):
-        return jet_inverse(self, condition_limit)
 
     def __repr__(self):
         where = f"base_time={self.base_time}" if not self.batch else f"batch={self.batch}"

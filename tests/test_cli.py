@@ -1,17 +1,22 @@
 """CLI behaviour: reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from functools import cached_property
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import fanning
 from fanning import curve_to_dict, standard_curve
 from fanning.cli import main
 from fanning.curves import FrameJet, InsufficientOrderError
 import fanning.cli as cli_mod
+import fanning.congruence as congruence_mod
 import fanning.report as report_mod
 from conftest import tame_polynomial_curve, tan_curve, random_invertible
 
@@ -333,6 +338,26 @@ class TestOtherCommands:
         np.testing.assert_allclose(coeffs[:1], np.eye(1), atol=1e-9)
         assert len(report["orbit_coordinates"]) == 2
 
+    def test_canonicalize_once_per_command(self, tmp_path, monkeypatch, capsys, rng):
+        """The orbit coordinates are read from the standard jet the command holds."""
+        path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        calls = []
+        original = congruence_mod.canonicalize_jet
+
+        def counting(fj):
+            calls.append(fj)
+            return original(fj)
+
+        monkeypatch.setattr(congruence_mod, "canonicalize_jet", counting)
+        monkeypatch.setattr(cli_mod, "canonicalize_jet", counting)
+        assert main(["canonicalize", path, "--t", "0.1"]) == 0
+        assert len(calls) == 1
+        report = json.loads(capsys.readouterr().out)
+        expected = congruence_mod.orbit_coordinates(calls[0]).entries
+        assert len(report["orbit_coordinates"]) == len(expected) == 2
+        for got, want in zip(report["orbit_coordinates"], expected):
+            np.testing.assert_array_equal(got, want)
+
     def test_normal_frame_residuals(self, tmp_path, capsys, rng):
         curve = tame_polynomial_curve(2, 2, rng)
         path = write_curve(tmp_path / "c.json", curve)
@@ -464,6 +489,16 @@ class TestPlumbing:
             assert info.value.code == 0
             assert capsys.readouterr().out.startswith("usage: fanning")
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        path = write_curve(tmp_path / "std.json", standard_curve(2, 1))
+        out = tmp_path / "missing" / "r.json"
+        assert main(["verify", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write the report")
+        assert not out.exists()
+
     def test_byte_identical_reports(self, tmp_path, rng):
         curve = tame_polynomial_curve(2, 2, rng)
         path = write_curve(tmp_path / "c.json", curve)
@@ -562,3 +597,50 @@ class TestPlumbing:
         report = json.loads(text)
         value = report["points"][0]["kappa"][0][0]
         assert f"{value:.17g}" in text
+
+
+class TestIntegratorBoundary:
+    """scipy is loaded by the one integrator call, and its failure has one exit code."""
+
+    def test_polynomial_commands_load_no_scipy(self, tmp_path, rng):
+        path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        out = str(tmp_path / "r.json")
+        script = (
+            "import sys\n"
+            "import fanning.cli\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            f"assert fanning.cli.main(['invariants', {path!r}, '--grid', '0:0.4:5',"
+            f" '--jacobi', '--out', {out!r}]) == 0\n"
+            f"assert fanning.cli.main(['canonicalize', {path!r}, '--out', {out!r}]) == 0\n"
+            f"assert fanning.cli.main(['verify', {path!r}, '--out', {out!r}]) == 0\n"
+            "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(sorted(set(loaded)))\n"
+        )
+        src = str(Path(fanning.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["normal-frame", "invariants"])
+    def test_integrator_failure_exit_10(self, command, tmp_path, monkeypatch, capsys, rng):
+        import scipy.integrate
+
+        def failing(fun, t_span, y0, **kwargs):
+            return SimpleNamespace(success=False, message="forced failure", nfev=0)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+        if command == "normal-frame":
+            path = write_curve(tmp_path / "c.json", tame_polynomial_curve(2, 2, rng))
+            grid = "0:0.4:5"
+        else:
+            path = write_normal_ode_curve(tmp_path / "ode.json", 2, 2, rng)
+            grid = "-0.4:0.4:5"
+        assert main([command, path, f"--grid={grid}"]) == 10
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: integrator stopped before t=")
+        assert "forced failure" in err

@@ -159,13 +159,14 @@ class TestAreCongruent:
             image = w.ambient @ curve_a.polynomial.value(t)
             assert span_distance(image, curve_b.polynomial.value(t)) < 1e-6
 
-    def test_condition_gate_gives_inconclusive(self, rng):
+    def test_condition_gate_gives_inconclusive(self, rng, monkeypatch):
+        monkeypatch.setattr(congruence_mod, "DEFAULT_CONDITION_LIMIT", 1.5)
         k, n = 2, 2
         curve_a, curve_b, _, x0 = congruence_pair(k, n, rng)
         while np.linalg.cond(x0) < 3.0:
             curve_a, curve_b, _, x0 = congruence_pair(k, n, rng)
         samples = np.linspace(0.0, 0.4, 7)
-        w = are_congruent(curve_a, curve_b, samples, condition_limit=1.5)
+        w = are_congruent(curve_a, curve_b, samples)
         assert w.verdict == "inconclusive"
 
     def test_sample_grid_validation(self, rng):

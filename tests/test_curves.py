@@ -387,6 +387,26 @@ class TestOdeSweep:
             assert fanning.cli.main(argv) == 0
         assert 0 < nfev[1] <= 2 * nfev[0], nfev
 
+    def test_one_integration_per_side(self, monkeypatch, rng):
+        """Each side of t=0 is one integration sampled at its distinct times."""
+        import fanning.curves as curves_mod
+
+        curve = drifting_ode_curve(rng, k=2, n=1)
+        spans = []
+        solve_ivp = curves_mod.solve_ivp
+
+        def recording(fun, t_span, y0, t_eval):
+            spans.append((t_span, list(t_eval)))
+            return solve_ivp(fun, t_span, y0, t_eval=t_eval)
+
+        monkeypatch.setattr(curves_mod, "solve_ivp", recording)
+        times = (0.3, -0.5, 0.7, 0.0, -0.2, 0.3)
+        batched = curve.frame_jets(times, 3)
+        assert spans == [((0.0, 0.7), [0.3, 0.7]), ((0.0, -0.5), [-0.2, -0.5])]
+        assert batched.base_time.tolist() == list(times)
+        coeffs = batched.jet.coeffs
+        np.testing.assert_array_equal(coeffs[0], coeffs[5])
+        np.testing.assert_array_equal(coeffs[3, 0], curve.initial_juxtaposed[:, :1])
 
 
 class TestOdeJetKernel:
