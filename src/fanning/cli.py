@@ -10,7 +10,7 @@ Exit codes: 0 success (``congruent`` verdict: congruent), 1 not congruent
 or failed verification checks, 2 parse/usage error, 3 non-fanning input,
 4 insufficient jet order, 5 inconclusive congruence, 6 numerical failure,
 10 internal error.  A report that cannot be written to ``--out`` is a usage
-error (2).
+error (2), as is a negative ``--seed``.
 """
 
 import argparse
@@ -79,6 +79,8 @@ class RunConfig:
             raise ValueError(
                 f"tolerance must be finite and positive, got {self.tolerance!r}"
             )
+        if self.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {self.seed}")
         if not math.isfinite(self.base_time):
             raise ValueError(f"--t must be finite, got {self.base_time!r}")
         if self.command in ("invariants", "congruent", "normal-frame") and not self.grid:

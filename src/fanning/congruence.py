@@ -3,10 +3,14 @@
 Two fanning curves are congruent exactly when a single constant ambient
 transformation maps one onto the other; equivalently, when the invariants
 ``kappa, h_1 .. h_(k-2)`` of their normal frames are simultaneously
-conjugate by one constant n x n matrix.  This module linearizes that
-condition, reconstructs the ambient transformation from the normal
-lifts, and canonicalizes jets to a standard form whose invariant entries
-coordinatize the orbits of (k+1)-jets.
+conjugate by one constant n x n matrix.  Since a frame change conjugates
+the invariants pointwise, the traces of their powers are read from each
+curve's own jets, and differing traces refute congruence before anything
+is integrated.  Otherwise this module linearizes the conjugacy condition,
+reconstructs the ambient transformation from the normal lifts, and
+verifies it on the sampled planes.  It also canonicalizes jets to a
+standard form whose invariant entries coordinatize the orbits of
+(k+1)-jets.
 """
 
 import math
@@ -15,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import InsufficientOrderError
-from .invariants import normal_frame, normalized_frame_jet, orbit_entries
+from .invariants import (
+    checked_grid,
+    normalized_frame_jet,
+    normalizer,
+    orbit_entries,
+    wilczynski_invariants,
+)
 from .jets import DEFAULT_CONDITION_LIMIT
 from .linalg import NULLSPACE_RTOL, nullspace, span_distance
 
@@ -122,26 +132,84 @@ def _refused(verdict, samples, message, condition=np.inf):
     )
 
 
+def trace_gaps(wa, wb):
+    """Relative gaps between the traces of powers of two curves' invariants.
+
+    ``wa`` and ``wb`` stack ``kappa, h_1 .. h_(k-2)`` over a sample axis,
+    shape (k-1, N, n, n).  Entry ``[m - 1, j, i]`` of the result, for
+    m = 1 .. n, compares ``tr(w^m)`` of invariant j at sample i as
+    ``|tr_A - tr_B| / (1 + max(|tr_A|, |tr_B|))``.  Congruent curves have
+    equal traces, since a frame change conjugates every invariant
+    pointwise and an ambient map leaves them unchanged.
+    """
+    gaps = []
+    pa, pb = wa, wb
+    for m in range(wa.shape[-1]):
+        if m:
+            pa, pb = pa @ wa, pb @ wb
+        ta, tb = np.trace(pa, axis1=-2, axis2=-1), np.trace(pb, axis1=-2, axis2=-1)
+        gaps.append(np.abs(ta - tb) / (1.0 + np.maximum(np.abs(ta), np.abs(tb))))
+    return np.stack(gaps)
+
+
+def _trace_refusal(gaps, samples):
+    """Message naming the largest trace gap, its word and its time."""
+    m, j, i = np.unravel_index(np.argmax(gaps), gaps.shape)
+    word = "kappa" if j == 0 else f"h_{j}"
+    if m:
+        word = f"{word}^{m + 1}"
+    return (
+        f"invariant traces differ: tr({word}) at t={samples[i]!r} "
+        f"by {gaps[m, j, i]:.3e} (relative)"
+    )
+
+
+def _reduced_coefficients(curve, times, w):
+    """``Q_j = X h_(j-2) X^-1`` of the normal frame ``A X^-1`` through the first sample.
+
+    For n = 1 conjugation is the identity, so nothing is integrated.
+    """
+    if curve.n == 1:
+        return w
+    x = normalizer(curve, times)
+    return x @ w @ np.linalg.inv(x)
+
+
 def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     """Decide congruence of two fanning curves from sampled invariants.
 
-    One :func:`normal_frame` pass per curve supplies everything: its
-    ``Q_j`` values on the sample grid feed :func:`simultaneous_conjugator`;
+    Each curve's frame jets of order 2k-1 are built once, A's first, and
+    checked for fanning at every sample.  Their invariants decide first:
+    when :func:`trace_gaps` exceeds ``tol`` anywhere, the curves are not
+    congruent and nothing is integrated.  Otherwise the normal frames'
+    ``Q_j`` values, the invariants conjugated by :func:`normalizer` (the
+    invariants themselves for n = 1), feed :func:`simultaneous_conjugator`;
     on success the ambient transformation is reconstructed from the two
     normal lifts at the first sample and verified against the sampled
-    spans of the normal frames, which span the same planes as the curves.
+    spans of the curves.
     """
     if curve_a.k != curve_b.k or curve_a.n != curve_b.n:
         raise ValueError("curves live in different Grassmannians")
     samples = tuple(np.asarray(samples, dtype=float).tolist())
     if len(samples) < 2:
         raise ValueError("need at least two sample times")
+    times = checked_grid(samples)
     k, n = curve_a.k, curve_a.n
-    rec_a = normal_frame(curve_a, samples)
-    rec_b = normal_frame(curve_b, samples)
+    jets = []
+    for curve in (curve_a, curve_b):
+        fj = curve.frame_jets(times, 2 * k - 1)
+        fj.require_fanning()
+        jets.append(fj)
+    # w[j - 2, i] is kappa (j = 2) or h_(j-2) at samples[i].
+    wa, wb = (wilczynski_invariants(fj).values() for fj in jets)
+    gaps = trace_gaps(wa, wb)
+    if not np.max(gaps) <= tol:
+        return _refused("not_congruent", samples, _trace_refusal(gaps, samples))
+
     # q[j - 2, i] is Q_j at samples[i]: kappa, h_1 .. h_(k-2) of the normal
     # frame, whose P_1 vanishes.  The pairs run sample by sample.
-    qa, qb = rec_a.q, rec_b.q
+    qa = _reduced_coefficients(curve_a, times, wa)
+    qb = _reduced_coefficients(curve_b, times, wb)
     pairs = np.stack([qa, qb], axis=2).swapaxes(0, 1).reshape(-1, 2, n, n)
     x = simultaneous_conjugator(pairs, seed=seed)
     if x is None:
@@ -160,10 +228,13 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     residuals = np.max(np.abs(qa @ x - x @ qb), axis=(0, 2, 3))
 
     # T maps the X-adjusted normal lift of A at the first sample onto that
-    # of B, and must then map sampled spans onto spans.
+    # of B, and must then map the sampled planes of A onto those of B.  The
+    # normalizing change is the identity at the first sample, so the lifts
+    # there are those of the normal frames anchored at each sample.
     x_block = np.kron(np.eye(k), x)
-    ambient = rec_b.lifts[0] @ np.linalg.inv(rec_a.lifts[0] @ x_block)
-    spans = span_distance(ambient @ rec_a.frames, rec_b.frames)
+    lift_a, lift_b = (normalized_frame_jet(fj).juxtaposed.value()[0] for fj in jets)
+    ambient = lift_b @ np.linalg.inv(lift_a @ x_block)
+    spans = span_distance(ambient @ jets[0].jet.value(), jets[1].jet.value())
 
     invariant_scale = 1.0 + np.max(np.abs(qa))
     failed = not (np.max(residuals) <= tol * invariant_scale and np.max(spans) <= tol)

@@ -11,8 +11,9 @@ the horizontal derivative and the endomorphism bundle) is cached on
 frame jet at one time or batched over a grid, and returns values of that
 batch shape, so a grid is one pass through each of them.  The one quantity
 integrated along a grid rather than read from jets is the normalizing
-change ``X' = -X P_1`` of :func:`normal_frame`; it goes through
-:func:`~fanning.curves.solve_ivp`, the package's one integrator.
+change ``X' = -X P_1``: :func:`normalizer` integrates it in one
+:func:`~fanning.curves.solve_ivp` call, the package's one integrator, and
+:func:`normal_frame` builds the normal frame ``A X^-1`` from it.
 """
 
 import math
@@ -52,6 +53,10 @@ class CoefficientSet:
     @property
     def schwarzian(self):
         return 2.0 * self.kappa
+
+    def values(self):
+        """Values of ``kappa, h_1 .. h_(k-2)`` at the base time, stacked on a new leading axis."""
+        return np.stack([self.kappa.value()] + [h.value() for h in self.h])
 
 
 def ode_coefficients(fj):
@@ -208,18 +213,8 @@ def _p1_value(curve, t):
     return s[(k - 1) * n :, :] / k
 
 
-def normal_frame(curve, grid):
-    """Integrate the normalizing change ``X' = -X P_1`` along a time grid.
-
-    The grid must be strictly monotonic and the frame fanning at every
-    grid time, which is checked before integrating; integration starts at
-    the first grid point with ``X = I``.  Each returned sample carries the
-    normal lift of ``B = A X^-1`` and the coefficients ``Q_j = P_j[B]``,
-    all read from the curve's frame jets of order 2k-1, the lowest order
-    that fixes the ``Q_j`` values.  The jets of the whole grid are one
-    batch, so ``B`` and its coefficients take one pass.
-    """
-    k, n = curve.k, curve.n
+def checked_grid(grid):
+    """The times of ``grid`` as a float array, which must be non-empty and strictly monotonic."""
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1:
         raise ValueError("time grid must be a sequence of times")
@@ -228,17 +223,47 @@ def normal_frame(curve, grid):
     steps = np.diff(times)
     if len(times) > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("time grid must be strictly monotonic")
-    jets = curve.frame_jets(times, 2 * k - 1)
-    jets.require_fanning()
+    return times
+
+
+def normalizer(curve, grid):
+    """The normalizing change ``X`` at every grid time, shape (N, n, n).
+
+    ``X`` solves ``X' = -X P_1`` with ``X = I`` at the first grid time, so
+    ``A X^-1`` is the normal frame through ``A`` there.  The grid must be
+    strictly monotonic; the caller checks that the frame is fanning at the
+    grid times.  One :func:`~fanning.curves.solve_ivp` call integrates the
+    whole grid.
+    """
+    n = curve.n
+    times = checked_grid(grid)
 
     def rhs(t, y):
         x = y.reshape(n, n)
         return (-x @ _p1_value(curve, t)).reshape(-1)
 
-    xs = np.eye(n)[None]
-    if len(times) > 1:
-        sol = solve_ivp(rhs, (times[0], times[-1]), np.eye(n).reshape(-1), t_eval=times)
-        xs = sol.y.T.reshape(len(times), n, n)
+    if len(times) == 1:
+        return np.eye(n)[None]
+    sol = solve_ivp(rhs, (times[0], times[-1]), np.eye(n).reshape(-1), t_eval=times)
+    return sol.y.T.reshape(len(times), n, n)
+
+
+def normal_frame(curve, grid):
+    """The normal frame ``B = A X^-1`` along a time grid, with ``X`` from :func:`normalizer`.
+
+    The grid must be strictly monotonic and the frame fanning at every
+    grid time, which is checked before integrating; integration starts at
+    the first grid point with ``X = I``.  Each returned sample carries the
+    normal lift of ``B`` and the coefficients ``Q_j = P_j[B]``,
+    all read from the curve's frame jets of order 2k-1, the lowest order
+    that fixes the ``Q_j`` values.  The jets of the whole grid are one
+    batch, so ``B`` and its coefficients take one pass.
+    """
+    k = curve.k
+    times = checked_grid(grid)
+    jets = curve.frame_jets(times, 2 * k - 1)
+    jets.require_fanning()
+    xs = normalizer(curve, times)
 
     bjet = normalized_frame_jet(jets, y0=np.linalg.inv(xs))
     pb = ode_coefficients(bjet)

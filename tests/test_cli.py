@@ -17,6 +17,7 @@ from fanning.cli import main
 from fanning.curves import FrameJet, InsufficientOrderError
 import fanning.cli as cli_mod
 import fanning.congruence as congruence_mod
+import fanning.invariants as invariants_mod
 import fanning.report as report_mod
 from conftest import tame_polynomial_curve, tan_curve, random_invertible
 
@@ -467,6 +468,30 @@ class TestInputValidation:
         path = write_normal_ode_curve(tmp_path / "ode.json", 2, 1, rng)
         assert main([command, path, f"--t={t}"]) == 2
         assert "--t must be finite" in capsys.readouterr().err
+
+    def test_unordered_scalar_grid_exit_2(self, tmp_path, monkeypatch, capsys, rng):
+        # An n = 1 pair integrates nothing, and its grid is still checked.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the normalizing change was integrated")
+
+        monkeypatch.setattr(invariants_mod, "solve_ivp", refuse)
+        curve = tame_polynomial_curve(2, 1, rng)
+        a = write_curve(tmp_path / "a.json", curve)
+        b = write_curve(tmp_path / "b.json", curve.transformed(random_invertible(2, rng)))
+        assert main(["congruent", a, b, "--grid", "0,0.2,0.1"]) == 2
+        assert "time grid must be strictly monotonic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["invariants", "congruent", "canonicalize", "normal-frame", "verify"]
+    )
+    def test_negative_seed_exit_2(self, command, tmp_path, capsys):
+        path = write_curve(tmp_path / "std.json", standard_curve(2, 1))
+        curves = [path, path] if command == "congruent" else [path]
+        grid = [] if command in ("canonicalize", "verify") else ["--grid", "0:0.4:3"]
+        assert main([command, *curves, *grid, "--seed", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed must be a non-negative integer, got -3\n"
 
 
 class TestPlumbing:

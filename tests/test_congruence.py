@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from fanning import (
+    OdeFrameCurve,
+    PolynomialMatrix,
     are_congruent,
     canonicalize_jet,
     ode_coefficients,
     orbit_coordinates,
     simultaneous_conjugator,
     standard_jet,
+    wilczynski_invariants,
 )
 import fanning.congruence as congruence_mod
+import fanning.invariants as invariants_mod
 from conftest import (
+    ALL_KN,
     kron_system,
     random_invertible,
     random_polynomial_curve,
@@ -26,6 +31,13 @@ def congruence_pair(k, n, rng, **kwargs):
     t_matrix = random_invertible(k * n, rng, cond_max=50)
     x0 = random_invertible(n, rng, cond_max=20)
     return curve, curve.transformed(t_matrix).right_multiplied(x0), t_matrix, x0
+
+
+def perturbed_pair(k, n, rng):
+    curve_a = tame_polynomial_curve(k, n, rng)
+    coeffs = [c.copy() for c in curve_a.coefficients]
+    coeffs[2][0, 0] += 0.1
+    return curve_a, type(curve_a)(k, n, tuple(coeffs))
 
 
 class TestSimultaneousConjugator:
@@ -117,14 +129,9 @@ class TestAreCongruent:
 
     def test_perturbed_pair_rejected(self, rng):
         k, n = 3, 2
-        curve_a = tame_polynomial_curve(k, n, rng)
-        coeffs = [c.copy() for c in curve_a.coefficients]
-        coeffs[2][0, 0] += 0.1
-        curve_b = type(curve_a)(k, n, tuple(coeffs))
+        curve_a, curve_b = perturbed_pair(k, n, rng)
         samples = np.linspace(0.0, 0.5, 2 * k + 3)
         # the perturbation must actually move kappa before we assert rejection
-        from fanning import wilczynski_invariants
-
         diffs = [
             np.max(
                 np.abs(
@@ -179,6 +186,78 @@ class TestAreCongruent:
         b = random_polynomial_curve(3, 1, rng)
         with pytest.raises(ValueError):
             are_congruent(a, b, [0.0, 0.1])
+
+
+def invariant_traces_gap(curve_a, curve_b, samples):
+    k = curve_a.k
+    wa, wb = (
+        wilczynski_invariants(c.frame_jets(samples, 2 * k - 1)).values()
+        for c in (curve_a, curve_b)
+    )
+    return float(np.max(congruence_mod.trace_gaps(wa, wb)))
+
+
+class TestTraceEarlyExit:
+    """Traces of the invariants' powers decide first, and n = 1 integrates nothing."""
+
+    @pytest.fixture
+    def no_integration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the normalizing change was integrated")
+
+        monkeypatch.setattr(invariants_mod, "solve_ivp", refuse)
+
+    def test_scalar_pair_decided_without_integration(self, rng, no_integration):
+        curve_a, curve_b, _, _ = congruence_pair(3, 1, rng)
+        w = are_congruent(curve_a, curve_b, np.linspace(0.0, 0.5, 9))
+        assert w.verdict == "congruent"
+        assert max(w.residuals) < 1e-7
+        assert max(w.span_distances) < 1e-7
+
+    def test_perturbed_pair_refused_by_traces(self, rng, no_integration):
+        curve_a, curve_b = perturbed_pair(3, 2, rng)
+        samples = np.linspace(0.0, 0.5, 9)
+        w = are_congruent(curve_a, curve_b, samples)
+        assert w.verdict == "not_congruent"
+        assert w.message.startswith("invariant traces differ: tr(")
+        gap = invariant_traces_gap(curve_a, curve_b, samples)
+        assert gap > 1e-7
+        assert f"by {gap:.3e} (relative)" in w.message
+        assert w.conjugator is None and w.ambient is None
+        assert w.residuals == () and w.span_distances == ()
+
+    def test_equal_traces_take_the_full_path(self, monkeypatch):
+        # P_1 = 0 on both curves, P_2^A = D and P_2^B(t) = S(t)^-1 D S(t) with
+        # S(t) = (I + t E_12)(I + t E_21), whose inverse is polynomial.  kappa
+        # of B is conjugate to that of A at every time, so the traces agree,
+        # but only X = 0 conjugates them at t = 0 and to first order in t.
+        d, swap = np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        eye, e11, e22 = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        s = PolynomialMatrix(np.stack([eye, swap, e11]))
+        s_inv = PolynomialMatrix(np.stack([eye, -swap, e22]))
+        zero = PolynomialMatrix(np.zeros((1, 2, 2)))
+        p2_b = s_inv @ PolynomialMatrix(d[None]) @ s
+        curve_a = OdeFrameCurve(2, 2, (zero, PolynomialMatrix(d[None])), np.eye(4))
+        curve_b = OdeFrameCurve(2, 2, (zero, p2_b), np.eye(4))
+        samples = np.linspace(0.0, 0.4, 5)
+        assert invariant_traces_gap(curve_a, curve_b, samples) < 1e-10
+        calls = []
+
+        def counting(curve, grid):
+            calls.append(curve)
+            return invariants_mod.normalizer(curve, grid)
+
+        monkeypatch.setattr(congruence_mod, "normalizer", counting)
+        w = are_congruent(curve_a, curve_b, samples)
+        assert w.verdict == "not_congruent"
+        assert not w.message.startswith("invariant traces differ")
+        assert calls == [curve_a, curve_b]
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_constructed_pairs_trace_margin(self, k, n, rng):
+        # Recorded margin of the early exit under the default tolerance 1e-7.
+        curve_a, curve_b, _, _ = congruence_pair(k, n, rng, window=(0.0, 0.4))
+        assert invariant_traces_gap(curve_a, curve_b, np.linspace(0.0, 0.4, 2 * k + 3)) <= 1e-10
 
 
 class TestCanonicalize:
