@@ -25,6 +25,7 @@ import numpy as np
 from . import report as report_mod
 from .congruence import are_congruent, canonicalize_jet
 from .curves import (
+    MAX_GRID_POINTS,
     CurveFormatError,
     FrameJet,
     InsufficientOrderError,
@@ -56,7 +57,6 @@ EXIT_NUMERICAL = 6
 EXIT_INTERNAL = 10
 
 DEFAULT_TOL = 1e-7
-MAX_GRID_POINTS = 100_000
 
 
 @dataclass
@@ -474,13 +474,13 @@ def main(argv=None):
     except JetError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, IntegrationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (CurveFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (IntegrationError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

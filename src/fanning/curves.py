@@ -3,20 +3,22 @@
 Two curve representations are supported: polynomial frame curves, whose
 jets at any base time are exact Taylor shifts, and ODE-defined frame
 curves.  An ODE curve's juxtaposed state ``Y`` solves ``Y' = Y C(t)`` with
-the block companion matrix ``C(t)``; :func:`solve_ivp` integrates it, and
+the block companion matrix ``C(t)``; :func:`solve_ivp` propagates it, and
 its jet at a time is the first block column of the companion series there
 (:func:`~fanning.jets.linear_taylor`).  Both kinds offer ``frame_jet`` at
 one time and ``frame_jets`` at many.  ``frame_jets`` returns one
 :class:`FrameJet` whose jet carries a leading sample axis over the times
 (see :mod:`fanning.jets`): a polynomial curve Taylor-shifts to every time
-in one contraction, and an ODE curve integrates once outward from t=0 on
-each side, reading the states at the requested times from the
-integrator's dense output, then expands all states in one series.
+in one contraction, and an ODE curve is propagated once outward from t=0
+on each side, through the requested times, then expands all states in one
+series.
 
-:func:`solve_ivp` is the package's one integrator: Runge-Kutta 5(4) at
-``ODE_RTOL``/``ODE_ATOL``, serving the ODE backend and the normalizing
-change of :mod:`fanning.invariants`.  It imports its integrator library on
-its first call, so commands that never integrate never load it.
+:func:`solve_ivp` is the package's one integrator, serving the ODE backend
+and the normalizing change of :mod:`fanning.invariants`: a batched Taylor
+propagator for ``Y' = Y C(t)`` that expands ``C`` at all its knots at once,
+bisects the intervals longer than the estimated radius of convergence over
+``STEP_SAFETY``, and multiplies the intervals' propagators.  It needs
+nothing beyond numpy.
 
 A frame curve takes values in the kn x n matrices; its value at ``t``
 spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
@@ -29,6 +31,7 @@ time and a whole grid; the fanning condition and every consistency check
 test each sample and report the first that fails, in the caller's order.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -46,10 +49,16 @@ from .jets import (
     linear_taylor,
 )
 
-# Integration tolerances of the ODE backend and of the normalizing change,
-# two orders tighter than the downstream invariant tolerances.
-ODE_RTOL = 1e-10
-ODE_ATOL = 1e-12
+# The most times a grid of the command line may hold.
+MAX_GRID_POINTS = 100_000
+# The Taylor propagator of :func:`solve_ivp`: the order of its series, the
+# factor by which a step stays inside the estimated radius of convergence
+# (Jorba & Zou 2005), the bisection rounds allowed, and the knots one call
+# may hold: one series per knot, as many as the largest grid has frame jets.
+TAYLOR_ORDER = 12
+STEP_SAFETY = math.e**2
+MAX_ROUNDS = 40
+MAX_KNOTS = MAX_GRID_POINTS
 # Relative agreement required of two routes to the same quantity.
 CONSISTENCY_RTOL = 1e-6
 
@@ -68,29 +77,92 @@ class InsufficientOrderError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """The adaptive integrator failed to reach the requested time."""
+    """The propagator could not reach the last requested time within its budget."""
 
 
-def solve_ivp(fun, t_span, y0, t_eval):
-    """Integrate ``y' = fun(t, y)`` over ``t_span`` and sample it at ``t_eval``.
+@dataclass(frozen=True, eq=False)
+class Propagation:
+    """States of ``Y' = Y C`` at the requested times, and the work spent on them.
 
-    Runge-Kutta 5(4) (Dormand & Prince) at ``ODE_RTOL``/``ODE_ATOL``; the
-    samples come from its dense output, so the times of ``t_eval`` need not
-    be step endpoints.  Returns the integrator's result object, with ``y``
-    of shape ``(len(y0), len(t_eval))`` and the evaluation count ``nfev``.
-    Raises :class:`IntegrationError` when the integrator stops short of
-    ``t_span[1]``.
+    ``y`` has shape ``(N, rows, cols)``, one state per requested time;
+    ``nfev`` counts the expansions of ``C``, one per knot, over all rounds.
     """
-    from scipy import integrate
 
-    sol = integrate.solve_ivp(
-        fun, t_span, y0, method="RK45", t_eval=t_eval, rtol=ODE_RTOL, atol=ODE_ATOL
-    )
-    if not sol.success:
+    y: np.ndarray
+    nfev: int
+
+
+def _radius(coeffs):
+    """Radius of convergence estimated from the last two coefficients, per sample.
+
+    ``(1 / |c_j|)^(1/j)`` for the two highest orders ``j`` of ``coeffs``
+    (largest entry as the norm), the smaller of the two; a zero coefficient
+    bounds nothing.
+    """
+    top = coeffs.shape[-3] - 1
+    orders = np.array([top - 1, top])
+    norms = np.max(np.abs(coeffs[..., orders, :, :]), axis=(-2, -1))
+    with np.errstate(divide="ignore"):
+        return np.min(norms ** (-1.0 / orders), axis=-1)
+
+
+def solve_ivp(expand, times, y0):
+    """States of ``Y' = Y C(t)`` with ``Y(times[0]) = y0`` at every time of ``times``.
+
+    ``times`` is strictly monotonic; ``expand(knots)`` returns the Taylor
+    coefficients ``c_0 .. c_(TAYLOR_ORDER-1)`` of ``C`` about every knot, of
+    shape ``(len(knots), TAYLOR_ORDER, cols, cols)``.  The knots start as the
+    times.  Each round expands ``C`` at the knots not yet expanded, in one
+    call, and builds each knot's propagator series ``linear_taylor(I, c)``
+    in one batched call.  A knot's radius is the smaller of the radii
+    estimated from its propagator series and from ``C``'s own series, which
+    sees a pole of ``C`` where the solution stays analytic.  An interval
+    longer than ``radius / STEP_SAFETY`` is bisected, and the round repeats.
+    Each interval's propagator is then its series summed at its length, and
+    the states are their running product from ``y0``.
+
+    Raises :class:`IntegrationError`, naming the time reached and the knot
+    count, when a round would hold more than ``MAX_KNOTS`` knots, or when
+    intervals are still too long after ``MAX_ROUNDS`` rounds.
+    """
+    knots = np.array(times, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    eye = np.eye(y0.shape[-1])
+    on_grid = np.ones(len(knots), dtype=bool)
+    # The first round expands every left knot into the empty stacks.
+    fresh, at = knots[:-1], np.zeros(len(knots) - 1, dtype=int)
+    series = np.empty((0, TAYLOR_ORDER + 1) + eye.shape)
+    radius = np.empty(0)
+    reached, nfev = knots[0], 0
+    for _ in range(MAX_ROUNDS):
+        if len(fresh) == 0:
+            break
+        if len(knots) > MAX_KNOTS:
+            raise IntegrationError(
+                f"integration stopped at t={float(reached)!r}: "
+                f"{len(knots)} knots exceed the budget of {MAX_KNOTS}"
+            )
+        c = expand(fresh)
+        nfev += len(fresh)
+        fresh_series = linear_taylor(eye, c)
+        series = np.insert(series, at, fresh_series, axis=0)
+        radius = np.insert(radius, at, np.minimum(_radius(fresh_series), _radius(c)))
+        steps = np.diff(knots)
+        # A radius that is not a number (an overflowed series) counts as too short.
+        long = np.flatnonzero(~(np.abs(steps) <= radius / STEP_SAFETY))
+        if len(long):
+            reached = knots[long[0]]
+        fresh, at = knots[long] + steps[long] / 2, long + 1
+        knots = np.insert(knots, at, fresh)
+        on_grid = np.insert(on_grid, at, False)
+    else:
         raise IntegrationError(
-            f"integrator stopped before t={float(t_span[1])!r}: {sol.message}"
+            f"integration stopped at t={float(reached)!r}: steps still too long "
+            f"after {MAX_ROUNDS} rounds ({len(knots)} knots)"
         )
-    return sol
+    propagators = horner(series, np.diff(knots))
+    states = np.array(list(itertools.accumulate(propagators, np.matmul, initial=y0)))
+    return Propagation(y=states[on_grid], nfev=nfev)
 
 
 class CurveFormatError(ValueError):
@@ -498,15 +570,6 @@ class PolynomialFrameCurve:
         """The frame as one :class:`PolynomialMatrix`."""
         return PolynomialMatrix(self.coefficients)
 
-    @cached_property
-    def _derivative_stack(self):
-        """Horner-ready coefficients of (A | A' | ... | A^(k)) as one array."""
-        return _derivative_blocks(self.coefficients, range(self.k + 1), self.degree + 1)
-
-    def derivative_row(self, t):
-        """Values of (A | A' | ... | A^(k)) at ``t`` in one Horner pass."""
-        return horner(self._derivative_stack, float(t))
-
     def frame_jet(self, t, order):
         """Exact jet of the frame at base time ``t``."""
         return self.frame_jets(float(t), order)
@@ -600,13 +663,14 @@ class OdeFrameCurve:
         return self.frame_jets(float(t), order)
 
     def frame_jets(self, times, order):
-        """Frame jets at many times from one integration per side of t=0.
+        """Frame jets at many times from one propagation per side of t=0.
 
         Positive times are reached in ascending and negative times in
         descending order, each side by one :func:`solve_ivp` call from the
-        initial state at t=0 that samples the side's distinct times.  The
-        states are then expanded at all times in one series, batched over
-        ``times`` in the caller's order; a repeated time repeats its state.
+        initial state at t=0 through the side's distinct times, with the
+        companion matrix expanded at every knot.  The states are then
+        expanded at all times in one series, batched over ``times`` in the
+        caller's order; a repeated time repeats its state.
         """
         k, kn = self.k, self.k * self.n
         if order < k - 1:
@@ -622,12 +686,11 @@ class OdeFrameCurve:
         for side in (positive, negative):
             if side:
                 sol = solve_ivp(
-                    lambda s, y: (y.reshape(kn, kn) @ self.companion.value(s)).reshape(-1),
-                    (0.0, side[-1]),
-                    self.initial_juxtaposed.reshape(-1),
-                    t_eval=side,
+                    lambda knots: self.companion.jet_at(knots, TAYLOR_ORDER - 1).coeffs,
+                    [0.0] + side,
+                    self.initial_juxtaposed,
                 )
-                states.update(zip(side, sol.y.T.reshape(-1, kn, kn)))
+                states.update(zip(side, sol.y[1:]))
         stack = np.array([states[t] for t in flat]).reshape(times.shape + (kn, kn))
         return _jet_from_state(self, times, stack, order)
 

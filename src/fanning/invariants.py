@@ -11,8 +11,10 @@ the horizontal derivative and the endomorphism bundle) is cached on
 frame jet at one time or batched over a grid, and returns values of that
 batch shape, so a grid is one pass through each of them.  The one quantity
 integrated along a grid rather than read from jets is the normalizing
-change ``X' = -X P_1``: :func:`normalizer` integrates it in one
-:func:`~fanning.curves.solve_ivp` call, the package's one integrator, and
+change ``X' = -X P_1``: :func:`normalizer` propagates it in one
+:func:`~fanning.curves.solve_ivp` call, the package's one integrator, with
+``-P_1`` expanded at every knot from the curve's prescribed ``P_1`` (ODE
+curves) or from its frame jets there (polynomial curves), and
 :func:`normal_frame` builds the normal frame ``A X^-1`` from it.
 """
 
@@ -23,6 +25,7 @@ import numpy as np
 
 from .curves import (
     CONSISTENCY_RTOL,
+    TAYLOR_ORDER,
     InsufficientOrderError,
     InternalConsistencyError,
     OdeFrameCurve,
@@ -203,16 +206,6 @@ class NormalizationRecord:
         return self.lifts[..., : self.x.shape[-1]]
 
 
-def _p1_value(curve, t):
-    """Value of P_1 at ``t`` by an instantaneous linear solve on the curve."""
-    if isinstance(curve, OdeFrameCurve):
-        return curve.p[0].value(t)
-    k, n = curve.k, curve.n
-    row = curve.derivative_row(t)
-    s = np.linalg.solve(row[:, : k * n], -row[:, k * n :])
-    return s[(k - 1) * n :, :] / k
-
-
 def checked_grid(grid):
     """The times of ``grid`` as a float array, which must be non-empty and strictly monotonic."""
     times = np.asarray(grid, dtype=float)
@@ -226,26 +219,31 @@ def checked_grid(grid):
     return times
 
 
+def _p1_series(curve, knots):
+    """Taylor coefficients of ``P_1`` about every knot, to order ``TAYLOR_ORDER - 1``.
+
+    An ODE curve prescribes ``P_1``; a polynomial curve's is solved from its
+    frame jets there, which raises :class:`~fanning.curves.NotFanningError`
+    at the first knot where the frame is not fanning.
+    """
+    if isinstance(curve, OdeFrameCurve):
+        return curve.p[0].jet_at(knots, TAYLOR_ORDER - 1).coeffs
+    jets = curve.frame_jets(knots, TAYLOR_ORDER + curve.k - 1)
+    return ode_coefficients(jets)[0].coeffs
+
+
 def normalizer(curve, grid):
     """The normalizing change ``X`` at every grid time, shape (N, n, n).
 
     ``X`` solves ``X' = -X P_1`` with ``X = I`` at the first grid time, so
     ``A X^-1`` is the normal frame through ``A`` there.  The grid must be
     strictly monotonic; the caller checks that the frame is fanning at the
-    grid times.  One :func:`~fanning.curves.solve_ivp` call integrates the
-    whole grid.
+    grid times.  One :func:`~fanning.curves.solve_ivp` call propagates ``X``
+    through the whole grid, and the frame must be fanning at every knot it
+    places between grid times.
     """
-    n = curve.n
     times = checked_grid(grid)
-
-    def rhs(t, y):
-        x = y.reshape(n, n)
-        return (-x @ _p1_value(curve, t)).reshape(-1)
-
-    if len(times) == 1:
-        return np.eye(n)[None]
-    sol = solve_ivp(rhs, (times[0], times[-1]), np.eye(n).reshape(-1), t_eval=times)
-    return sol.y.T.reshape(len(times), n, n)
+    return solve_ivp(lambda knots: -_p1_series(curve, knots), times, np.eye(curve.n)).y
 
 
 def normal_frame(curve, grid):

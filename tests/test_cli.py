@@ -6,7 +6,6 @@ import subprocess
 import sys
 from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from fanning.cli import main
 from fanning.curves import FrameJet, InsufficientOrderError
 import fanning.cli as cli_mod
 import fanning.congruence as congruence_mod
+import fanning.curves as curves_mod
 import fanning.invariants as invariants_mod
 import fanning.report as report_mod
 from conftest import tame_polynomial_curve, tan_curve, random_invertible
@@ -54,6 +54,9 @@ def write_coefficients(path, coefficients):
 
 # A(t) = (1, t^3): singular juxtaposed matrix at t=0.
 CUBIC = [[[1.0], [0.0]], [[0.0], [0.0]], [[0.0], [0.0]], [[0.0], [1.0]]]
+# A(t) = (1, (t - 1/2)^3): fanning everywhere but at t = 1/2, where
+# P_1 = -1 / (t - 1/2) has its pole; X' = -X P_1 gives X(t) = 1 - 2t.
+CROSSING = [[[1.0], [-0.125]], [[0.0], [0.75]], [[0.0], [-1.5]], [[0.0], [1.0]]]
 # Finite, fanning at t=0 (condition 1) but not at t=0.3 (condition 1.1e17);
 # its jet inverse at t=0 overflows.
 HUGE = [[[1.0], [0.0]], [[0.0], [1.0]], [[1e300], [1e300]]]
@@ -625,21 +628,27 @@ class TestPlumbing:
 
 
 class TestIntegratorBoundary:
-    """scipy is loaded by the one integrator call, and its failure has one exit code."""
+    """The propagator needs no scipy, stops at its knot budget and at a crossing."""
 
-    def test_polynomial_commands_load_no_scipy(self, tmp_path, rng):
-        path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+    def test_commands_load_no_scipy(self, tmp_path, rng):
+        poly = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        ode = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
         out = str(tmp_path / "r.json")
+        calls = []
+        for path in (poly, ode):
+            calls += [
+                ["invariants", path, "--grid", "0:0.4:5", "--jacobi", "--out", out],
+                ["congruent", path, path, "--grid", "0:0.4:5", "--out", out],
+                ["canonicalize", path, "--out", out],
+                ["normal-frame", path, "--grid", "0:0.4:5", "--out", out],
+                ["verify", path, "--out", out],
+            ]
         script = (
             "import sys\n"
             "import fanning.cli\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            f"assert fanning.cli.main(['invariants', {path!r}, '--grid', '0:0.4:5',"
-            f" '--jacobi', '--out', {out!r}]) == 0\n"
-            f"assert fanning.cli.main(['canonicalize', {path!r}, '--out', {out!r}]) == 0\n"
-            f"assert fanning.cli.main(['verify', {path!r}, '--out', {out!r}]) == 0\n"
-            "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            "print(sorted(set(loaded)))\n"
+            f"for argv in {calls!r}:\n"
+            "    assert fanning.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(fanning.__file__).resolve().parent.parent)
         env = dict(os.environ)
@@ -651,21 +660,56 @@ class TestIntegratorBoundary:
         assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("command", ["normal-frame", "invariants"])
-    def test_integrator_failure_exit_10(self, command, tmp_path, monkeypatch, capsys, rng):
-        import scipy.integrate
-
-        def failing(fun, t_span, y0, **kwargs):
-            return SimpleNamespace(success=False, message="forced failure", nfev=0)
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+    def test_integrator_budget_exit_6(self, command, tmp_path, monkeypatch, capsys, rng):
+        monkeypatch.setattr(curves_mod, "MAX_KNOTS", 1)
         if command == "normal-frame":
             path = write_curve(tmp_path / "c.json", tame_polynomial_curve(2, 2, rng))
             grid = "0:0.4:5"
         else:
             path = write_normal_ode_curve(tmp_path / "ode.json", 2, 2, rng)
             grid = "-0.4:0.4:5"
-        assert main([command, path, f"--grid={grid}"]) == 10
+        assert main([command, path, f"--grid={grid}"]) == 6
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("internal error: integrator stopped before t=")
-        assert "forced failure" in err
+        assert err.startswith("numerical failure: integration stopped at t=0.0: ")
+        assert "knots exceed the budget of 1" in err
+
+    def test_long_grid_stops_at_the_knot_budget(self, tmp_path):
+        # The unit oscillator over [0, 1e6] needs about 2e6 knots.
+        data = {
+            "kind": "ode",
+            "k": 2,
+            "n": 1,
+            "P": [{"coefficients": [[[0.0]]]}, {"coefficients": [[[1.0]]]}],
+            "A0": np.eye(2).tolist(),
+        }
+        path = tmp_path / "osc.json"
+        path.write_text(json.dumps(data))
+        src = str(Path(fanning.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanning.cli", "normal-frame", str(path), "--grid", "0:1e6:3"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numerical failure: integration stopped at t=")
+        assert f"knots exceed the budget of {curves_mod.MAX_KNOTS}" in proc.stderr
+
+    def test_crossing_between_grid_times_exit_3(self, tmp_path, capsys):
+        path = write_coefficients(tmp_path / "cross.json", CROSSING)
+        assert main(["normal-frame", path, "--grid", "0:1:2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: frame is not fanning at t=0.5: ")
+
+    def test_normalizer_before_the_crossing_is_exact(self, tmp_path, capsys):
+        path = write_coefficients(tmp_path / "cross.json", CROSSING)
+        assert main(["normal-frame", path, "--grid", "0:0.45:2"]) == 0
+        x = json.loads(capsys.readouterr().out)["x"]
+        assert x[0] == [[1.0]]
+        assert abs(x[1][0][0] - 0.1) <= 1e-13
