@@ -441,3 +441,21 @@ class TestOdeJetKernel:
             expected = ode_jet_reference(curve, t, state, order)
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestPropagator:
+    """``solve_ivp`` caps its bisection rounds and names where it stopped."""
+
+    def test_round_cap_names_the_time_reached(self, monkeypatch):
+        import fanning.curves as curves_mod
+
+        monkeypatch.setattr(curves_mod, "MAX_ROUNDS", 2)
+        c = np.zeros((1, curves_mod.TAYLOR_ORDER, 2, 2))
+        c[0, 0] = [[0.0, -1.0], [1.0, 0.0]]
+
+        def expand(knots):
+            return np.repeat(c, len(knots), axis=0)
+
+        message = r"stopped at t=0\.0: steps still too long after 2 rounds \(5 knots\)"
+        with pytest.raises(curves_mod.IntegrationError, match=message):
+            curves_mod.solve_ivp(expand, [0.0, 100.0], np.eye(2))
