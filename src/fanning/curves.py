@@ -54,11 +54,12 @@ MAX_GRID_POINTS = 100_000
 # The Taylor propagator of :func:`solve_ivp`: the order of its series, the
 # factor by which a step stays inside the estimated radius of convergence
 # (Jorba & Zou 2005), the bisection rounds allowed, and the knots one call
-# may hold: one series per knot, as many as the largest grid has frame jets.
+# may hold: one series per knot, as many as the largest grid has frame jets,
+# and one more for t=0, where an ODE curve's sweep starts.
 TAYLOR_ORDER = 12
 STEP_SAFETY = math.e**2
 MAX_ROUNDS = 40
-MAX_KNOTS = MAX_GRID_POINTS
+MAX_KNOTS = MAX_GRID_POINTS + 1
 # Relative agreement required of two routes to the same quantity.
 CONSISTENCY_RTOL = 1e-6
 
@@ -110,16 +111,19 @@ def solve_ivp(expand, times, y0):
     """States of ``Y' = Y C(t)`` with ``Y(times[0]) = y0`` at every time of ``times``.
 
     ``times`` is strictly monotonic; ``expand(knots)`` returns the Taylor
-    coefficients ``c_0 .. c_(TAYLOR_ORDER-1)`` of ``C`` about every knot, of
-    shape ``(len(knots), TAYLOR_ORDER, cols, cols)``.  The knots start as the
-    times.  Each round expands ``C`` at the knots not yet expanded, in one
-    call, and builds each knot's propagator series ``linear_taylor(I, c)``
-    in one batched call.  A knot's radius is the smaller of the radii
-    estimated from its propagator series and from ``C``'s own series, which
-    sees a pole of ``C`` where the solution stays analytic.  An interval
-    longer than ``radius / STEP_SAFETY`` is bisected, and the round repeats.
-    Each interval's propagator is then its series summed at its length, and
-    the states are their running product from ``y0``.
+    coefficients ``c_0 .. c_r`` of ``C`` about every knot, of shape
+    ``(len(knots), r + 1, cols, cols)``, with ``r`` at least
+    ``TAYLOR_ORDER - 1`` and, for a polynomial ``C``, at least its degree, so
+    that no term of ``C`` escapes the radius estimates.  The knots start as
+    the times.  Each round expands ``C`` at the knots not yet expanded, in
+    one call, and builds each knot's propagator series ``linear_taylor(I,
+    c)``, of order ``r + 1``, in one batched call.  A knot's radius is the
+    smaller of the radii estimated from its propagator series and from
+    ``C``'s own series, which sees a pole of ``C`` where the solution stays
+    analytic.  An interval longer than ``radius / STEP_SAFETY`` is bisected,
+    and the round repeats.  Each interval's propagator is then its series
+    summed at its length, and the states are their running product from
+    ``y0``.
 
     Raises :class:`IntegrationError`, naming the time reached and the knot
     count, when a round would hold more than ``MAX_KNOTS`` knots, or when
@@ -129,14 +133,11 @@ def solve_ivp(expand, times, y0):
     y0 = np.asarray(y0, dtype=float)
     eye = np.eye(y0.shape[-1])
     on_grid = np.ones(len(knots), dtype=bool)
-    # The first round expands every left knot into the empty stacks.
+    # The first round expands every left knot; the stacks take their shapes from it.
     fresh, at = knots[:-1], np.zeros(len(knots) - 1, dtype=int)
-    series = np.empty((0, TAYLOR_ORDER + 1) + eye.shape)
-    radius = np.empty(0)
+    series = radius = None
     reached, nfev = knots[0], 0
     for _ in range(MAX_ROUNDS):
-        if len(fresh) == 0:
-            break
         if len(knots) > MAX_KNOTS:
             raise IntegrationError(
                 f"integration stopped at t={float(reached)!r}: "
@@ -145,13 +146,18 @@ def solve_ivp(expand, times, y0):
         c = expand(fresh)
         nfev += len(fresh)
         fresh_series = linear_taylor(eye, c)
-        series = np.insert(series, at, fresh_series, axis=0)
-        radius = np.insert(radius, at, np.minimum(_radius(fresh_series), _radius(c)))
+        fresh_radius = np.minimum(_radius(fresh_series), _radius(c))
+        if series is None:
+            series, radius = fresh_series, fresh_radius
+        else:
+            series = np.insert(series, at, fresh_series, axis=0)
+            radius = np.insert(radius, at, fresh_radius)
         steps = np.diff(knots)
         # A radius that is not a number (an overflowed series) counts as too short.
         long = np.flatnonzero(~(np.abs(steps) <= radius / STEP_SAFETY))
-        if len(long):
-            reached = knots[long[0]]
+        if len(long) == 0:
+            break
+        reached = knots[long[0]]
         fresh, at = knots[long] + steps[long] / 2, long + 1
         knots = np.insert(knots, at, fresh)
         on_grid = np.insert(on_grid, at, False)
@@ -247,6 +253,11 @@ class PolynomialMatrix:
             for j, b in enumerate(other.coefficients):
                 coeffs[i + j] += a @ b
         return PolynomialMatrix(coeffs)
+
+
+def expansion_order(poly):
+    """Order to which :func:`solve_ivp` expands ``poly``: at least ``TAYLOR_ORDER - 1``, and all of it."""
+    return max(TAYLOR_ORDER - 1, poly.degree)
 
 
 @cache
@@ -681,12 +692,13 @@ class OdeFrameCurve:
             if not math.isfinite(t):
                 raise ValueError(f"frame jet times must be finite, got {t!r}")
         states = {0.0: self.initial_juxtaposed}
+        expansion = expansion_order(self.companion)
         positive = sorted({t for t in flat if t > 0.0})
         negative = sorted({t for t in flat if t < 0.0}, reverse=True)
         for side in (positive, negative):
             if side:
                 sol = solve_ivp(
-                    lambda knots: self.companion.jet_at(knots, TAYLOR_ORDER - 1).coeffs,
+                    lambda knots: self.companion.jet_at(knots, expansion).coeffs,
                     [0.0] + side,
                     self.initial_juxtaposed,
                 )

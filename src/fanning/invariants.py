@@ -29,6 +29,7 @@ from .curves import (
     InsufficientOrderError,
     InternalConsistencyError,
     OdeFrameCurve,
+    expansion_order,
     first_failure,
     solve_ivp,
 )
@@ -222,12 +223,12 @@ def checked_grid(grid):
 def _p1_series(curve, knots):
     """Taylor coefficients of ``P_1`` about every knot, to order ``TAYLOR_ORDER - 1``.
 
-    An ODE curve prescribes ``P_1``; a polynomial curve's is solved from its
+    An ODE curve prescribes ``P_1``, expanded in full if its degree is higher; a polynomial curve's is solved from its
     frame jets there, which raises :class:`~fanning.curves.NotFanningError`
     at the first knot where the frame is not fanning.
     """
     if isinstance(curve, OdeFrameCurve):
-        return curve.p[0].jet_at(knots, TAYLOR_ORDER - 1).coeffs
+        return curve.p[0].jet_at(knots, expansion_order(curve.p[0])).coeffs
     jets = curve.frame_jets(knots, TAYLOR_ORDER + curve.k - 1)
     return ode_coefficients(jets)[0].coeffs
 

@@ -428,6 +428,51 @@ class TestOdeSweep:
             assert np.max(np.abs(state - expected)) <= 1e-11 * np.max(np.abs(expected)), t
 
 
+    @pytest.mark.parametrize("degree", [12, 14])
+    def test_high_degree_companion_matches_a_reference_solve(self, degree):
+        """``P_2 = t^degree`` has no term below the series order at t=0, so
+        the companion is expanded in full; checked against an RK solve."""
+        from scipy.integrate import solve_ivp as reference
+
+        p2 = np.zeros((degree + 1, 1, 1))
+        p2[degree] = 1.0
+        curve = OdeFrameCurve(
+            2, 1, (PolynomialMatrix(np.zeros((1, 1, 1))), PolynomialMatrix(p2)), np.eye(2)
+        )
+        times = (-2.0, 1.0, 2.0)
+        states = curve.frame_jets(times, 1).juxtaposed.value()
+        for t, state in zip(times, states):
+            sol = reference(
+                lambda s, y: (y.reshape(2, 2) @ curve.companion.value(s)).ravel(),
+                (0.0, t),
+                np.eye(2).ravel(),
+                method="DOP853",
+                rtol=1e-13,
+                atol=1e-14,
+            )
+            expected = sol.y[:, -1].reshape(2, 2)
+            assert np.max(np.abs(state - expected)) <= 1e-10 * np.max(np.abs(expected)), t
+
+    def test_grid_at_the_cap_fits_the_knot_budget(self, monkeypatch):
+        """``MAX_GRID_POINTS`` positive times and the start at t=0 are one propagation."""
+        import fanning.curves as curves_mod
+
+        curve = _harmonic_curve(1.0)
+        nfev = []
+        solve_ivp = curves_mod.solve_ivp
+
+        def counting(*args):
+            sol = solve_ivp(*args)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(curves_mod, "solve_ivp", counting)
+        times = np.linspace(0.001, 100.0, curves_mod.MAX_GRID_POINTS)
+        last = frame_jet_samples(curve.frame_jets(times, 1))[-1]
+        assert nfev == [curves_mod.MAX_GRID_POINTS]
+        _assert_jets_close(last, curve.frame_jet(100.0, 1), 1e-9)
+
+
 class TestOdeJetKernel:
     """The ODE frame jet is the series of ``Y' = Y C`` from the companion matrix."""
 
@@ -446,16 +491,27 @@ class TestOdeJetKernel:
 class TestPropagator:
     """``solve_ivp`` caps its bisection rounds and names where it stopped."""
 
+    @staticmethod
+    def _rotation(knots):
+        c = np.zeros((len(knots), 12, 2, 2))
+        c[:, 0] = [[0.0, -1.0], [1.0, 0.0]]
+        return c
+
     def test_round_cap_names_the_time_reached(self, monkeypatch):
         import fanning.curves as curves_mod
 
         monkeypatch.setattr(curves_mod, "MAX_ROUNDS", 2)
-        c = np.zeros((1, curves_mod.TAYLOR_ORDER, 2, 2))
-        c[0, 0] = [[0.0, -1.0], [1.0, 0.0]]
-
-        def expand(knots):
-            return np.repeat(c, len(knots), axis=0)
-
         message = r"stopped at t=0\.0: steps still too long after 2 rounds \(5 knots\)"
         with pytest.raises(curves_mod.IntegrationError, match=message):
-            curves_mod.solve_ivp(expand, [0.0, 100.0], np.eye(2))
+            curves_mod.solve_ivp(self._rotation, [0.0, 100.0], np.eye(2))
+
+    def test_convergence_in_the_last_round_succeeds(self, monkeypatch):
+        """The rotation's radius estimate is 11!^(1/11), about 4.9: a unit step is
+        bisected in the first round, and the halves are short enough in the second."""
+        import fanning.curves as curves_mod
+
+        monkeypatch.setattr(curves_mod, "MAX_ROUNDS", 2)
+        sol = curves_mod.solve_ivp(self._rotation, [0.0, 1.0], np.eye(2))
+        assert sol.nfev == 2
+        expected = [[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]]
+        np.testing.assert_allclose(sol.y[-1], expected, rtol=0, atol=1e-12)

@@ -7,6 +7,8 @@ import pytest
 
 from fanning import (
     InsufficientOrderError,
+    OdeFrameCurve,
+    PolynomialMatrix,
     invariants_from_coefficients,
     normal_frame,
     normalized_frame_jet,
@@ -16,6 +18,7 @@ from fanning import (
     standard_curve,
     wilczynski_invariants,
 )
+from fanning.invariants import normalizer
 from fanning.jets import jet_mul
 from conftest import (
     ALL_KN,
@@ -194,6 +197,16 @@ class TestWilczynski:
 
 
 class TestNormalization:
+    def test_high_degree_p1_is_expanded_in_full(self):
+        """``P_1 = t^14`` has no term below the series order at t=0; ``X = exp(-t^15 / 15)``."""
+        p1 = np.zeros((15, 1, 1))
+        p1[14] = 1.0
+        curve = OdeFrameCurve(
+            2, 1, (PolynomialMatrix(p1), PolynomialMatrix(np.zeros((1, 1, 1)))), np.eye(2)
+        )
+        x = normalizer(curve, [0.0, 1.2])
+        assert abs(x[1, 0, 0] / math.exp(-(1.2**15) / 15) - 1) <= 1e-12
+
     def test_already_normal_keeps_identity(self):
         """A curve with P_1 = 0 throughout normalizes trivially."""
         curve = standard_curve(3, 2)
