@@ -276,21 +276,13 @@ def linear_taylor(y0, c):
     ``y0`` is ``Y`` at the base time and ``c`` the coefficient stack
     ``c_0 .. c_r`` of ``C`` about it, of shape ``(*batch, r + 1, cols,
     cols)``; ``y0`` is one matrix or one per sample.  Each next coefficient
-    is ``y_(m+1) = sum_(i=0..m) y_i c_(m-i) / (m + 1)``, summed in
-    increasing i and skipping the terms where ``c_(m-i)`` is zero in every
-    sample for all higher orders too: a polynomial ``C`` of degree d
-    contributes d + 1 terms at most.  Returns one array of shape
-    ``(*batch, r + 2, rows, cols)``.
+    is ``y_(m+1) = sum_(i=0..m) y_i c_(m-i) / (m + 1)``.  Returns one array
+    of shape ``(*batch, r + 2, rows, cols)``.
     """
     y = np.empty(c.shape[:-3] + (c.shape[-3] + 1,) + np.shape(y0)[-2:])
     y[..., 0, :, :] = y0
-    # Leading zero terms add nothing, so dropping them leaves every sum bitwise equal.
-    flat = c.reshape(-1, c.shape[-3], c.shape[-2] * c.shape[-1])
-    nonzero = np.flatnonzero(flat.any(axis=(0, 2)))
-    width = int(nonzero[-1]) + 1 if nonzero.size else 1
     for m in range(c.shape[-3]):
-        low = max(0, m + 1 - width)
-        terms = y[..., low : m + 1, :, :] @ c[..., m - low :: -1, :, :]
+        terms = y[..., : m + 1, :, :] @ c[..., m::-1, :, :]
         y[..., m + 1, :, :] = terms.sum(axis=-3) / (m + 1)
     return y
 

@@ -226,21 +226,6 @@ class TestLinearTaylor:
             scale = np.max(np.abs(expected))
             np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12 * scale)
 
-    @pytest.mark.parametrize("degree", [0, 1, 4])
-    def test_zero_tail_is_skipped_bitwise(self, degree, rng):
-        # The first sample's top coefficient is zero as well: the terms kept
-        # are those of the batch's highest degree.
-        c = rng.standard_normal((2, 9, 4, 4))
-        c[:, degree + 1 :] = 0.0
-        c[0, degree] = 0.0
-        y0 = rng.standard_normal((2, 3, 4))
-        expected = np.empty((2, 10, 3, 4))
-        expected[:, 0] = y0
-        for m in range(9):
-            terms = expected[:, : m + 1] @ c[:, m::-1]
-            expected[:, m + 1] = terms.sum(axis=-3) / (m + 1)
-        np.testing.assert_array_equal(linear_taylor(y0, c), expected)
-
     def test_series_solves_its_equation(self, rng):
         c = random_jet(3, 3, 6, rng)
         y = MatrixJet(0.0, linear_taylor(rng.standard_normal((2, 3)), c.coeffs))
