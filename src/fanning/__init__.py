@@ -34,18 +34,15 @@ from .curves import (
     PolynomialMatrix,
     curve_from_dict,
     curve_to_dict,
-    horizontal_derivative,
     load_curve,
     nilpotent_matrix,
     standard_curve,
-    standard_jet,
 )
 from .invariants import (
     CoefficientSet,
     NormalizationRecord,
     NotNormalError,
     endomorphism_bundle,
-    fundamental_endomorphism,
     invariants_from_coefficients,
     is_normal,
     jacobi_matrix,
@@ -54,16 +51,13 @@ from .invariants import (
     normalized_frame_jet,
     normalizing_jet,
     ode_coefficients,
-    schwarzian,
     wilczynski_invariants,
 )
 from .jets import (
     JetError,
     MatrixJet,
-    SingularLeadingCoefficientError,
     jet_add,
     jet_derivative,
-    jet_eval,
     jet_inverse,
     jet_mul,
 )

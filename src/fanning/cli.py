@@ -92,7 +92,12 @@ def _parse_grid(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid spec must be start:end:count, got {text!r}")
-        start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ValueError(
+                f"grid spec must be start:end:count with an integer count, got {text!r}"
+            ) from exc
         if not (math.isfinite(start) and math.isfinite(end)):
             raise ValueError(f"grid endpoints must be finite, got {text!r}")
         if not 1 <= count <= MAX_GRID_POINTS:
@@ -100,7 +105,10 @@ def _parse_grid(text):
         if count == 1:
             return (start,)
         return tuple(np.linspace(start, end, count))
-    times = tuple(float(x) for x in text.split(","))
+    try:
+        times = tuple(float(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"grid times must be numbers, got {text!r}") from exc
     if not all(math.isfinite(t) for t in times):
         raise ValueError(f"grid times must be finite, got {text!r}")
     if len(times) > MAX_GRID_POINTS:
@@ -379,7 +387,6 @@ def cmd_verify(config):
     k, n = curve.k, curve.n
     kn = k * n
     fj = curve.frame_jet(config.base_time, _jet_order(curve))
-    fj.require_fanning()
     rng = np.random.default_rng(config.seed)
     checks = []
 

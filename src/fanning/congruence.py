@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import InsufficientOrderError
+from .curves import DEFAULT_CONDITION_LIMIT, InsufficientOrderError
 from .invariants import (
     checked_grid,
     normalized_frame_jet,
@@ -26,7 +26,6 @@ from .invariants import (
     orbit_entries,
     wilczynski_invariants,
 )
-from .jets import DEFAULT_CONDITION_LIMIT
 from .linalg import NULLSPACE_RTOL, nullspace, span_distance
 
 DEFAULT_SPAN_TOL = 1e-7
@@ -267,7 +266,6 @@ def canonicalize_jet(fj):
         raise InsufficientOrderError(
             f"canonicalization needs jet order >= {k + 1}, have {fj.order}"
         )
-    fj.require_fanning()
     normal = normalized_frame_jet(fj.extended_with_zeros(max(fj.order, 2 * k + 2)))
     ambient = np.linalg.inv(normal.juxtaposed.value())
     return normal.left_multiplied(ambient), ambient
@@ -284,12 +282,6 @@ class OrbitCoordinates:
 
     base_time: float
     entries: tuple
-
-    def max_abs_difference(self, other):
-        return max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(self.entries, other.entries)
-        )
 
 
 def orbit_coordinates(fj):

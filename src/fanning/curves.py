@@ -29,6 +29,12 @@ fundamental endomorphism, the horizontal derivative and the endomorphism
 bundle.  Each of them broadcasts over the batch, so one function serves one
 time and a whole grid; the fanning condition and every consistency check
 test each sample and report the first that fails, in the caller's order.
+
+:meth:`FrameJet.require_fanning` is the package's one conditioning gate:
+the juxtaposed value must have a condition number below
+``DEFAULT_CONDITION_LIMIT``.  Reading ``FrameJet.juxtaposed_inverse`` runs
+it first, so everything built on the inverse (``P_j``, F, H and the bundle)
+is behind it; :func:`~fanning.jets.jet_inverse` checks no conditioning.
 """
 
 import itertools
@@ -40,7 +46,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from .jets import (
-    DEFAULT_CONDITION_LIMIT,
     MatrixJet,
     coefficient_stack,
     horner,
@@ -49,6 +54,8 @@ from .jets import (
     linear_taylor,
 )
 
+# A frame is fanning where its juxtaposed value's condition number is below this.
+DEFAULT_CONDITION_LIMIT = 1e8
 # The most times a grid of the command line may hold.
 MAX_GRID_POINTS = 100_000
 # The Taylor propagator of :func:`solve_ivp`: the order of its series, the
@@ -127,7 +134,9 @@ def solve_ivp(expand, times, y0):
 
     Raises :class:`IntegrationError`, naming the time reached and the knot
     count, when a round would hold more than ``MAX_KNOTS`` knots, or when
-    intervals are still too long after ``MAX_ROUNDS`` rounds.
+    intervals are still too long after ``MAX_ROUNDS`` rounds; and, naming
+    the knot, as soon as a knot's propagator series is not finite (``C``
+    too large there), or when the state overflows at a knot.
     """
     knots = np.array(times, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -145,7 +154,15 @@ def solve_ivp(expand, times, y0):
             )
         c = expand(fresh)
         nfev += len(fresh)
-        fresh_series = linear_taylor(eye, c)
+        # A knot's series depends only on C there, so no bisection repairs an overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            fresh_series = linear_taylor(eye, c)
+        i = first_failure(~np.isfinite(fresh_series).all(axis=(-3, -2, -1)))
+        if i is not None:
+            raise IntegrationError(
+                f"integration stopped at t={float(fresh[i])!r}: "
+                "the propagator series at this knot is not finite"
+            )
         fresh_radius = np.minimum(_radius(fresh_series), _radius(c))
         if series is None:
             series, radius = fresh_series, fresh_radius
@@ -167,7 +184,13 @@ def solve_ivp(expand, times, y0):
             f"after {MAX_ROUNDS} rounds ({len(knots)} knots)"
         )
     propagators = horner(series, np.diff(knots))
-    states = np.array(list(itertools.accumulate(propagators, np.matmul, initial=y0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = np.array(list(itertools.accumulate(propagators, np.matmul, initial=y0)))
+    i = first_failure(~np.isfinite(states).all(axis=(-2, -1)))
+    if i is not None:
+        raise IntegrationError(
+            f"integration stopped at t={float(knots[i])!r}: the state is not finite"
+        )
     return Propagation(y=states[on_grid], nfev=nfev)
 
 
@@ -217,9 +240,6 @@ class PolynomialMatrix:
     @property
     def shape(self):
         return self.coefficients.shape[1:]
-
-    def value(self, t):
-        return horner(self.coefficients, float(t))
 
     def jet_at(self, times, order):
         """Exact Taylor re-expansion about each base time, truncated at ``order``.
@@ -367,8 +387,9 @@ class FrameJet:
 
     @cached_property
     def juxtaposed_inverse(self):
+        """Jet inverse of the juxtaposed lift, behind the fanning gate."""
         self.require_fanning()
-        return jet_inverse(self.juxtaposed, None)
+        return jet_inverse(self.juxtaposed)
 
     @cached_property
     def equation_coefficients(self):
@@ -384,7 +405,6 @@ class FrameJet:
             raise InsufficientOrderError(
                 f"equation coefficients need frame order >= {k}, have {self.order}"
             )
-        self.require_fanning()
         stacked = jet_mul(self.juxtaposed_inverse, -self.derivative_jet(k)).coeffs
         return tuple(
             MatrixJet(
@@ -402,9 +422,9 @@ class FrameJet:
         by the juxtaposed lift; a frame jet of order R gives it to order
         R - k + 1.
         """
-        self.require_fanning()
+        inverse = self.juxtaposed_inverse  # runs the fanning gate before any product
         lifted = self.juxtaposed.coeffs @ nilpotent_matrix(self.k, self.n)
-        return jet_mul(MatrixJet(self.base_time, lifted), self.juxtaposed_inverse)
+        return jet_mul(MatrixJet(self.base_time, lifted), inverse)
 
     @cached_property
     def horizontal(self):
@@ -432,7 +452,6 @@ class FrameJet:
             raise InsufficientOrderError(
                 f"the endomorphism bundle needs frame order >= {k + 1}, have {self.order}"
             )
-        self.require_fanning()
         f = self.fundamental_endomorphism
         eye = np.eye(k * n)
         fdot = f.derivative_value(1)
@@ -486,14 +505,8 @@ class FrameJet:
         return FrameJet(MatrixJet(self.base_time, t_matrix @ self.jet.coeffs))
 
     def right_multiplied(self, x):
-        """Frame jet of ``A X`` for a constant n x n matrix or an n x n jet."""
-        if isinstance(x, MatrixJet):
-            return FrameJet(jet_mul(self.jet, x))
-        x = np.asarray(x, dtype=float)
-        return FrameJet(MatrixJet(self.base_time, self.jet.coeffs @ x))
-
-    def truncated(self, order):
-        return FrameJet(self.jet.truncated(order))
+        """Frame jet of ``A X`` for an n x n jet ``X``."""
+        return FrameJet(jet_mul(self.jet, x))
 
     def extended_with_zeros(self, order):
         """Pad with zero coefficients; used to fix a jet extension explicitly."""
@@ -533,11 +546,6 @@ class EndomorphismBundle:
     nilpotent: np.ndarray
     base_time: float
     horizontal_residual: float
-
-
-def horizontal_derivative(fj):
-    """Jet of ``H``, cached on the frame jet (:attr:`FrameJet.horizontal`)."""
-    return fj.horizontal
 
 
 def _horizontal_from_coefficients(fj, p):
@@ -714,23 +722,13 @@ def _jet_from_state(curve, t, state, order):
     matrix expanded about ``t``; the frame is its first block column.
     """
     companion = curve.companion.jet_at(t, order - 1)
-    series = linear_taylor(state, companion.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = linear_taylor(state, companion.coeffs)
+    i = first_failure(~np.isfinite(series).all(axis=(-3, -2, -1)))
+    if i is not None:
+        at_time = float(np.ravel(companion.base_time)[i])
+        raise np.linalg.LinAlgError(f"the frame's series at t={at_time!r} overflowed")
     return FrameJet(MatrixJet(companion.base_time, series[..., : curve.n]))
-
-
-def standard_jet(k, n, order):
-    """Canonical frame jet at t=0: ``A^(j)`` is the j-th block column for
-    j <= k-1 and zero above.
-
-    Its juxtaposed value is the identity, so the jet is fanning and its
-    fundamental endomorphism equals the canonical nilpotent matrix.
-    """
-    if order < k - 1:
-        raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
-    coeffs = np.zeros((order + 1, k * n, n))
-    for j in range(k):
-        coeffs[j, j * n : (j + 1) * n] = np.eye(n) / math.factorial(j)
-    return FrameJet(MatrixJet(0.0, coeffs))
 
 
 def standard_curve(k, n):
@@ -763,14 +761,21 @@ def curve_from_dict(data):
     if kind == "ode":
         if "P" not in data or "A0" not in data:
             raise CurveFormatError("ode curve needs 'P' and 'A0'")
+        if not isinstance(data["P"], list):
+            raise CurveFormatError(f"P must be a list of coefficient curves, got {data['P']!r}")
         ps = []
         for i, entry in enumerate(data["P"]):
             try:
-                coeffs = entry["coefficients"]
+                ps.append(PolynomialMatrix(entry["coefficients"]))
             except (TypeError, KeyError) as exc:
                 raise CurveFormatError(f"P entry {i} lacks 'coefficients'") from exc
-            ps.append(PolynomialMatrix(coeffs))
-        return OdeFrameCurve(k, n, tuple(ps), np.array(data["A0"], dtype=float))
+            except CurveFormatError as exc:
+                raise CurveFormatError(f"P entry {i}: {exc}") from exc
+        try:
+            a0 = np.array(data["A0"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CurveFormatError(f"A0 must be a matrix of numbers: {exc}") from exc
+        return OdeFrameCurve(k, n, tuple(ps), a0)
     raise CurveFormatError(f"unknown curve kind {kind!r}")
 
 

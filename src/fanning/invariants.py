@@ -72,17 +72,6 @@ def ode_coefficients(fj):
     return fj.equation_coefficients
 
 
-def schwarzian(fj):
-    """Matrix Schwarzian ``{A, t} = 2 (P_2 - P_1^2 - P_1')`` as a jet."""
-    p = ode_coefficients(fj)
-    if p[0].order < 1:
-        raise InsufficientOrderError(
-            f"the Schwarzian needs frame order >= {fj.k + 1}, have {fj.order}"
-        )
-    p1, p2 = p[0], p[1]
-    return 2.0 * (p2 - jet_mul(p1, p1) - p1.derivative())
-
-
 def _w_chain(p1, length):
     """Jets ``W_0 .. W_length`` with ``W_0 = I`` and ``W_(m+1) = -P_1 W_m + W_m'``.
 
@@ -276,15 +265,6 @@ def normal_frame(curve, grid):
 
 
 # -- endomorphism family ----------------------------------------------------
-
-
-def fundamental_endomorphism(fj):
-    """The equivariant endomorphism with ``F A^(i) = i A^(i-1)``, as a jet.
-
-    It is built once per frame jet and cached there
-    (:attr:`FrameJet.fundamental_endomorphism`).
-    """
-    return fj.fundamental_endomorphism
 
 
 def endomorphism_bundle(fj):

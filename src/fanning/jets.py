@@ -19,7 +19,7 @@ constant right or left factor is one broadcast matmul.  The Cauchy product
 takes one broadcast matmul per term index against the whole other stack,
 and the inverse inverts the constant terms once with numpy and multiplies
 by them; no kernel loops over samples or coefficient pairs in Python or
-leaves numpy.  Stacked matmul, ``inv`` and ``cond`` treat each sample as the
+leaves numpy.  Stacked matmul and ``inv`` treat each sample as the
 unbatched call would, so a batch agrees bitwise with its samples computed
 one at a time.  :func:`linear_taylor` expands both linear equations
 ``Y' = Y C`` that the package solves by series, the ODE state's and the
@@ -31,6 +31,10 @@ Mixed-order binary operations truncate to the minimum order and never
 zero-pad: unknown higher derivatives are unknown, not zero.  Binary
 operations need equal base times, and so equal batch shapes.
 
+No kernel here checks conditioning: the one conditioning gate is the
+fanning test of :class:`fanning.curves.FrameJet`, which admits a jet to
+:func:`jet_inverse` only when its juxtaposed value is well conditioned.
+
 Jets are immutable and all operations are pure functions, so shared jets
 are safe to use concurrently.
 """
@@ -40,22 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CONDITION_LIMIT = 1e8
-
 
 class JetError(ValueError):
     """Structurally invalid jet operation (shape, base time or order misuse)."""
-
-
-class SingularLeadingCoefficientError(JetError):
-    """Jet inverse requested for a singular or ill-conditioned constant term."""
-
-    def __init__(self, condition, limit):
-        super().__init__(
-            f"leading coefficient condition {condition:.3e} exceeds limit {limit:.3e}"
-        )
-        self.condition = condition
-        self.limit = limit
 
 
 def coefficient_stack(coeffs, error, batch):
@@ -122,19 +113,10 @@ class MatrixJet:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def constant(cls, value, base_time=0.0, order=0):
-        value = np.asarray(value, dtype=float)
-        coeffs = np.zeros(np.shape(base_time) + (order + 1,) + value.shape[-2:])
-        coeffs[..., 0, :, :] = value
-        return cls(base_time, coeffs)
-
-    @classmethod
     def identity(cls, dim, base_time=0.0, order=0):
-        return cls.constant(np.eye(dim), base_time, order)
-
-    @classmethod
-    def zero(cls, rows, cols, base_time=0.0, order=0):
-        return cls(base_time, np.zeros(np.shape(base_time) + (order + 1, rows, cols)))
+        coeffs = np.zeros(np.shape(base_time) + (order + 1, dim, dim))
+        coeffs[..., 0, :, :] = np.eye(dim)
+        return cls(base_time, coeffs)
 
     # -- structure -----------------------------------------------------
 
@@ -230,16 +212,14 @@ def jet_mul(a, b):
     return MatrixJet(a.base_time, out)
 
 
-def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
+def jet_inverse(a):
     """Multiplicative inverse to the truncation order.
 
     Inverts ``b_0 = c_0^-1`` once and recurses on
-    ``b_m = -b_0 sum_(i=1..m) c_i b_(m-i)``.  Fails loudly when the constant
-    term's condition number exceeds ``condition_limit`` (pass ``None`` to
-    skip the check), and raises ``LinAlgError`` when the constant term or a
-    coefficient of the recursion is not finite (an overflow, reported by
-    this error rather than by a warning).  In a batch the first failing
-    sample is reported.
+    ``b_m = -b_0 sum_(i=1..m) c_i b_(m-i)``.  Raises ``LinAlgError`` when
+    the constant term is singular or not finite, or when a coefficient of
+    the recursion is not finite (an overflow, reported by this error rather
+    than by a warning).
     """
     if a.rows != a.cols:
         raise JetError(f"only square jets can be inverted, got shape {a.shape}")
@@ -247,17 +227,9 @@ def jet_inverse(a, condition_limit=DEFAULT_CONDITION_LIMIT):
     c0 = c[..., 0, :, :]
     if not np.isfinite(c0).all():
         raise np.linalg.LinAlgError("jet inverse of a non-finite leading coefficient")
-    if condition_limit is not None:
-        condition = np.ravel(np.linalg.cond(c0))
-        failed = np.flatnonzero(~(condition < condition_limit))
-        if failed.size:
-            raise SingularLeadingCoefficientError(condition[failed[0]], condition_limit)
     b = np.empty_like(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            b[..., 0, :, :] = np.linalg.inv(c0)
-        except np.linalg.LinAlgError as exc:
-            raise SingularLeadingCoefficientError(np.inf, condition_limit or np.inf) from exc
+        b[..., 0, :, :] = np.linalg.inv(c0)
         for m in range(1, a.order + 1):
             s = c[..., 1, :, :] @ b[..., m - 1, :, :]
             for i in range(2, m + 1):
@@ -293,8 +265,3 @@ def jet_derivative(a):
         raise JetError("cannot differentiate an order-0 jet")
     factors = np.arange(1, a.order + 1, dtype=float)[:, None, None]
     return MatrixJet(a.base_time, factors * a.coeffs[..., 1:, :, :])
-
-
-def jet_eval(a, t):
-    """Horner evaluation of the jet polynomial at time ``t``."""
-    return horner(a.coeffs, np.asarray(t, dtype=float) - a.base_time)

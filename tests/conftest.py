@@ -46,6 +46,19 @@ def random_frame_jet(k, n, order, rng, base_time=0.0, scale=0.3, cond_max=50.0):
             return fj
 
 
+def standard_jet(k, n, order):
+    """Canonical frame jet at t=0: ``A^(j)`` is the j-th block column for
+    j <= k-1 and zero above.
+
+    Its juxtaposed value is the identity, so the jet is fanning and its
+    fundamental endomorphism equals the canonical nilpotent matrix.
+    """
+    coeffs = np.zeros((order + 1, k * n, n))
+    for j in range(k):
+        coeffs[j, j * n : (j + 1) * n] = np.eye(n) / math.factorial(j)
+    return FrameJet(MatrixJet(0.0, coeffs))
+
+
 def frame_jet_samples(fj):
     """The samples of a frame jet batched over one axis, as unbatched frame jets."""
     return [
@@ -251,6 +264,15 @@ def curve_p_values(curve, t):
     return [
         s[(k - i) * n : (k - i + 1) * n, :] / math.comb(k, i) for i in range(1, k + 1)
     ]
+
+
+def schwarzian(fj):
+    """The matrix Schwarzian ``{A, t} = 2 (P_2 - P_1^2 - P_1')`` written out, as a jet.
+
+    The program reports it as ``2 kappa``; this is the direct formula.
+    """
+    p1, p2 = fj.equation_coefficients[:2]
+    return 2.0 * (p2 - jet_mul(p1, p1) - p1.derivative())
 
 
 def h1_closed_form(p1, p2, p3):

@@ -417,7 +417,17 @@ class TestOtherCommands:
 class TestInputValidation:
     @pytest.mark.parametrize(
         "grid",
-        ["0:nan:5", "0:inf:3", "-inf:1:3", "0:1:100001", "0:1:0", "0,nan,1", "0.1,inf"],
+        [
+            "0:nan:5",
+            "0:inf:3",
+            "-inf:1:3",
+            "0:1:100001",
+            "0:1:0",
+            "0,nan,1",
+            "0.1,inf",
+            "0:1:2.0",
+            "a:1:3",
+        ],
     )
     def test_bad_grid_exit_2(self, grid, tmp_path, capsys):
         path = write_curve(tmp_path / "std.json", standard_curve(2, 1))
@@ -449,6 +459,25 @@ class TestInputValidation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["invariants", str(path), "--grid", "0:0.4:3"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"P": 5}, "P must be a list"),
+            ({"P": None}, "P must be a list"),
+            ({"A0": "x"}, "A0 must be a matrix of numbers"),
+            ({"P": [{"coefficients": []}, {"coefficients": [[[1.0]]]}]}, "P entry 0: "),
+        ],
+        ids=["P-number", "P-null", "A0-string", "P-entry-empty"],
+    )
+    def test_malformed_ode_file_exit_2(self, change, message, tmp_path, capsys, rng):
+        path = tmp_path / "ode.json"
+        write_normal_ode_curve(path, 2, 1, rng)
+        data = json.loads(path.read_text())
+        data.update(change)
+        path.write_text(json.dumps(data))
+        assert main(["invariants", str(path), "--grid", "0:1:3"]) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["P", "A0"])
@@ -699,6 +728,52 @@ class TestIntegratorBoundary:
         assert proc.stdout == ""
         assert proc.stderr.startswith("numerical failure: integration stopped at t=")
         assert f"knots exceed the budget of {curves_mod.MAX_KNOTS}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "p2, argv, message",
+        [
+            (1e300, ["invariants", "--grid", "0:1:3"], "integration stopped at t=0.0: "),
+            (1e300, ["normal-frame", "--grid", "0:1:3"], "integration stopped at t=0.0: "),
+            (1e300, ["verify", "--t", "0.5"], "integration stopped at t=0.0: "),
+            (1e300, ["canonicalize", "--t", "0.5"], "integration stopped at t=0.0: "),
+            (1e300, ["invariants", "--grid", "0"], "the frame's series at t=0.0 overflowed"),
+            # A'' = 1e6 A grows like exp(1000 t) and leaves the float range near t=0.7.
+            (-1e6, ["normal-frame", "--grid", "0:1:3"], "integration stopped at t=0.70"),
+        ],
+        ids=[
+            "invariants",
+            "normal-frame",
+            "verify",
+            "canonicalize",
+            "invariants-at-0",
+            "growing-state",
+        ],
+    )
+    def test_overflow_is_one_line(self, p2, argv, message, tmp_path):
+        # No bisection shrinks a series that overflows at its own knot.
+        data = {
+            "kind": "ode",
+            "k": 2,
+            "n": 1,
+            "P": [{"coefficients": [[[0.0]]]}, {"coefficients": [[[p2]]]}],
+            "A0": np.eye(2).tolist(),
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        src = str(Path(fanning.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanning.cli", argv[0], str(path), *argv[1:]],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numerical failure: " + message)
 
     def test_crossing_between_grid_times_exit_3(self, tmp_path, capsys):
         path = write_coefficients(tmp_path / "cross.json", CROSSING)

@@ -11,16 +11,17 @@ from fanning import (
     ode_coefficients,
     orbit_coordinates,
     simultaneous_conjugator,
-    standard_jet,
     wilczynski_invariants,
 )
 import fanning.congruence as congruence_mod
 import fanning.invariants as invariants_mod
+from fanning.jets import horner
 from conftest import (
     ALL_KN,
     kron_system,
     random_invertible,
     random_polynomial_curve,
+    standard_jet,
     tame_polynomial_curve,
     tan_curve,
 )
@@ -163,8 +164,8 @@ class TestAreCongruent:
         from fanning.linalg import span_distance
 
         for t in (0.12, 0.37):  # off-sample times
-            image = w.ambient @ curve_a.polynomial.value(t)
-            assert span_distance(image, curve_b.polynomial.value(t)) < 1e-6
+            image = w.ambient @ horner(curve_a.coefficients, t)
+            assert span_distance(image, horner(curve_b.coefficients, t)) < 1e-6
 
     def test_condition_gate_gives_inconclusive(self, rng, monkeypatch):
         monkeypatch.setattr(congruence_mod, "DEFAULT_CONDITION_LIMIT", 1.5)
@@ -318,7 +319,8 @@ class TestOrbitCoordinates:
                 moved = orbit_coordinates(
                     curve.transformed(t_matrix).frame_jet(0.15, k + 1)
                 )
-                assert base.max_abs_difference(moved) < 1e-8
+                for a, b in zip(base.entries, moved.entries):
+                    assert np.max(np.abs(a - b)) < 1e-8
 
     def test_canonicalized_jets_share_coordinates(self, rng):
         k, n = 3, 2

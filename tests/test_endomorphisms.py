@@ -8,14 +8,11 @@ import pytest
 from fanning import (
     NotNormalError,
     endomorphism_bundle,
-    fundamental_endomorphism,
-    horizontal_derivative,
     jacobi_matrix,
     maurer_cartan_pullback,
     nilpotent_matrix,
     normalized_frame_jet,
     ode_coefficients,
-    standard_jet,
 )
 from fanning.linalg import numeric_rank, span_distance
 from conftest import (
@@ -24,6 +21,7 @@ from conftest import (
     random_invertible,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
+    standard_jet,
 )
 
 
@@ -37,13 +35,13 @@ class TestFundamentalEndomorphism:
     def test_standard_jet_gives_nilpotent(self):
         for k, n in ((2, 1), (3, 2), (5, 1)):
             fj = standard_jet(k, n, k + 1)
-            f = fundamental_endomorphism(fj)
+            f = fj.fundamental_endomorphism
             np.testing.assert_array_equal(f.value(), nilpotent_matrix(k, n))
 
     def test_defining_relations(self, rng):
         k, n = 4, 2
         fj = random_frame_jet(k, n, k + 1, rng)
-        f0 = fundamental_endomorphism(fj).value()
+        f0 = fj.fundamental_endomorphism.value()
         assert np.max(np.abs(f0 @ fj.jet.value())) < 1e-9
         for i in range(1, k):
             lhs = f0 @ fj.derivative_jet(i).value()
@@ -53,7 +51,7 @@ class TestFundamentalEndomorphism:
     def test_nilpotency_and_corank(self, rng):
         for k, n in ((2, 2), (3, 1), (4, 2)):
             fj = random_frame_jet(k, n, k + 1, rng)
-            f0 = fundamental_endomorphism(fj).value()
+            f0 = fj.fundamental_endomorphism.value()
             assert np.max(np.abs(np.linalg.matrix_power(f0, k))) < 1e-8
             top = np.linalg.matrix_power(f0, k - 1)
             assert numeric_rank(top) == n
@@ -64,8 +62,8 @@ class TestFundamentalEndomorphism:
         k, n = 3, 2
         fj = random_frame_jet(k, n, k + 1, rng)
         t_matrix = random_invertible(k * n, rng)
-        f_moved = fundamental_endomorphism(fj.left_multiplied(t_matrix)).value()
-        expected = t_matrix @ fundamental_endomorphism(fj).value() @ np.linalg.inv(t_matrix)
+        f_moved = fj.left_multiplied(t_matrix).fundamental_endomorphism.value()
+        expected = t_matrix @ fj.fundamental_endomorphism.value() @ np.linalg.inv(t_matrix)
         np.testing.assert_allclose(f_moved, expected, atol=1e-8)
 
     def test_frame_change_invariance(self, rng):
@@ -73,16 +71,15 @@ class TestFundamentalEndomorphism:
         curve = random_polynomial_curve(k, n, rng)
         x = random_polynomial_matrix_curve(n, 2, rng)
         t0 = 0.2
-        f_a = fundamental_endomorphism(curve.frame_jet(t0, k + 2)).value()
-        f_b = fundamental_endomorphism(
-            curve.right_multiplied(x).frame_jet(t0, k + 2)
-        ).value()
+        f_a = curve.frame_jet(t0, k + 2).fundamental_endomorphism.value()
+        changed = curve.right_multiplied(x).frame_jet(t0, k + 2)
+        f_b = changed.fundamental_endomorphism.value()
         np.testing.assert_allclose(f_a, f_b, atol=1e-9)
 
     def test_fdot_f_is_minus_f(self, rng):
         for k, n in ((2, 2), (4, 1)):
             fj = random_frame_jet(k, n, k + 2, rng)
-            f = fundamental_endomorphism(fj)
+            f = fj.fundamental_endomorphism
             fdot = f.derivative_value(1)
             np.testing.assert_allclose(fdot @ f.value(), -f.value(), atol=1e-9)
 
@@ -90,7 +87,7 @@ class TestFundamentalEndomorphism:
         """Powers of F cut out the derivative flag."""
         k, n = 4, 2
         fj = random_frame_jet(k, n, k + 1, rng)
-        f0 = fundamental_endomorphism(fj).value()
+        f0 = fj.fundamental_endomorphism.value()
         for i in range(1, k):
             power = np.linalg.matrix_power(f0, k - i)
             flag = derivative_span(fj, i)
@@ -133,7 +130,7 @@ class TestBundle:
     def test_k2_normal_frame_horizontal_is_derivative(self, rng):
         curve = random_polynomial_curve(2, 2, rng)
         nj = normalized_frame_jet(curve.frame_jet(0.1, 6))
-        h = horizontal_derivative(nj)
+        h = nj.horizontal
         np.testing.assert_allclose(
             h.value(), nj.derivative_jet(1).value(), atol=1e-9
         )
@@ -321,13 +318,9 @@ class TestFiniteDifferenceGuard:
         for k, n in ((2, 2), (3, 1)):
             curve = random_polynomial_curve(k, n, rng)
             t0 = 0.2
-            f = fundamental_endomorphism(curve.frame_jet(t0, k + 3))
-            f_minus = fundamental_endomorphism(
-                curve.frame_jet(t0 - step, k + 1)
-            ).value()
-            f_plus = fundamental_endomorphism(
-                curve.frame_jet(t0 + step, k + 1)
-            ).value()
+            f = curve.frame_jet(t0, k + 3).fundamental_endomorphism
+            f_minus = curve.frame_jet(t0 - step, k + 1).fundamental_endomorphism.value()
+            f_plus = curve.frame_jet(t0 + step, k + 1).fundamental_endomorphism.value()
             fdot_fd = (f_plus - f_minus) / (2 * step)
             fddot_fd = (f_plus - 2 * f.value() + f_minus) / step**2
             fdot = f.derivative_value(1)

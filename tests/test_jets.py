@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from fanning import (
     JetError,
     MatrixJet,
-    SingularLeadingCoefficientError,
     jet_add,
     jet_derivative,
-    jet_eval,
     jet_inverse,
     jet_mul,
 )
@@ -61,7 +59,7 @@ class TestLayout:
 class TestAdd:
     def test_additive_identity(self, rng):
         a = random_jet(2, 3, 3, rng)
-        zero = MatrixJet.zero(2, 3, order=3)
+        zero = MatrixJet(0.0, np.zeros((4, 2, 3)))
         out = jet_add(a, zero)
         for c, expected in zip(out.coeffs, a.coeffs):
             np.testing.assert_array_equal(c, expected)
@@ -117,8 +115,8 @@ class TestMul:
         for c, expected in zip(out.coeffs, poly_mul_oracle(a, b)):
             np.testing.assert_allclose(c, expected, atol=1e-14)
         # A constant factor on either side is one broadcast matmul on the stack.
-        right = MatrixJet.constant(b.value(), order=4)
-        left = MatrixJet.constant(a.value(), order=4)
+        right = MatrixJet(0.0, [b.value()] + 4 * [np.zeros(b.shape)])
+        left = MatrixJet(0.0, [a.value()] + 4 * [np.zeros(a.shape)])
         for x, y, broadcast in (
             (a, right, a.coeffs @ right.value()),
             (left, b, left.value() @ b.coeffs),
@@ -182,34 +180,26 @@ class TestInverse:
 
     def test_singular_leading_coefficient(self):
         a = MatrixJet(0.0, (np.zeros((2, 2)), np.eye(2)))
-        with pytest.raises(SingularLeadingCoefficientError) as info:
+        with pytest.raises(np.linalg.LinAlgError):
             jet_inverse(a)
-        assert info.value.condition > 1e8
-
-    def test_condition_threshold_configurable(self):
-        a = MatrixJet.constant(np.diag([1.0, 1e-5]), order=1)
-        with pytest.raises(SingularLeadingCoefficientError):
-            jet_inverse(a, condition_limit=1e4)
-        jet_inverse(a, condition_limit=1e6)
 
     def test_non_square(self, rng):
         with pytest.raises(JetError):
             jet_inverse(random_jet(2, 3, 1, rng))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("condition_limit", [None, 1e8])
-    def test_non_finite_leading_coefficient(self, bad, condition_limit):
+    def test_non_finite_leading_coefficient(self, bad):
         c0 = np.eye(2)
         c0[0, 0] = bad
         a = MatrixJet(0.0, (c0, np.eye(2)))
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-            jet_inverse(a, condition_limit=condition_limit)
+            jet_inverse(a)
 
     def test_overflowing_inverse_of_constant_term(self):
         # Well conditioned, but its inverse is beyond the float range.
-        a = MatrixJet.constant(1e-310 * np.eye(2), order=1)
+        a = MatrixJet(0.0, (1e-310 * np.eye(2), np.zeros((2, 2))))
         with pytest.raises(np.linalg.LinAlgError, match="overflowed at order 0"):
-            jet_inverse(a, condition_limit=None)
+            jet_inverse(a)
 
 
 class TestLinearTaylor:
@@ -236,7 +226,7 @@ class TestLinearTaylor:
 
 class TestDerivative:
     def test_constant_jet(self):
-        out = jet_derivative(MatrixJet.constant(np.eye(2), order=2))
+        out = jet_derivative(MatrixJet.identity(2, order=2))
         for c in out.coeffs:
             np.testing.assert_array_equal(c, np.zeros((2, 2)))
 
@@ -248,7 +238,7 @@ class TestDerivative:
 
     def test_order_zero_rejected(self):
         with pytest.raises(JetError):
-            jet_derivative(MatrixJet.constant(np.eye(2)))
+            jet_derivative(MatrixJet.identity(2))
 
     def test_leibniz(self, rng):
         a = random_jet(2, 2, 5, rng)
@@ -272,18 +262,18 @@ class TestDerivative:
 class TestEval:
     def test_at_base_time(self, rng):
         a = random_jet(2, 2, 3, rng, base_time=0.5)
-        np.testing.assert_array_equal(jet_eval(a, 0.5), a.coeffs[0])
+        np.testing.assert_array_equal(horner(a.coeffs, 0.5 - a.base_time), a.coeffs[0])
 
     def test_constant_jet_everywhere(self, rng):
         c = rng.standard_normal((2, 2))
-        a = MatrixJet.constant(c, order=3)
-        np.testing.assert_array_equal(jet_eval(a, 17.0), c)
+        a = MatrixJet(0.0, [c] + 3 * [np.zeros((2, 2))])
+        np.testing.assert_array_equal(horner(a.coeffs, 17.0 - a.base_time), c)
 
     def test_degree_three_direct_oracle(self, rng):
         a = random_jet(2, 2, 3, rng)
         t = 0.7
         direct = sum(a.coeffs[i] * t**i for i in range(4))
-        np.testing.assert_allclose(jet_eval(a, t), direct, atol=1e-14)
+        np.testing.assert_allclose(horner(a.coeffs, t - a.base_time), direct, atol=1e-14)
 
 
 small_dims = st.integers(min_value=1, max_value=3)
@@ -328,7 +318,7 @@ def test_ring_distributivity(jets):
 @given(square_jet_triples())
 def test_inverse_residual_property(jets):
     a = jets[0]
-    shifted = jet_add(a, MatrixJet.constant(4.0 * np.eye(a.rows), 0.0, a.order))
+    shifted = jet_add(a, 4.0 * MatrixJet.identity(a.rows, 0.0, a.order))
     if np.linalg.cond(shifted.coeffs[0]) > 1e6:
         return
     residual = jet_mul(shifted, jet_inverse(shifted))
@@ -372,7 +362,10 @@ class TestBatch:
         for i in range(7):
             self.assert_stacked(ba.derivative_value(i), [x.derivative_value(i) for x in a])
         t = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        self.assert_stacked(jet_eval(ba, t), [jet_eval(x, s) for x, s in zip(a, t)])
+        self.assert_stacked(
+            horner(ba.coeffs, t - ba.base_time),
+            [horner(x.coeffs, s - x.base_time) for x, s in zip(a, t)],
+        )
         self.assert_stacked(
             horner(ba.coeffs, t), [horner(x.coeffs, s) for x, s in zip(a, t)]
         )
@@ -380,7 +373,7 @@ class TestBatch:
     @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_inverse_and_linear_taylor(self, dim, rng):
         a = [
-            jet_add(x, MatrixJet.constant(3.0 * np.eye(dim), x.base_time, x.order))
+            jet_add(x, 3.0 * MatrixJet.identity(dim, x.base_time, x.order))
             for x in self.samples(dim, dim, 7, rng)
         ]
         batched = jet_inverse(self.stack(a))
@@ -410,11 +403,4 @@ class TestBatch:
     def test_base_time_shape_must_match_the_batch(self, base_time, shape):
         with pytest.raises(JetError):
             MatrixJet(base_time, np.zeros(shape))
-
-    def test_first_failing_sample_is_reported(self):
-        coeffs = np.array([np.eye(2), np.diag([1.0, 1e-12]), np.zeros((2, 2))])[:, None]
-        a = MatrixJet(np.array([0.0, 1.0, 2.0]), coeffs)
-        with pytest.raises(SingularLeadingCoefficientError) as info:
-            jet_inverse(a)
-        assert info.value.condition == pytest.approx(1e12)
 

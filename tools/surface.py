@@ -1,4 +1,4 @@
-"""Print the size of the ``fanning`` package: source lines and settable parameters.
+"""Print the size of the ``fanning`` package: source lines, settable parameters and options.
 
     python3 tools/surface.py [TREE]
 
@@ -7,9 +7,12 @@ Source lines are the newline count of ``src/fanning/*.py``, as
 ``wc -l`` gives it.  Settable parameters are the parameters with a default
 value of every function, method and class defined in the package, counted
 with ``inspect``, plus the dataclass fields with a default; a dataclass's
-generated ``__init__`` is not counted a second time.
+generated ``__init__`` is not counted a second time.  Command-line options
+are the optional arguments of ``fanning.cli._build_parser()``, summed over
+its subcommands, without ``--help``.
 """
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -59,6 +62,21 @@ def settable_parameters(package_dir):
     return count
 
 
+def command_line_options(package_dir):
+    """Count the optional arguments of every subcommand of the package's parser."""
+    sys.path.insert(0, str(package_dir.parent))
+    parser = importlib.import_module(f"{package_dir.name}.cli")._build_parser()
+    count = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                count += sum(
+                    bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
+                    for a in sub._actions
+                )
+    return count
+
+
 def main(argv):
     tree = Path(argv[0] if argv else HERE.parent).resolve()
     package_dir = tree / "src" / "fanning"
@@ -66,6 +84,7 @@ def main(argv):
         sys.exit(f"no src/fanning in {tree}")
     print(f"src lines: {source_lines(package_dir)}")
     print(f"settable parameters: {settable_parameters(package_dir)}")
+    print(f"command-line options: {command_line_options(package_dir)}")
 
 
 if __name__ == "__main__":
