@@ -24,17 +24,17 @@ A frame curve takes values in the kn x n matrices; its value at ``t``
 spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
 juxtaposed kn x kn matrix ``(A | A' | ... | A^(k-1))`` is invertible
 there.  A :class:`FrameJet` caches what is computed once per jet: the
-juxtaposed lift and its inverse, the equation coefficients ``P_j``, the
-fundamental endomorphism, the horizontal derivative and the endomorphism
-bundle.  Each of them broadcasts over the batch, so one function serves one
-time and a whole grid; the fanning condition and every consistency check
+juxtaposed lift, the equation coefficients ``P_j``, the fundamental
+endomorphism, the horizontal derivative and the endomorphism bundle.  Each
+of them broadcasts over the batch, so one function serves one time and a
+whole grid; the fanning condition and every consistency check
 test each sample and report the first that fails, in the caller's order.
 
 :meth:`FrameJet.require_fanning` is the package's one conditioning gate:
 the juxtaposed value must have a condition number below
-``DEFAULT_CONDITION_LIMIT``.  Reading ``FrameJet.juxtaposed_inverse`` runs
-it first, so everything built on the inverse (``P_j``, F, H and the bundle)
-is behind it; :func:`~fanning.jets.jet_inverse` checks no conditioning.
+``DEFAULT_CONDITION_LIMIT``.  The jet solves for ``P_j`` and F run it
+first and share its inverse of that value, so everything built on them is
+behind it; :func:`~fanning.jets.jet_solve` checks no conditioning.
 """
 
 import itertools
@@ -49,8 +49,8 @@ from .jets import (
     MatrixJet,
     coefficient_stack,
     horner,
-    jet_inverse,
     jet_mul,
+    jet_solve,
     linear_taylor,
 )
 
@@ -264,16 +264,6 @@ class PolynomialMatrix:
             raise np.linalg.LinAlgError(f"Taylor shift to t={t!r} overflowed")
         return MatrixJet(times, coeffs)
 
-    def __matmul__(self, other):
-        """Polynomial product by coefficient convolution."""
-        coeffs = np.zeros(
-            (self.degree + other.degree + 1, self.shape[0], other.shape[1])
-        )
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                coeffs[i + j] += a @ b
-        return PolynomialMatrix(coeffs)
-
 
 def expansion_order(poly):
     """Order to which :func:`solve_ivp` expands ``poly``: at least ``TAYLOR_ORDER - 1``, and all of it."""
@@ -377,19 +367,33 @@ class FrameJet:
     def is_fanning(self):
         return self.condition < DEFAULT_CONDITION_LIMIT
 
+    @cached_property
+    def _value_inverse(self):
+        """The juxtaposed value's inverse, NaN where ``inv`` fails (an exactly singular sample)."""
+        value = self.juxtaposed.value()
+        try:
+            return np.linalg.inv(value)
+        except np.linalg.LinAlgError:
+            return np.full(value.shape, np.nan)
+
     def require_fanning(self):
-        """Raise :class:`NotFanningError` at the first sample that is not fanning."""
+        """Raise :class:`NotFanningError` at the first sample that is not fanning.
+
+        ``||J0||_F ||J0^-1||_F`` bounds the condition of the juxtaposed value
+        ``J0`` from above: below half the limit everywhere, the batch passes.
+        Otherwise, or once it is known, the condition decides.
+        """
+        if "condition" not in self.__dict__:
+            value, inv = self.juxtaposed.value(), self._value_inverse
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = np.linalg.norm(value, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+            if np.all(bound < DEFAULT_CONDITION_LIMIT / 2):
+                return
         condition = np.ravel(self.condition)
         i = first_failure(~(condition < DEFAULT_CONDITION_LIMIT))
         if i is not None:
             at_time = float(np.ravel(self.base_time)[i])
             raise NotFanningError(float(condition[i]), at_time=at_time)
-
-    @cached_property
-    def juxtaposed_inverse(self):
-        """Jet inverse of the juxtaposed lift, behind the fanning gate."""
-        self.require_fanning()
-        return jet_inverse(self.juxtaposed)
 
     @cached_property
     def equation_coefficients(self):
@@ -405,12 +409,11 @@ class FrameJet:
             raise InsufficientOrderError(
                 f"equation coefficients need frame order >= {k}, have {self.order}"
             )
-        stacked = jet_mul(self.juxtaposed_inverse, -self.derivative_jet(k)).coeffs
+        self.require_fanning()
+        s = jet_solve(self.juxtaposed, -self.derivative_jet(k), self._value_inverse).coeffs
+        s = s.reshape(s.shape[:-2] + (k, n, n))
         return tuple(
-            MatrixJet(
-                self.base_time,
-                (1.0 / math.comb(k, i)) * stacked[..., (k - i) * n : (k - i + 1) * n, :],
-            )
+            MatrixJet(self.base_time, (1.0 / math.comb(k, i)) * s[..., k - i, :, :])
             for i in range(1, k + 1)
         )
 
@@ -418,13 +421,15 @@ class FrameJet:
     def fundamental_endomorphism(self):
         """The equivariant endomorphism with ``F A^(i) = i A^(i-1)``, as a jet.
 
-        Built once per frame jet as the conjugate of the canonical nilpotent
-        by the juxtaposed lift; a frame jet of order R gives it to order
-        R - k + 1.
+        Built once per frame jet by solving ``F J = J N`` on transposes, with
+        ``J`` the juxtaposed lift and ``N`` the canonical nilpotent; a frame
+        jet of order R gives it to order R - k + 1.
         """
-        inverse = self.juxtaposed_inverse  # runs the fanning gate before any product
-        lifted = self.juxtaposed.coeffs @ nilpotent_matrix(self.k, self.n)
-        return jet_mul(MatrixJet(self.base_time, lifted), inverse)
+        self.require_fanning()
+        lifts = (self.juxtaposed.coeffs, self.juxtaposed.coeffs @ nilpotent_matrix(self.k, self.n))
+        a, b = (MatrixJet(self.base_time, np.swapaxes(c, -1, -2)) for c in lifts)
+        transposed = jet_solve(a, b, np.swapaxes(self._value_inverse, -1, -2))
+        return MatrixJet(self.base_time, np.swapaxes(transposed.coeffs, -1, -2))
 
     @cached_property
     def horizontal(self):
@@ -603,13 +608,6 @@ class PolynomialFrameCurve:
         """The curve ``T A(t)`` for a constant kn x kn matrix ``T``."""
         t_matrix = np.asarray(t_matrix, dtype=float)
         return PolynomialFrameCurve(self.k, self.n, t_matrix @ self.coefficients)
-
-    def right_multiplied(self, x):
-        """The curve ``A(t) X(t)`` for a constant matrix or PolynomialMatrix."""
-        if not isinstance(x, PolynomialMatrix):
-            x = PolynomialMatrix(np.asarray(x, dtype=float)[None])
-        product = self.polynomial @ x
-        return PolynomialFrameCurve(self.k, self.n, product.coefficients)
 
 
 @dataclass(frozen=True, eq=False)

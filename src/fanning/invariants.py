@@ -33,7 +33,7 @@ from .curves import (
     first_failure,
     solve_ivp,
 )
-from .jets import MatrixJet, jet_mul, linear_taylor
+from .jets import MatrixJet, cauchy_product, jet_mul, linear_taylor
 
 NORMALITY_RTOL = 1e-8
 
@@ -72,39 +72,35 @@ def ode_coefficients(fj):
     return fj.equation_coefficients
 
 
-def _w_chain(p1, length):
-    """Jets ``W_0 .. W_length`` with ``W_0 = I`` and ``W_(m+1) = -P_1 W_m + W_m'``.
-
-    The chain starts from ``W_1 = -P_1`` rather than differentiating the
-    constant ``W_0``, which would cost one order; so ``W_m`` keeps order
-    ``R - m + 1`` for a ``P_1`` jet of order R.
-    """
-    w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
-    for _ in range(length - 1):
-        w.append(-jet_mul(p1, w[-1]) + w[-1].derivative())
-    return w
-
-
 def invariants_from_coefficients(p):
     """Invariant set from given coefficient jets ``P_1 .. P_k``.
 
     ``h_(j-2)`` is the conjugation class of the reduced-equation
     coefficient ``Q_j``; eliminating the normalizing frame change gives
     the closed recursion ``h_(j-2) = sum_i C(j, i) W_(j-i) P_i`` with
-    ``P_0 = I``.
+    ``P_0 = W_0 = I``, ``W_1 = -P_1`` (one order more than ``W_0'`` keeps)
+    and ``W_(m+1) = -P_1 W_m + W_m'``.  Each sum is one Cauchy product
+    batched over its terms, added in increasing ``i``.
     """
-    k = len(p)
-    if p[0].order < k - 1:
+    k, p1 = len(p), p[0]
+    if p1.order < k - 1:
         raise InsufficientOrderError(
-            f"h_{k - 2} needs coefficient jets of order >= {k - 1}, have {p[0].order}"
+            f"h_{k - 2} needs coefficient jets of order >= {k - 1}, have {p1.order}"
         )
-    w = _w_chain(p[0], k)
+    w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
+    for _ in range(k - 1):
+        w.append(-jet_mul(p1, w[-1]) + w[-1].derivative())
     hs = []
     for j in range(2, k + 1):
-        acc = w[j]
+        count = min(x.order + 1 for x in [w[j]] + list(p[:j]))
+        terms = cauchy_product(
+            np.stack([w[j - i].coeffs[..., :count, :, :] for i in range(1, j + 1)]),
+            np.stack([p[i - 1].coeffs[..., :count, :, :] for i in range(1, j + 1)]),
+        )
+        h = w[j].coeffs[..., :count, :, :]
         for i in range(1, j + 1):
-            acc = acc + math.comb(j, i) * jet_mul(w[j - i], p[i - 1])
-        hs.append(acc)
+            h = h + math.comb(j, i) * terms[i - 1]
+        hs.append(MatrixJet(p[0].base_time, h))
     return CoefficientSet(p=tuple(p), kappa=hs[0], h=tuple(hs[1:]))
 
 

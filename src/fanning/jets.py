@@ -17,15 +17,14 @@ shape and a batch costs one array operation where the samples would cost
 one each.  Coefficientwise operations are single array expressions and a
 constant right or left factor is one broadcast matmul.  The Cauchy product
 takes one broadcast matmul per term index against the whole other stack,
-and the inverse inverts the constant terms once with numpy and multiplies
-by them; no kernel loops over samples or coefficient pairs in Python or
-leaves numpy.  Stacked matmul and ``inv`` treat each sample as the
-unbatched call would, so a batch agrees bitwise with its samples computed
-one at a time.  :func:`linear_taylor` expands both linear equations
-``Y' = Y C`` that the package solves by series, the ODE state's and the
-normalizing change's.  Matrix polynomials in :mod:`fanning.curves` hold
-their coefficients in the unbatched layout, and :func:`horner` evaluates
-either.
+and the solve of ``a x = b`` one batched matmul and sum per order; no
+kernel loops over samples or coefficient pairs in Python or leaves numpy.
+Stacked matmul and ``inv`` treat each sample as the unbatched call would,
+so a batch agrees bitwise with its samples computed one at a time.
+:func:`linear_taylor` expands both linear equations ``Y' = Y C`` that the
+package solves by series, the ODE state's and the normalizing change's.
+Matrix polynomials in :mod:`fanning.curves` hold their coefficients in the
+unbatched layout, and :func:`horner` evaluates either.
 
 Mixed-order binary operations truncate to the minimum order and never
 zero-pad: unknown higher derivatives are unknown, not zero.  Binary
@@ -33,7 +32,7 @@ operations need equal base times, and so equal batch shapes.
 
 No kernel here checks conditioning: the one conditioning gate is the
 fanning test of :class:`fanning.curves.FrameJet`, which admits a jet to
-:func:`jet_inverse` only when its juxtaposed value is well conditioned.
+:func:`jet_solve` only when its juxtaposed value is well conditioned.
 
 Jets are immutable and all operations are pure functions, so shared jets
 are safe to use concurrently.
@@ -198,48 +197,55 @@ def jet_add(a, b):
     return MatrixJet(a.base_time, a.coeffs[..., : m + 1, :, :] + b.coeffs[..., : m + 1, :, :])
 
 
+def cauchy_product(ac, bc):
+    """``c_m = sum_i a_i b_(m-i)`` of two coefficient stacks of one order, any leading axes."""
+    # Term i adds a_i b_(j-i) to every c_j at once, so each c_j is summed as a_0 b_j +
+    # a_1 b_(j-1) + ...: a pairwise sum over the term axis would round 1 x 1 blocks differently.
+    out = ac[..., :1, :, :] @ bc
+    for i in range(1, bc.shape[-3]):
+        out[..., i:, :, :] += ac[..., i : i + 1, :, :] @ bc[..., :-i, :, :]
+    return out
+
+
 def jet_mul(a, b):
-    """Cauchy product ``c_m = sum_i a_i b_(m-i)``, truncated to the smaller order."""
+    """Cauchy product, truncated to the smaller order."""
     _check_compatible(a, b, same_shape=False)
-    m = min(a.order, b.order)
-    # Term i adds a_i b_(j-i) to every c_j at once, in increasing i, so each
-    # c_j is summed as a_0 b_j + a_1 b_(j-1) + ...: a pairwise sum over the
-    # term axis would round 1 x 1 blocks differently.
+    m = min(a.order, b.order) + 1
+    return MatrixJet(a.base_time, cauchy_product(a.coeffs[..., :m, :, :], b.coeffs[..., :m, :, :]))
+
+
+def jet_solve(a, b, a0_inverse):
+    """The jet ``x`` with ``a x = b``, truncated to the smaller order.
+
+    Recurses on ``x_m = a_0^-1 (b_m - sum_(i=1..m) a_i x_(m-i))``, so that
+    ``x_m`` reads no order above m.  ``a0_inverse`` is ``a_0^-1``, or None
+    to invert it here.  Raises ``LinAlgError`` when ``a_0`` is singular or
+    not finite, or, naming the first such order, when ``x`` overflows.
+    """
+    if a.rows != a.cols:
+        raise JetError(f"only square jets can be solved against, got shape {a.shape}")
+    _check_compatible(a, b, same_shape=False)
     ac, bc = a.coeffs, b.coeffs
-    out = ac[..., :1, :, :] @ bc[..., : m + 1, :, :]
-    for i in range(1, m + 1):
-        out[..., i:, :, :] += ac[..., i : i + 1, :, :] @ bc[..., : m + 1 - i, :, :]
-    return MatrixJet(a.base_time, out)
+    if not np.isfinite(ac[..., 0, :, :]).all():
+        raise np.linalg.LinAlgError("jet solve against a non-finite leading coefficient")
+    order = min(a.order, b.order)
+    x = np.empty(bc.shape[:-3] + (order + 1,) + bc.shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a0_inverse is None:
+            a0_inverse = np.linalg.inv(ac[..., 0, :, :])
+        x[..., 0, :, :] = a0_inverse @ bc[..., 0, :, :]
+        for m in range(1, order + 1):
+            terms = ac[..., m:0:-1, :, :] @ x[..., :m, :, :]
+            x[..., m, :, :] = a0_inverse @ (bc[..., m, :, :] - terms.sum(axis=-3))
+    overflowed = np.flatnonzero(~np.isfinite(x).all(axis=(-2, -1)).reshape(-1, order + 1).all(0))
+    if overflowed.size:
+        raise np.linalg.LinAlgError(f"jet solve overflowed at order {overflowed[0]}")
+    return MatrixJet(a.base_time, x)
 
 
 def jet_inverse(a):
-    """Multiplicative inverse to the truncation order.
-
-    Inverts ``b_0 = c_0^-1`` once and recurses on
-    ``b_m = -b_0 sum_(i=1..m) c_i b_(m-i)``.  Raises ``LinAlgError`` when
-    the constant term is singular or not finite, or when a coefficient of
-    the recursion is not finite (an overflow, reported by this error rather
-    than by a warning).
-    """
-    if a.rows != a.cols:
-        raise JetError(f"only square jets can be inverted, got shape {a.shape}")
-    c = a.coeffs
-    c0 = c[..., 0, :, :]
-    if not np.isfinite(c0).all():
-        raise np.linalg.LinAlgError("jet inverse of a non-finite leading coefficient")
-    b = np.empty_like(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        b[..., 0, :, :] = np.linalg.inv(c0)
-        for m in range(1, a.order + 1):
-            s = c[..., 1, :, :] @ b[..., m - 1, :, :]
-            for i in range(2, m + 1):
-                s += c[..., i, :, :] @ b[..., m - i, :, :]
-            b[..., m, :, :] = -(b[..., 0, :, :] @ s)
-    finite = np.isfinite(b).all(axis=(-2, -1)).reshape(-1, a.order + 1).all(axis=0)
-    overflowed = np.flatnonzero(~finite)
-    if overflowed.size:
-        raise np.linalg.LinAlgError(f"jet inverse overflowed at order {overflowed[0]}")
-    return MatrixJet(a.base_time, b)
+    """Multiplicative inverse to the truncation order: :func:`jet_solve` against the identity."""
+    return jet_solve(a, MatrixJet.identity(a.rows, a.base_time, a.order), None)
 
 
 def linear_taylor(y0, c):

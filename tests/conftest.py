@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fanning import MatrixJet, PolynomialFrameCurve
+from fanning import MatrixJet, PolynomialFrameCurve, PolynomialMatrix
 from fanning.curves import FrameJet
 from fanning.jets import jet_mul
 
@@ -123,7 +123,7 @@ def tame_polynomial_curve(k, n, rng, window=(0.0, 0.5), scale=None, peak=4.0, je
 
 def drifting_ode_curve(rng, k=3, n=2):
     """ODE curve whose coefficients drift linearly in t, away from a centre."""
-    from fanning import OdeFrameCurve, PolynomialMatrix
+    from fanning import OdeFrameCurve
 
     ps = []
     for i in range(1, k + 1):
@@ -135,11 +135,26 @@ def drifting_ode_curve(rng, k=3, n=2):
 
 def random_polynomial_matrix_curve(n, degree, rng, scale=0.5):
     """Random n x n matrix polynomial with invertible constant term."""
-    from fanning import PolynomialMatrix
-
     coeffs = [random_invertible(n, rng)]
     coeffs.extend(scale * rng.standard_normal((n, n)) for _ in range(degree))
     return PolynomialMatrix(tuple(coeffs))
+
+
+def polynomial_product(a, b):
+    """The matrix polynomial ``a(t) b(t)``, by coefficient convolution."""
+    coeffs = np.zeros((a.degree + b.degree + 1, a.shape[0], b.shape[1]))
+    for i, x in enumerate(a.coefficients):
+        for j, y in enumerate(b.coefficients):
+            coeffs[i + j] += x @ y
+    return PolynomialMatrix(coeffs)
+
+
+def right_multiplied(curve, x):
+    """The polynomial curve ``A(t) X(t)`` for a constant matrix or a PolynomialMatrix ``X``."""
+    if not isinstance(x, PolynomialMatrix):
+        x = PolynomialMatrix(np.asarray(x, dtype=float)[None])
+    product = polynomial_product(curve.polynomial, x)
+    return PolynomialFrameCurve(curve.k, curve.n, product.coefficients)
 
 
 def tan_taylor_coefficients(degree):
@@ -196,6 +211,38 @@ def jet_mul_reference(a, b):
             c = c + a.coeffs[i] @ b.coeffs[j - i]
         out.append(c)
     return np.array(out)
+
+
+def jet_inverse_reference(a):
+    """Jet inverse by the recursion ``b_m = -b_0 sum_(i=1..m) a_i b_(m-i)``, ``b_0 = a_0^-1``."""
+    c = a.coeffs
+    b = np.empty_like(c)
+    b[..., 0, :, :] = np.linalg.inv(c[..., 0, :, :])
+    for m in range(1, a.order + 1):
+        s = c[..., 1, :, :] @ b[..., m - 1, :, :]
+        for i in range(2, m + 1):
+            s += c[..., i, :, :] @ b[..., m - i, :, :]
+        b[..., m, :, :] = -(b[..., 0, :, :] @ s)
+    return MatrixJet(a.base_time, b)
+
+
+def invariants_reference(p):
+    """``kappa, h_1 .. h_(k-2)`` as jets, one jet product at a time.
+
+    ``W_0 = I``, ``W_1 = -P_1``, ``W_(m+1) = -P_1 W_m + W_m'`` and
+    ``h_(j-2) = W_j + sum_(i=1..j) C(j, i) W_(j-i) P_i``.
+    """
+    k, p1 = len(p), p[0]
+    w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
+    for _ in range(k - 1):
+        w.append(-jet_mul(p1, w[-1]) + w[-1].derivative())
+    hs = []
+    for j in range(2, k + 1):
+        acc = w[j]
+        for i in range(1, j + 1):
+            acc = acc + math.comb(j, i) * jet_mul(w[j - i], p[i - 1])
+        hs.append(acc)
+    return hs
 
 
 def kron_system(pairs):

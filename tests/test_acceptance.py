@@ -34,6 +34,7 @@ from conftest import (
     random_jet,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
+    right_multiplied,
     schwarzian,
     standard_jet,
     tame_polynomial_curve,
@@ -115,7 +116,7 @@ def test_criterion_03_equivariance_suite():
             )
 
             x_poly = random_polynomial_matrix_curve(n, 2, rng, scale=0.3)
-            changed = curve.right_multiplied(x_poly).frame_jet(t0, order)
+            changed = right_multiplied(curve, x_poly).frame_jet(t0, order)
             x0 = horner(x_poly.coefficients, t0)
             sch = schwarzian(fj).value()
             sch_x = schwarzian(changed).value()
@@ -348,7 +349,7 @@ def test_criterion_09_congruence_completeness_and_soundness():
 
         t_matrix = random_invertible(k * n, rng, cond_max=50)
         x0 = random_invertible(n, rng, cond_max=20)
-        moved = curve.transformed(t_matrix).right_multiplied(x0)
+        moved = right_multiplied(curve.transformed(t_matrix), x0)
         witness = are_congruent(curve, moved, samples)
         if witness.verdict == "congruent" and max(witness.span_distances) < 1e-7:
             accepted += 1

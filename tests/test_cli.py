@@ -142,7 +142,7 @@ class TestInvariantsCommand:
         )
         assert proc.returncode == 6
         assert proc.stderr.splitlines() == [
-            "numerical failure: jet inverse overflowed at order 2"
+            "numerical failure: jet solve overflowed at order 1"
         ]
 
     @pytest.mark.parametrize(

@@ -19,8 +19,10 @@ from fanning.jets import horner
 from conftest import (
     ALL_KN,
     kron_system,
+    polynomial_product,
     random_invertible,
     random_polynomial_curve,
+    right_multiplied,
     standard_jet,
     tame_polynomial_curve,
     tan_curve,
@@ -31,7 +33,7 @@ def congruence_pair(k, n, rng, **kwargs):
     curve = tame_polynomial_curve(k, n, rng, **kwargs)
     t_matrix = random_invertible(k * n, rng, cond_max=50)
     x0 = random_invertible(n, rng, cond_max=20)
-    return curve, curve.transformed(t_matrix).right_multiplied(x0), t_matrix, x0
+    return curve, right_multiplied(curve.transformed(t_matrix), x0), t_matrix, x0
 
 
 def perturbed_pair(k, n, rng):
@@ -237,7 +239,7 @@ class TestTraceEarlyExit:
         s = PolynomialMatrix(np.stack([eye, swap, e11]))
         s_inv = PolynomialMatrix(np.stack([eye, -swap, e22]))
         zero = PolynomialMatrix(np.zeros((1, 2, 2)))
-        p2_b = s_inv @ PolynomialMatrix(d[None]) @ s
+        p2_b = polynomial_product(polynomial_product(s_inv, PolynomialMatrix(d[None])), s)
         curve_a = OdeFrameCurve(2, 2, (zero, PolynomialMatrix(d[None])), np.eye(4))
         curve_b = OdeFrameCurve(2, 2, (zero, p2_b), np.eye(4))
         samples = np.linspace(0.0, 0.4, 5)

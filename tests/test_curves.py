@@ -8,6 +8,7 @@ import pytest
 
 from fanning import (
     CurveFormatError,
+    MatrixJet,
     NotFanningError,
     InsufficientOrderError,
     OdeFrameCurve,
@@ -17,7 +18,7 @@ from fanning import (
     curve_to_dict,
     standard_curve,
 )
-from fanning.curves import _jet_from_state
+from fanning.curves import DEFAULT_CONDITION_LIMIT, FrameJet, _jet_from_state
 from fanning.jets import horner
 from conftest import (
     ALL_KN,
@@ -28,6 +29,7 @@ from conftest import (
     random_invertible,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
+    right_multiplied,
     schwarzian,
     standard_jet,
     taylor_shift,
@@ -123,11 +125,108 @@ class TestFanningInvariance:
         k, n = 3, 2
         curve = random_polynomial_curve(k, n, rng)
         x = random_polynomial_matrix_curve(n, 2, rng)
-        changed = curve.right_multiplied(x)
+        changed = right_multiplied(curve, x)
         for t in (0.0, 0.25):
             assert changed.frame_jet(t, k - 1).is_fanning == curve.frame_jet(
                 t, k - 1
             ).is_fanning
+
+
+def conditioned_matrix(dim, condition, rng):
+    """Random ``dim x dim`` matrix with singular values from 1 down to ``1 / condition``."""
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    v, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return (u * np.geomspace(1.0, 1.0 / condition, dim)) @ v.T
+
+
+def gate_value(case, dim, rng):
+    """Juxtaposed value of condition ``case``, or an exactly singular one, or one with a NaN."""
+    if case in ("singular", "nan"):
+        m = conditioned_matrix(dim, 10.0, rng)
+        if case == "singular":
+            m[:, -1] = 0.0
+        else:
+            m[0, 0] = np.nan
+        return m
+    return conditioned_matrix(dim, case, rng)
+
+
+def jet_with_juxtaposed_value(values, k, n, base_time):
+    """Frame jet of order k + 1 whose juxtaposed value is ``values`` (batched like ``base_time``)."""
+    values = np.asarray(values)
+    coeffs = np.zeros(values.shape[:-2] + (k + 2, k * n, n))
+    for j in range(k):
+        coeffs[..., j, :, :] = values[..., :, j * n : (j + 1) * n] / math.factorial(j)
+    return FrameJet(MatrixJet(base_time, coeffs))
+
+
+GATE_CASES = (4e7, 9.9e7, 1.01e8, "singular", "nan")
+GATE_TIMES = (0.1, 0.2, 0.3)
+
+
+class TestFanningGate:
+    """The bound first, the SVD where it does not decide: the SVD route's decisions exactly."""
+
+    @staticmethod
+    def assert_decided_as_by_svd(fj):
+        try:
+            condition = np.ravel(np.linalg.cond(fj.juxtaposed.value()))
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                fj.require_fanning()
+            return
+        failing = np.flatnonzero(~(condition < DEFAULT_CONDITION_LIMIT))
+        if failing.size == 0:
+            fj.require_fanning()
+            return
+        with pytest.raises(NotFanningError) as info:
+            fj.require_fanning()
+        i = failing[0]
+        assert info.value.at_time == float(np.ravel(fj.base_time)[i])
+        np.testing.assert_equal(info.value.condition, condition[i])
+
+    @pytest.mark.parametrize("case", GATE_CASES)
+    @pytest.mark.parametrize("k, n", [(2, 1), (3, 2)])
+    def test_unbatched(self, case, k, n, rng):
+        value = gate_value(case, k * n, rng)
+        self.assert_decided_as_by_svd(jet_with_juxtaposed_value(value, k, n, 0.1))
+
+    @pytest.mark.parametrize("case", GATE_CASES)
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("k, n", [(2, 1), (3, 2)])
+    def test_batched(self, case, position, k, n, rng):
+        values = [conditioned_matrix(k * n, 10.0, rng) for _ in GATE_TIMES]
+        values[position] = gate_value(case, k * n, rng)
+        fj = jet_with_juxtaposed_value(values, k, n, np.array(GATE_TIMES))
+        self.assert_decided_as_by_svd(fj)
+
+    @pytest.mark.parametrize("k, n", [(2, 1), (3, 2)])
+    def test_only_a_later_sample_fails(self, k, n, rng):
+        values = [conditioned_matrix(k * n, c, rng) for c in (4e7, 9.9e7, 1.01e8)]
+        fj = jet_with_juxtaposed_value(values, k, n, np.array(GATE_TIMES))
+        with pytest.raises(NotFanningError) as info:
+            fj.require_fanning()
+        assert info.value.at_time == GATE_TIMES[2]
+        assert info.value.condition == np.linalg.cond(fj.juxtaposed.value())[2]
+
+    @pytest.mark.parametrize("k, n", [(2, 1), (3, 2)])
+    def test_bound_passes_a_well_conditioned_batch_without_the_svd(self, k, n, rng):
+        values = [conditioned_matrix(k * n, c, rng) for c in (10.0, 4e7, 1e3)]
+        fj = jet_with_juxtaposed_value(values, k, n, np.array(GATE_TIMES))
+        fj.require_fanning()
+        assert "condition" not in vars(fj)
+
+    @pytest.mark.parametrize("case", [4e7, 1.01e8])
+    def test_a_known_condition_decides(self, case, rng):
+        fj = jet_with_juxtaposed_value(conditioned_matrix(2, case, rng), 2, 1, 0.1)
+        fanning = fj.is_fanning
+        if fanning:
+            fj.require_fanning()
+        else:
+            with pytest.raises(NotFanningError):
+                fj.require_fanning()
+        assert fanning == (case < DEFAULT_CONDITION_LIMIT)
+        assert "_value_inverse" not in vars(fj)
 
 
 class TestOdeCurve:

@@ -21,6 +21,7 @@ from conftest import (
     random_invertible,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
+    right_multiplied,
     standard_jet,
 )
 
@@ -72,7 +73,7 @@ class TestFundamentalEndomorphism:
         x = random_polynomial_matrix_curve(n, 2, rng)
         t0 = 0.2
         f_a = curve.frame_jet(t0, k + 2).fundamental_endomorphism.value()
-        changed = curve.right_multiplied(x).frame_jet(t0, k + 2)
+        changed = right_multiplied(curve, x).frame_jet(t0, k + 2)
         f_b = changed.fundamental_endomorphism.value()
         np.testing.assert_allclose(f_a, f_b, atol=1e-9)
 

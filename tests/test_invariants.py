@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fanning import (
+    FrameJet,
     InsufficientOrderError,
+    MatrixJet,
     OdeFrameCurve,
     PolynomialMatrix,
     invariants_from_coefficients,
@@ -26,12 +28,14 @@ from conftest import (
     frame_jet_samples,
     h1_closed_form,
     h2_closed_form,
+    invariants_reference,
     normalizing_jet_reference,
     random_frame_jet,
     random_invertible,
     random_jet,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
+    right_multiplied,
     schwarzian,
     tame_polynomial_curve,
     tan_curve,
@@ -95,7 +99,7 @@ class TestSchwarzian:
         x = random_polynomial_matrix_curve(n, 3, rng)
         t0 = 0.2
         a = schwarzian(curve.frame_jet(t0, 2 * k + 2)).value()
-        b = schwarzian(curve.right_multiplied(x).frame_jet(t0, 2 * k + 2)).value()
+        b = schwarzian(right_multiplied(curve, x).frame_jet(t0, 2 * k + 2)).value()
         x0 = horner(x.coefficients, t0)
         np.testing.assert_allclose(b, np.linalg.solve(x0, a @ x0), atol=1e-9)
 
@@ -119,6 +123,24 @@ class TestWilczynski:
         np.testing.assert_allclose(inv.kappa.value(), p[1].value(), atol=1e-10)
         for j, h in enumerate(inv.h, start=1):
             np.testing.assert_allclose(h.value(), p[j + 1].value(), atol=1e-10)
+
+    @pytest.mark.parametrize("k, n", ALL_KN)
+    def test_batched_recursion_matches_the_looped_one(self, k, n, rng):
+        """One Cauchy product per sum gives the jet-by-jet recursion, batched or not."""
+        fj = random_frame_jet(k, n, 2 * k + 2, rng)
+        samples = [random_frame_jet(k, n, 2 * k + 2, rng, base_time=t) for t in (0.1, 0.2)]
+        batched = FrameJet(
+            MatrixJet(np.array([0.1, 0.2]), np.array([s.jet.coeffs for s in samples]))
+        )
+        for jets in (fj, batched):
+            p = ode_coefficients(jets)
+            inv = invariants_from_coefficients(p)
+            expected = invariants_reference(p)
+            assert len(expected) == k - 1
+            for got, want in zip((inv.kappa,) + inv.h, expected):
+                assert got.order == want.order
+                scale = 1.0 + np.max(np.abs(want.coeffs))
+                assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * scale
 
     def test_recursion_matches_printed_first_invariant(self, rng):
         """W-recursion h_1 equals the explicit printed expression on random jets."""
@@ -170,7 +192,7 @@ class TestWilczynski:
         t0 = 0.1
         inv_a = wilczynski_invariants(curve.frame_jet(t0, 2 * k + 2))
         inv_b = wilczynski_invariants(
-            curve.right_multiplied(x0).frame_jet(t0, 2 * k + 2)
+            right_multiplied(curve, x0).frame_jet(t0, 2 * k + 2)
         )
         pairs = [(inv_a.kappa, inv_b.kappa)] + list(zip(inv_a.h, inv_b.h))
         for a, b in pairs:
@@ -253,7 +275,7 @@ class TestNormalization:
         """Normal frames of one curve from different initial frames."""
         k, n = 3, 2
         curve = random_polynomial_curve(k, n, rng)
-        other = curve.right_multiplied(random_polynomial_matrix_curve(n, 2, rng))
+        other = right_multiplied(curve, random_polynomial_matrix_curve(n, 2, rng))
         grid = np.linspace(0.0, 0.4, 6)
         rec_a = normal_frame(curve, grid)
         rec_b = normal_frame(other, grid)

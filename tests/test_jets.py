@@ -14,8 +14,8 @@ from fanning import (
     jet_inverse,
     jet_mul,
 )
-from fanning.jets import horner, linear_taylor
-from conftest import jet_mul_reference, random_jet
+from fanning.jets import horner, jet_solve, linear_taylor
+from conftest import jet_inverse_reference, jet_mul_reference, random_jet
 
 
 def poly_add_oracle(a, b):
@@ -200,6 +200,95 @@ class TestInverse:
         a = MatrixJet(0.0, (1e-310 * np.eye(2), np.zeros((2, 2))))
         with pytest.raises(np.linalg.LinAlgError, match="overflowed at order 0"):
             jet_inverse(a)
+
+
+def shifted_jet(dim, order, rng, base_time=0.0):
+    """Random square jet whose constant term is kept well away from singular."""
+    a = random_jet(dim, dim, order, rng, base_time=base_time)
+    return jet_add(a, 4.0 * MatrixJet.identity(dim, base_time, order))
+
+
+def transposed(a):
+    return MatrixJet(a.base_time, np.swapaxes(a.coeffs, -1, -2))
+
+
+class TestSolve:
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 2), (4, 4)])
+    def test_left_and_right_residuals(self, dims, rng):
+        dim, cols = dims
+        a = shifted_jet(dim, 6, rng)
+        b = random_jet(dim, cols, 6, rng)
+        left = jet_mul(a, jet_solve(a, b, None)).coeffs - b.coeffs
+        assert np.max(np.abs(left)) < 1e-12 * (1.0 + np.max(np.abs(b.coeffs)))
+        # x a = c, solved on transposes: a^T x^T = c^T.
+        c = random_jet(cols, dim, 6, rng)
+        x = transposed(jet_solve(transposed(a), transposed(c), None))
+        right = jet_mul(x, a).coeffs - c.coeffs
+        assert np.max(np.abs(right)) < 1e-12 * (1.0 + np.max(np.abs(c.coeffs)))
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (6, 2), (6, 6)])
+    def test_agrees_with_product_by_the_inverse(self, dims, rng):
+        dim, cols = dims
+        a = shifted_jet(dim, 8, rng)
+        b = random_jet(dim, cols, 8, rng)
+        expected = jet_mul_reference(jet_inverse_reference(a), b)
+        got = jet_solve(a, b, None).coeffs
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_given_inverse_of_the_constant_term(self, rng):
+        a = shifted_jet(3, 5, rng)
+        b = random_jet(3, 2, 5, rng)
+        inverse = np.linalg.inv(a.value())
+        np.testing.assert_array_equal(
+            jet_solve(a, b, inverse).coeffs, jet_solve(a, b, None).coeffs
+        )
+
+    def test_truncates_to_the_smaller_order(self, rng):
+        a = shifted_jet(2, 6, rng)
+        b = random_jet(2, 1, 3, rng)
+        assert jet_solve(a, b, None).order == 3
+        assert jet_solve(a.truncated(2), b, None).order == 2
+
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 1), (4, 2)])
+    def test_coefficients_do_not_depend_on_higher_orders(self, dims, rng):
+        dim, cols = dims
+        a = shifted_jet(dim, 9, rng)
+        b = random_jet(dim, cols, 9, rng)
+        full = jet_solve(a, b, None).coeffs
+        for order in range(9):
+            low = jet_solve(a.truncated(order), b.truncated(order), None).coeffs
+            np.testing.assert_array_equal(low, full[: order + 1])
+
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 2), (4, 4)])
+    def test_batch_equals_its_samples(self, dims, rng):
+        dim, cols = dims
+        times = TestBatch.TIMES
+        a = [shifted_jet(dim, 7, rng, base_time=t) for t in times]
+        b = [random_jet(dim, cols, 7, rng, base_time=t) for t in times]
+        batched = jet_solve(TestBatch.stack(a), TestBatch.stack(b), None)
+        TestBatch.assert_stacked(
+            batched.coeffs, [jet_solve(x, y, None).coeffs for x, y in zip(a, b)]
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_leading_coefficient(self, bad):
+        c0 = np.eye(2)
+        c0[1, 0] = bad
+        a = MatrixJet(0.0, (c0, np.eye(2)))
+        b = MatrixJet(0.0, (np.ones((2, 1)), np.ones((2, 1))))
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite leading coefficient"):
+            jet_solve(a, b, np.eye(2))
+
+    def test_overflow_names_its_order(self):
+        # x_1 = -1e200 stays finite; x_2 = 1e400 does not.
+        a = MatrixJet(0.0, (np.eye(2), 1e200 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))))
+        b = MatrixJet(0.0, (np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))))
+        with pytest.raises(np.linalg.LinAlgError, match="jet solve overflowed at order 2$"):
+            jet_solve(a, b, None)
+
+    def test_non_square(self, rng):
+        with pytest.raises(JetError):
+            jet_solve(random_jet(2, 3, 1, rng), random_jet(2, 1, 1, rng), None)
 
 
 class TestLinearTaylor:
