@@ -100,7 +100,7 @@ def invariants_from_coefficients(p):
         h = w[j].coeffs[..., :count, :, :]
         for i in range(1, j + 1):
             h = h + math.comb(j, i) * terms[i - 1]
-        hs.append(MatrixJet(p[0].base_time, h))
+        hs.append(MatrixJet(p1.base_time, h))
     return CoefficientSet(p=tuple(p), kappa=hs[0], h=tuple(hs[1:]))
 
 
