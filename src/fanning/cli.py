@@ -17,13 +17,12 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from . import report as report_mod
-from .congruence import are_congruent, canonicalize_jet
+from .congruence import DEFAULT_SPAN_TOL, are_congruent, canonicalize_jet
 from .curves import (
     MAX_GRID_POINTS,
     CurveFormatError,
@@ -56,37 +55,6 @@ EXIT_INCONCLUSIVE = 5
 EXIT_NUMERICAL = 6
 EXIT_INTERNAL = 10
 
-DEFAULT_TOL = 1e-7
-
-
-@dataclass
-class RunConfig:
-    """Validated run settings shared by every subcommand."""
-
-    command: str
-    paths: tuple
-    grid: tuple
-    base_time: float
-    tolerance: float
-    output_format: str
-    seed: int
-    out: str | None
-    jacobi: bool
-    maurer_cartan: str | None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(
-                f"tolerance must be finite and positive, got {self.tolerance!r}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {self.seed}")
-        if not math.isfinite(self.base_time):
-            raise ValueError(f"--t must be finite, got {self.base_time!r}")
-        if self.command in ("invariants", "congruent", "normal-frame") and not self.grid:
-            raise ValueError(f"{self.command} needs a time grid")
-
-
 def _parse_grid(text):
     if ":" in text:
         parts = text.split(":")
@@ -114,16 +82,6 @@ def _parse_grid(text):
     if len(times) > MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} times")
     return times
-
-
-def _default_tolerance():
-    env = os.environ.get("FANNING_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        return float(env)
-    except ValueError as exc:
-        raise ValueError(f"FANNING_TOL is not a number: {env!r}") from exc
 
 
 @cache
@@ -176,29 +134,32 @@ def _jet_order(curve):
     return 2 * curve.k + 2
 
 
-def _config_from_args(args):
-    grid = _parse_grid(args.grid) if getattr(args, "grid", None) else ()
-    tol = args.tol if args.tol is not None else _default_tolerance()
-    paths = tuple(
-        getattr(args, name)
-        for name in ("curve", "curve_a", "curve_b")
-        if getattr(args, name, None) is not None
-    )
-    return RunConfig(
-        command=args.command,
-        paths=paths,
-        grid=grid,
-        base_time=getattr(args, "t", 0.0),
-        tolerance=tol,
-        output_format=args.format,
-        seed=args.seed,
-        out=args.out,
-        jacobi=getattr(args, "jacobi", False),
-        maurer_cartan=getattr(args, "maurer_cartan", None),
-    )
+def _validated(args):
+    """``args`` with ``grid`` parsed and ``tol`` resolved, once every value is checked.
+
+    The tolerance is ``--tol``, else ``FANNING_TOL``, else the default span
+    tolerance.
+    """
+    grid = getattr(args, "grid", None)
+    args.grid = _parse_grid(grid) if grid else ()
+    if args.tol is None:
+        env = os.environ.get("FANNING_TOL")
+        try:
+            args.tol = DEFAULT_SPAN_TOL if env is None else float(env)
+        except ValueError as exc:
+            raise ValueError(f"FANNING_TOL is not a number: {env!r}") from exc
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {args.tol!r}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    if not math.isfinite(getattr(args, "t", 0.0)):
+        raise ValueError(f"--t must be finite, got {args.t!r}")
+    if args.command in ("invariants", "congruent", "normal-frame") and not args.grid:
+        raise ValueError(f"{args.command} needs a time grid")
+    return args
 
 
-def _grid_invariants(fj, config):
+def _grid_invariants(fj, args):
     """What ``invariants`` reports, each quantity computed once over the batch ``fj``.
 
     Errors come in grid order: when a time is not fanning, the times before
@@ -211,7 +172,7 @@ def _grid_invariants(fj, config):
         first = int(np.argmin(fanning))
         if first:
             prefix = MatrixJet(fj.base_time[:first], fj.jet.coeffs[:first])
-            _grid_invariants(FrameJet(prefix), config)
+            _grid_invariants(FrameJet(prefix), args)
         fj.require_fanning()
     was_normal = is_normal(fj)
     inv = wilczynski_invariants(fj)
@@ -225,24 +186,24 @@ def _grid_invariants(fj, config):
         "minus_one": eigenvalue_multiplicity(reflection, -1.0),
         "plus_one": eigenvalue_multiplicity(reflection, 1.0),
     }
-    if config.jacobi or config.maurer_cartan is not None:
+    if args.jacobi or args.maurer_cartan is not None:
         normalized = normalized_frame_jet(fj)
         del fj
-        if config.jacobi:
-            values["jacobi"] = jacobi_matrix(normalized, which="K")
-        if config.maurer_cartan is not None:
-            lift = "with_H" if config.maurer_cartan == "H" else "with_kth_derivative"
+        if args.jacobi:
+            values["jacobi"] = jacobi_matrix(normalized)
+        if args.maurer_cartan is not None:
+            lift = "with_H" if args.maurer_cartan == "H" else "with_kth_derivative"
             values["maurer_cartan"] = maurer_cartan_pullback(normalized, lift=lift)
     return values
 
 
-def cmd_invariants(config):
+def cmd_invariants(args):
     """Invariants at every grid time: one batched pass, then the report point of each time."""
-    curve = load_curve(config.paths[0])
-    values = _grid_invariants(curve.frame_jets(config.grid, _jet_order(curve)), config)
+    curve = load_curve(args.curve)
+    values = _grid_invariants(curve.frame_jets(args.grid, _jet_order(curve)), args)
 
     points = []
-    for i, t in enumerate(config.grid):
+    for i, t in enumerate(args.grid):
         condition = float(values["fanning_condition"][i])
         kappa, hs = values["kappa"][i], [h[i] for h in values["h"]]
         counts = {key: int(values[key][i]) for key in ("minus_one", "plus_one")}
@@ -259,10 +220,10 @@ def cmd_invariants(config):
             if key in values:
                 point[key] = values[key][i]
         points.append(point)
-    not_normal = [float(t) for t, normal in zip(config.grid, values["was_normal"]) if not normal]
-    if not_normal and (config.jacobi or config.maurer_cartan is not None):
+    not_normal = [float(t) for t, normal in zip(args.grid, values["was_normal"]) if not normal]
+    if not_normal and (args.jacobi or args.maurer_cartan is not None):
         print(
-            f"note: frame not normal at {len(not_normal)} of {len(config.grid)} grid times "
+            f"note: frame not normal at {len(not_normal)} of {len(args.grid)} grid times "
             f"(t={not_normal[0]!r} to {not_normal[-1]!r}); the Jacobi matrix and "
             "pullback are those of the normal frame anchored at each",
             file=sys.stderr,
@@ -271,13 +232,13 @@ def cmd_invariants(config):
         "command": "invariants",
         "k": curve.k,
         "n": curve.n,
-        "grid": [float(t) for t in config.grid],
-        "tolerance": config.tolerance,
+        "grid": [float(t) for t in args.grid],
+        "tolerance": args.tol,
         "points": points,
     }
 
     def csv_entries():
-        for t, point in zip(config.grid, points):
+        for t, point in zip(args.grid, points):
             yield t, "fanning_condition", point["fanning_condition"]
             yield t, "kappa", point["kappa"]
             for j, h in enumerate(point["h"], start=1):
@@ -291,12 +252,10 @@ def cmd_invariants(config):
     return report, csv_entries(), EXIT_OK
 
 
-def cmd_congruent(config):
-    curve_a = load_curve(config.paths[0])
-    curve_b = load_curve(config.paths[1])
-    witness = are_congruent(
-        curve_a, curve_b, config.grid, tol=config.tolerance, seed=config.seed
-    )
+def cmd_congruent(args):
+    curve_a = load_curve(args.curve_a)
+    curve_b = load_curve(args.curve_b)
+    witness = are_congruent(curve_a, curve_b, args.grid, tol=args.tol, seed=args.seed)
     report = {
         "command": "congruent",
         "verdict": witness.verdict,
@@ -307,7 +266,7 @@ def cmd_congruent(config):
         "span_distances": list(witness.span_distances),
         "conjugator_condition": witness.conjugator_condition,
         "message": witness.message,
-        "tolerance": config.tolerance,
+        "tolerance": args.tol,
     }
 
     def csv_entries():
@@ -328,14 +287,14 @@ def cmd_congruent(config):
     return report, csv_entries(), code
 
 
-def cmd_canonicalize(config):
-    curve = load_curve(config.paths[0])
-    fj = curve.frame_jet(config.base_time, _jet_order(curve))
+def cmd_canonicalize(args):
+    curve = load_curve(args.curve)
+    fj = curve.frame_jet(args.t, _jet_order(curve))
     standard, ambient = canonicalize_jet(fj)
     entries = orbit_entries(standard)
     report = {
         "command": "canonicalize",
-        "t": float(config.base_time),
+        "t": float(args.t),
         "ambient": ambient,
         "standard_jet": {
             "base_time": standard.base_time,
@@ -343,11 +302,11 @@ def cmd_canonicalize(config):
             "coefficients": standard.jet.coeffs,
         },
         "orbit_coordinates": list(entries),
-        "tolerance": config.tolerance,
+        "tolerance": args.tol,
     }
 
     def csv_entries():
-        t0 = config.base_time
+        t0 = args.t
         yield t0, "ambient", ambient
         for i, c in enumerate(standard.jet.coeffs):
             yield t0, f"jet_coefficient_{i}", c
@@ -357,9 +316,9 @@ def cmd_canonicalize(config):
     return report, csv_entries(), EXIT_OK
 
 
-def cmd_normal_frame(config):
-    curve = load_curve(config.paths[0])
-    record = normal_frame(curve, config.grid)
+def cmd_normal_frame(args):
+    curve = load_curve(args.curve)
+    record = normal_frame(curve, args.grid)
     report = {
         "command": "normal-frame",
         "grid": list(record.times),
@@ -367,7 +326,7 @@ def cmd_normal_frame(config):
         "frames": record.frames,
         "q": record.q,
         "p1_residuals": record.p1_residuals,
-        "tolerance": config.tolerance,
+        "tolerance": args.tol,
     }
 
     def csv_entries():
@@ -381,13 +340,13 @@ def cmd_normal_frame(config):
     return report, csv_entries(), EXIT_OK
 
 
-def cmd_verify(config):
-    curve = load_curve(config.paths[0])
-    tol = config.tolerance
+def cmd_verify(args):
+    curve = load_curve(args.curve)
+    tol = args.tol
     k, n = curve.k, curve.n
     kn = k * n
-    fj = curve.frame_jet(config.base_time, _jet_order(curve))
-    rng = np.random.default_rng(config.seed)
+    fj = curve.frame_jet(args.t, _jet_order(curve))
+    rng = np.random.default_rng(args.seed)
     checks = []
 
     def record(name, residual, tolerance):
@@ -441,8 +400,8 @@ def cmd_verify(config):
     passed = all(c["pass"] for c in checks)
     report = {
         "command": "verify",
-        "t": float(config.base_time),
-        "seed": config.seed,
+        "t": float(args.t),
+        "seed": args.seed,
         "tolerance": tol,
         "checks": checks,
         "passed": passed,
@@ -470,8 +429,7 @@ _COMMANDS = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        report, csv_entries, code = _COMMANDS[args.command](config)
+        report, csv_entries, code = _COMMANDS[args.command](_validated(args))
     except NotFanningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_FANNING
@@ -491,13 +449,13 @@ def main(argv=None):
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    if config.output_format == "json":
+    if args.format == "json":
         text = report_mod.dumps_json(report)
     else:
         text = report_mod.dumps_csv(csv_entries)
-    if config.out:
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)

@@ -477,15 +477,14 @@ class FrameJet:
                 f"horizontal-derivative routes disagree: residual {np.ravel(residual)[i]:.3e}"
             )
 
-        moving = np.empty(self.jet.batch + (k * n, k * n))
-        for j in range(k - 1):
-            moving[..., :, j * n : (j + 1) * n] = self.derivative_jet(j).value()
-        moving[..., :, (k - 1) * n :] = h.value()
+        # The H-lift replaces the last block column of the juxtaposed lift.
+        moving = np.concatenate(
+            (self.juxtaposed.value()[..., : (k - 1) * n], h.value()), axis=-1
+        )
 
         # The bundle is shared by every reader of this jet, so its matrices
         # are read-only like the jets'.
-        nilpotent = nilpotent_matrix(k, n)
-        for matrix in (reflection, projection, pdot, jacobi, moving, nilpotent):
+        for matrix in (reflection, projection, pdot, jacobi, moving):
             matrix.setflags(write=False)
         if np.ndim(residual) == 0:
             residual = float(residual)
@@ -499,8 +498,6 @@ class FrameJet:
             jacobi=jacobi,
             horizontal=h,
             moving_frame=moving,
-            nilpotent=nilpotent,
-            base_time=self.base_time,
             horizontal_residual=residual,
         )
 
@@ -538,7 +535,7 @@ class EndomorphismBundle:
     derivative, ``jacobi`` its square; ``horizontal`` spans the horizontal
     curve; ``moving_frame`` juxtaposes ``(A | ... | A^(k-2) | H)`` at the
     base time.  Every entry has the frame jet's batch shape; for a batched
-    jet ``base_time`` and ``horizontal_residual`` are arrays over it.
+    jet ``horizontal_residual`` is an array over it.
     """
 
     fundamental: MatrixJet
@@ -548,8 +545,6 @@ class EndomorphismBundle:
     jacobi: np.ndarray
     horizontal: MatrixJet
     moving_frame: np.ndarray
-    nilpotent: np.ndarray
-    base_time: float
     horizontal_residual: float
 
 

@@ -289,19 +289,16 @@ def orbit_entries(fj):
     return tuple(entries)
 
 
-def jacobi_matrix(fj, which="K"):
-    """Moving-frame matrix of the Jacobi endomorphism or of ``P'``.
+def jacobi_matrix(fj):
+    """Moving-frame matrix of the Jacobi endomorphism.
 
     For a normal frame of order >= k+1, the Jacobi endomorphism written in
     the basis ``(A | ... | A^(k-2) | H)`` has a single nonzero column pair:
     the penultimate column stacks ``C(k-1, j) (h_(j-1) - h_(j-2)')`` from
     the bottom entry ``(k-1) kappa`` upward, and the corner block repeats
-    ``(k-1) kappa``.  For ``which="Pdot"`` the same stack sits in the last
-    column with an identity block at position (k, k-1).  The analytic
-    pattern is cross-checked against the direct change of basis.
+    ``(k-1) kappa``.  The analytic pattern is cross-checked against the
+    direct change of basis.
     """
-    if which not in ("K", "Pdot"):
-        raise ValueError(f"which must be 'K' or 'Pdot', got {which!r}")
     k, n = fj.k, fj.n
     batch = fj.jet.batch
     require_normal(fj)
@@ -314,16 +311,11 @@ def jacobi_matrix(fj, which="K"):
     # Entry j sits in block row k - j, counted from 1; block row k is zero.
     column = np.concatenate(entries[::-1] + (np.zeros_like(entries[0]),), axis=-2)
     pattern = np.zeros(batch + (k * n, k * n))
-    if which == "K":
-        pattern[..., :, (k - 2) * n : (k - 1) * n] = column
-        pattern[..., (k - 1) * n :, (k - 1) * n :] = entries[0]
-    else:
-        pattern[..., :, (k - 1) * n :] = column
-        pattern[..., (k - 1) * n :, (k - 2) * n : (k - 1) * n] = np.eye(n)
+    pattern[..., :, (k - 2) * n : (k - 1) * n] = column
+    pattern[..., (k - 1) * n :, (k - 1) * n :] = entries[0]
 
     bundle = endomorphism_bundle(fj)
-    target = bundle.jacobi if which == "K" else bundle.pdot
-    direct = np.linalg.solve(bundle.moving_frame, target @ bundle.moving_frame)
+    direct = np.linalg.solve(bundle.moving_frame, bundle.jacobi @ bundle.moving_frame)
     scale = 1.0 + np.max(np.abs(direct), axis=(-2, -1))
     residual = np.max(np.abs(direct - pattern), axis=(-2, -1))
     i = first_failure(residual > CONSISTENCY_RTOL * scale)

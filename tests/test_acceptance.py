@@ -260,7 +260,7 @@ def test_criterion_07_jacobi_matrix():
             )
             # the library's own pattern builder must agree as well
             worst = max(
-                worst, np.max(np.abs(jacobi_matrix(nj, which="K") - direct_k))
+                worst, np.max(np.abs(jacobi_matrix(nj) - direct_k))
             )
     report(7, worst < 1e-8, "Jacobi and P' moving-frame matrices match the patterns", worst)
 

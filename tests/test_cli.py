@@ -525,6 +525,15 @@ class TestInputValidation:
         assert out == ""
         assert err == "error: --seed must be a non-negative integer, got -3\n"
 
+    @pytest.mark.parametrize("command", ["invariants", "normal-frame", "congruent"])
+    def test_empty_grid_exit_2(self, command, tmp_path, capsys):
+        path = write_curve(tmp_path / "std.json", standard_curve(2, 1))
+        curves = [path, path] if command == "congruent" else [path]
+        assert main([command, *curves, "--grid", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {command} needs a time grid\n"
+
 
 class TestPlumbing:
     def test_parser_built_once_per_process(self, tmp_path, capsys):

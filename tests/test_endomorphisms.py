@@ -177,7 +177,7 @@ class TestBundle:
         fj = random_frame_jet(3, 2, 5, rng)
         b = endomorphism_bundle(fj)
         for matrix in (b.reflection, b.projection, b.pdot, b.jacobi,
-                       b.moving_frame, b.nilpotent):
+                       b.moving_frame):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 1.0
         assert endomorphism_bundle(fj) is b
@@ -188,12 +188,8 @@ class TestJacobiMatrix:
         k, n = 4, 2
         fj = standard_jet(k, n, k + 2)
         np.testing.assert_allclose(
-            jacobi_matrix(fj, which="K"), np.zeros((k * n, k * n)), atol=1e-12
+            jacobi_matrix(fj), np.zeros((k * n, k * n)), atol=1e-12
         )
-        pdot = jacobi_matrix(fj, which="Pdot")
-        expected = np.zeros((k * n, k * n))
-        expected[(k - 1) * n :, (k - 2) * n : (k - 1) * n] = np.eye(n)
-        np.testing.assert_allclose(pdot, expected, atol=1e-12)
 
     def test_requires_normal_frame(self, rng):
         curve = random_polynomial_curve(3, 2, rng)
@@ -205,7 +201,7 @@ class TestJacobiMatrix:
         """k=3, n=1: only the top-right 2x2 corner of the matrix is active."""
         curve = random_polynomial_curve(3, 1, rng)
         nj = normalized_frame_jet(curve.frame_jet(0.15, 9))
-        jac = jacobi_matrix(nj, which="K")
+        jac = jacobi_matrix(nj)
         mask = np.ones((3, 3), dtype=bool)
         mask[0, 1] = mask[1, 1] = mask[2, 2] = False
         assert np.max(np.abs(jac[mask])) < 1e-9
@@ -228,10 +224,8 @@ class TestJacobiMatrix:
             curve = random_polynomial_curve(k, n, rng)
             nj = normalized_frame_jet(curve.frame_jet(0.2, 2 * k + 2))
             b = endomorphism_bundle(nj)
-            for which, target in (("K", b.jacobi), ("Pdot", b.pdot)):
-                pattern = jacobi_matrix(nj, which=which)
-                direct = np.linalg.solve(b.moving_frame, target @ b.moving_frame)
-                np.testing.assert_allclose(pattern, direct, atol=1e-8)
+            direct = np.linalg.solve(b.moving_frame, b.jacobi @ b.moving_frame)
+            np.testing.assert_allclose(jacobi_matrix(nj), direct, atol=1e-8)
 
 
 class TestMaurerCartan:

@@ -1,10 +1,23 @@
 """The maintenance scripts under ``tools/`` run on this checkout."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+parity = _load_tool("parity")
 
 
 def test_surface_prints_three_counts():
@@ -35,3 +48,41 @@ def test_abtime_runs_a_tree_against_itself():
     assert lines[0].startswith("round 1: old ") and " new/old " in lines[0]
     assert lines[1].startswith("congruence seed 1: 1 rounds of ")
     assert lines[1].endswith(", 0 commands with a different exit code or stdout")
+
+
+class TestParityComparison:
+    def test_worst_difference_is_relative_to_the_old_value(self):
+        old = {"t": 0.0, "x": [1.0, 3.0], "code": 2}
+        new = {"t": 0.0, "x": [1.0, 3.5], "code": 2}
+        assert parity.worst_difference(old, new) == (0.125, ".x[1]")
+        assert parity.worst_difference(old, old)[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ({"a": 1.0}, {"b": 1.0}),
+            ({"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}),
+            ([1.0, 2.0], [1.0]),
+            ({"verdict": "congruent"}, {"verdict": "not_congruent"}),
+            (None, 0.0),
+            (True, False),
+            (True, 1),
+            (0.0, False),
+        ],
+        ids=["keys", "key-order", "length", "string", "null", "bool", "bool-int", "float-bool"],
+    )
+    def test_worst_difference_raises_on_a_structural_mismatch(self, old, new):
+        with pytest.raises(parity.Mismatch):
+            parity.worst_difference(old, new)
+
+    def test_report_difference_takes_one_common_sign(self):
+        old = {"conjugator": [[1.0, 2.0]], "ambient": [[3.0]], "residuals": [0.5]}
+        both = {"conjugator": [[-1.0, -2.0]], "ambient": [[-3.0]], "residuals": [0.5]}
+        assert parity.report_difference(old, both)[0] == 0.0
+        one = {"conjugator": [[-1.0, -2.0]], "ambient": [[3.0]], "residuals": [0.5]}
+        assert parity.report_difference(old, one)[0] > 1.0
+
+    def test_report_difference_compares_the_rest_of_the_report(self):
+        old = {"conjugator": [[1.0]], "ambient": [[2.0]], "residuals": [1.0]}
+        new = {"conjugator": [[-1.0]], "ambient": [[-2.0]], "residuals": [1.5]}
+        assert parity.report_difference(old, new) == (0.25, ".residuals[0]")

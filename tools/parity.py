@@ -91,7 +91,8 @@ def tree_results(tree, jobs_path, out_path):
 def worst_difference(a, b, where=""):
     """``(largest |a - b| / (1 + |a|), where)`` over matching numbers of two reports.
 
-    Raises :class:`Mismatch` when the structures, strings or nulls differ.
+    Raises :class:`Mismatch` when the structures, strings, nulls or booleans
+    differ; a boolean is not a number.
     """
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
@@ -111,7 +112,7 @@ def worst_difference(a, b, where=""):
     if (isinstance(a, numeric) and isinstance(b, numeric)
             and not isinstance(a, bool) and not isinstance(b, bool)):
         return abs(a - b) / (1.0 + abs(a)), where
-    if a != b:
+    if a != b or isinstance(a, bool) != isinstance(b, bool):
         raise Mismatch(f"{where}: {a!r} vs {b!r}")
     return 0.0, where
 
