@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DEFAULT_CONDITION_LIMIT, InsufficientOrderError
+from .curves import DEFAULT_CONDITION_LIMIT, require_order
 from .invariants import (
     checked_grid,
     normalized_frame_jet,
@@ -139,28 +139,28 @@ def trace_gaps(wa, wb):
     m = 1 .. n, compares ``tr(w^m)`` of invariant j at sample i as
     ``|tr_A - tr_B| / (1 + max(|tr_A|, |tr_B|))``.  Congruent curves have
     equal traces, since a frame change conjugates every invariant
-    pointwise and an ambient map leaves them unchanged.
+    pointwise and an ambient map leaves them unchanged.  A power that
+    overflows gives a gap that is not finite, without a numpy warning.
     """
     gaps = []
     pa, pb = wa, wb
-    for m in range(wa.shape[-1]):
-        if m:
-            pa, pb = pa @ wa, pb @ wb
-        ta, tb = np.trace(pa, axis1=-2, axis2=-1), np.trace(pb, axis1=-2, axis2=-1)
-        gaps.append(np.abs(ta - tb) / (1.0 + np.maximum(np.abs(ta), np.abs(tb))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(wa.shape[-1]):
+            if m:
+                pa, pb = pa @ wa, pb @ wb
+            ta, tb = np.trace(pa, axis1=-2, axis2=-1), np.trace(pb, axis1=-2, axis2=-1)
+            gaps.append(np.abs(ta - tb) / (1.0 + np.maximum(np.abs(ta), np.abs(tb))))
     return np.stack(gaps)
 
 
-def _trace_refusal(gaps, samples):
-    """Message naming the largest trace gap, its word and its time."""
-    m, j, i = np.unravel_index(np.argmax(gaps), gaps.shape)
+def _largest_gap(gaps, samples):
+    """The first trace gap that is not finite, else the largest, and ``tr(word) at t=...``."""
+    index = np.unravel_index(np.argmax(np.where(np.isfinite(gaps), gaps, np.inf)), gaps.shape)
+    m, j, i = index
     word = "kappa" if j == 0 else f"h_{j}"
     if m:
         word = f"{word}^{m + 1}"
-    return (
-        f"invariant traces differ: tr({word}) at t={samples[i]!r} "
-        f"by {gaps[m, j, i]:.3e} (relative)"
-    )
+    return gaps[index], f"tr({word}) at t={samples[i]!r}"
 
 
 def _reduced_coefficients(curve, times, w):
@@ -180,7 +180,8 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     Each curve's frame jets of order 2k-1 are built once, A's first, and
     checked for fanning at every sample.  Their invariants decide first:
     when :func:`trace_gaps` exceeds ``tol`` anywhere, the curves are not
-    congruent and nothing is integrated.  Otherwise the normal frames'
+    congruent and nothing is integrated; a gap that is not finite raises
+    ``LinAlgError`` naming its word and time.  Otherwise the normal frames'
     ``Q_j`` values, the invariants conjugated by :func:`normalizer` (the
     invariants themselves for n = 1), feed :func:`simultaneous_conjugator`;
     on success the ambient transformation is reconstructed from the two
@@ -203,7 +204,11 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     wa, wb = (wilczynski_invariants(fj).values() for fj in jets)
     gaps = trace_gaps(wa, wb)
     if not np.max(gaps) <= tol:
-        return _refused("not_congruent", samples, _trace_refusal(gaps, samples))
+        gap, site = _largest_gap(gaps, samples)
+        if not np.isfinite(gap):
+            raise np.linalg.LinAlgError(f"{site} is not finite")
+        message = f"invariant traces differ: {site} by {gap:.3e} (relative)"
+        return _refused("not_congruent", samples, message)
 
     # q[j - 2, i] is Q_j at samples[i]: kappa, h_1 .. h_(k-2) of the normal
     # frame, whose P_1 vanishes.  The pairs run sample by sample.
@@ -261,12 +266,8 @@ def canonicalize_jet(fj):
     leaves all entries that depend on the first k+1 derivatives
     unchanged.
     """
-    k = fj.k
-    if fj.order < k + 1:
-        raise InsufficientOrderError(
-            f"canonicalization needs jet order >= {k + 1}, have {fj.order}"
-        )
-    normal = normalized_frame_jet(fj.extended_with_zeros(max(fj.order, 2 * k + 2)))
+    require_order(fj.order, fj.k + 1, "canonicalization")
+    normal = normalized_frame_jet(fj.extended_with_zeros(2 * fj.k + 2))
     ambient = np.linalg.inv(normal.juxtaposed.value())
     return normal.left_multiplied(ambient), ambient
 

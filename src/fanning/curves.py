@@ -35,6 +35,11 @@ the juxtaposed value must have a condition number below
 ``DEFAULT_CONDITION_LIMIT``.  The jet solves for ``P_j`` and F run it
 first and share its inverse of that value, so everything built on them is
 behind it; :func:`~fanning.jets.jet_solve` checks no conditioning.
+
+:func:`require_order` is the package's one order gate: every computation
+that reads jets to a fixed order (``P_j`` frame order k, the horizontal
+derivative and the endomorphism bundle k+1, the full invariant set 2k-1)
+calls it, and it alone raises :class:`InsufficientOrderError`.
 """
 
 import itertools
@@ -82,6 +87,12 @@ class NotFanningError(RuntimeError):
 
 class InsufficientOrderError(ValueError):
     """A jet of higher order is required for the requested computation."""
+
+
+def require_order(order, minimum, what):
+    """The one order gate: ``what`` needs jet order ``minimum``, and ``order`` is held."""
+    if order < minimum:
+        raise InsufficientOrderError(f"{what} needs jet order >= {minimum}, have {order}")
 
 
 class IntegrationError(RuntimeError):
@@ -325,10 +336,7 @@ class FrameJet:
         self.k = rows // cols
         if self.k < 2:
             raise CurveFormatError("frames need k >= 2 (ambient dimension kn > n)")
-        if jet.order < self.k - 1:
-            raise InsufficientOrderError(
-                f"frame jet order {jet.order} is below k-1={self.k - 1}"
-            )
+        require_order(jet.order, self.k - 1, f"a frame jet with k={self.k}")
         self.jet = jet
 
     @property
@@ -341,12 +349,9 @@ class FrameJet:
 
     def derivative_jet(self, j):
         """Jet of A^(j) about the base time (order drops by ``j``)."""
+        require_order(self.order, j, f"derivative {j}")
         if j == 0:
             return self.jet
-        if j > self.jet.order:
-            raise InsufficientOrderError(
-                f"derivative {j} needs jet order >= {j}, have {self.jet.order}"
-            )
         blocks = _derivative_blocks(self.jet.coeffs, (j,), self.jet.order - j + 1)
         return MatrixJet(self.base_time, blocks)
 
@@ -405,10 +410,7 @@ class FrameJet:
         have order R - k.
         """
         k, n = self.k, self.n
-        if self.order < k:
-            raise InsufficientOrderError(
-                f"equation coefficients need frame order >= {k}, have {self.order}"
-            )
+        require_order(self.order, k, "the equation coefficients")
         self.require_fanning()
         s = jet_solve(self.juxtaposed, -self.derivative_jet(k), self._value_inverse).coeffs
         s = s.reshape(s.shape[:-2] + (k, n, n))
@@ -435,15 +437,9 @@ class FrameJet:
     def horizontal(self):
         """Jet of ``H = A^(k-1) - (1/k) F A^(k)``, the span of the horizontal curve."""
         k = self.k
-        if self.order < k + 1:
-            raise InsufficientOrderError(
-                f"the horizontal derivative needs frame order >= {k + 1}, have {self.order}"
-            )
-        top = self.derivative_jet(k)
-        f = self.fundamental_endomorphism
-        return self.derivative_jet(k - 1).truncated(top.order) - (1.0 / k) * jet_mul(
-            f.truncated(top.order), top
-        )
+        require_order(self.order, k + 1, "the horizontal derivative")
+        f_top = jet_mul(self.fundamental_endomorphism, self.derivative_jet(k))
+        return self.derivative_jet(k - 1) - (1.0 / k) * f_top
 
     @cached_property
     def endomorphism_bundle(self):
@@ -453,10 +449,7 @@ class FrameJet:
         equation coefficients; the two routes must agree.
         """
         k, n = self.k, self.n
-        if self.order < k + 1:
-            raise InsufficientOrderError(
-                f"the endomorphism bundle needs frame order >= {k + 1}, have {self.order}"
-            )
+        require_order(self.order, k + 1, "the endomorphism bundle")
         f = self.fundamental_endomorphism
         eye = np.eye(k * n)
         fdot = f.derivative_value(1)
@@ -551,12 +544,9 @@ class EndomorphismBundle:
 def _horizontal_from_coefficients(fj, p):
     """Eq-derived route: ``H = A^(k-1) + sum C(k-1, i) A^(k-1-i) P_i``."""
     k = fj.k
-    order = fj.order - k
-    acc = fj.derivative_jet(k - 1).truncated(order)
+    acc = fj.derivative_jet(k - 1)
     for i in range(1, k):
-        acc = acc + math.comb(k - 1, i) * jet_mul(
-            fj.derivative_jet(k - 1 - i).truncated(order), p[i - 1].truncated(order)
-        )
+        acc = acc + math.comb(k - 1, i) * jet_mul(fj.derivative_jet(k - 1 - i), p[i - 1])
     return acc
 
 
@@ -595,8 +585,7 @@ class PolynomialFrameCurve:
 
     def frame_jets(self, times, order):
         """Exact frame jets at many times, batched over ``times`` in the caller's order."""
-        if order < self.k - 1:
-            raise InsufficientOrderError(f"order {order} is below k-1={self.k - 1}")
+        require_order(order, self.k - 1, f"frame jets with k={self.k}")
         return FrameJet(self.polynomial.jet_at(times, order))
 
     def transformed(self, t_matrix):
@@ -685,8 +674,7 @@ class OdeFrameCurve:
         caller's order; a repeated time repeats its state.
         """
         k, kn = self.k, self.k * self.n
-        if order < k - 1:
-            raise InsufficientOrderError(f"order {order} is below k-1={k - 1}")
+        require_order(order, k - 1, f"frame jets with k={k}")
         times = np.array(times, dtype=float)
         flat = times.ravel().tolist()
         for t in flat:

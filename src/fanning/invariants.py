@@ -26,11 +26,11 @@ import numpy as np
 from .curves import (
     CONSISTENCY_RTOL,
     TAYLOR_ORDER,
-    InsufficientOrderError,
     InternalConsistencyError,
     OdeFrameCurve,
     expansion_order,
     first_failure,
+    require_order,
     solve_ivp,
 )
 from .jets import MatrixJet, cauchy_product, jet_mul, linear_taylor
@@ -83,10 +83,7 @@ def invariants_from_coefficients(p):
     batched over its terms, added in increasing ``i``.
     """
     k, p1 = len(p), p[0]
-    if p1.order < k - 1:
-        raise InsufficientOrderError(
-            f"h_{k - 2} needs coefficient jets of order >= {k - 1}, have {p1.order}"
-        )
+    require_order(p1.order, k - 1, f"h_{k - 2} from coefficient jets")
     w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
     for _ in range(k - 1):
         w.append(-jet_mul(p1, w[-1]) + w[-1].derivative())
@@ -110,11 +107,7 @@ def wilczynski_invariants(fj):
     Producing ``h_j`` as a value needs a frame jet of order at least
     ``k + j + 1``, since its top term contains ``P_1^(j+1)``.
     """
-    k = fj.k
-    if fj.order < 2 * k - 1:
-        raise InsufficientOrderError(
-            f"the full invariant set needs frame order >= {2 * k - 1}, have {fj.order}"
-        )
+    require_order(fj.order, 2 * fj.k - 1, "the full invariant set")
     return invariants_from_coefficients(ode_coefficients(fj))
 
 
@@ -302,10 +295,7 @@ def jacobi_matrix(fj):
     k, n = fj.k, fj.n
     batch = fj.jet.batch
     require_normal(fj)
-    if ode_coefficients(fj)[1].order < 1:
-        raise InsufficientOrderError(
-            f"the Jacobi matrix needs frame order >= {k + 1}, have {fj.order}"
-        )
+    require_order(fj.order, k + 1, "the Jacobi matrix")
 
     entries = orbit_entries(fj)
     # Entry j sits in block row k - j, counted from 1; block row k is zero.
@@ -338,10 +328,7 @@ def maurer_cartan_pullback(fj, lift="with_H"):
         raise ValueError(f"unknown lift {lift!r}")
     k, n = fj.k, fj.n
     require_normal(fj)
-    if fj.order < k + 1:
-        raise InsufficientOrderError(
-            f"the pullback needs frame order >= {k + 1}, have {fj.order}"
-        )
+    require_order(fj.order, k + 1, "the Maurer-Cartan pullback")
     # The H-lift replaces the last block column of the juxtaposed lift.
     lifted = fj.juxtaposed.coeffs[..., :2, :, :].copy()
     if lift == "with_H":

@@ -50,12 +50,13 @@ def span_distance(u, v):
     return float(distance) if distance.ndim == 0 else distance
 
 
-def nullspace(m, floor=0.0):
+def nullspace(m, floor):
     """Columns spanning the numerical right nullspace of ``m``.
 
     Singular values at or below ``max(NULLSPACE_RTOL * sigma_max, floor)``
-    count as zero; ``floor`` guards against operators that are numerically
-    zero altogether, where a purely relative cut would report full rank.  Tall
+    count as zero; the absolute ``floor`` guards against operators that are
+    numerically zero altogether, where a purely relative cut would report
+    full rank, so every caller states it.  Tall
     inputs take the thin SVD, which never forms the rows x rows ``U``; wide
     ones need the full ``V``, whose extra rows span part of the nullspace.
     """

@@ -309,6 +309,36 @@ class TestCongruentCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "not_congruent"
 
+    def test_trace_overflow_is_one_line(self, tmp_path):
+        # A(t) = (I ; t I + 1e80 t^2 diag(1, 2)): kappa is about -1e160, finite,
+        # but tr(kappa^2) overflows, so comparing the curve with itself is no verdict.
+        data = {
+            "kind": "polynomial",
+            "k": 2,
+            "n": 2,
+            "coefficients": [
+                np.eye(4, 2).tolist(),
+                np.eye(4, 2, -2).tolist(),
+                (np.eye(4, 2, -2) @ np.diag([1e80, 2e80])).tolist(),
+            ],
+        }
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(data))
+        src = str(Path(fanning.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        argv = ["congruent", str(path), str(path), "--grid", "0,1e-200"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanning.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "numerical failure: tr(kappa^2) at t=0.0 is not finite\n"
+
 
 class TestFanningCheckedBeforeIntegrating:
     def test_singular_at_first_grid_time(self, tmp_path, capsys):

@@ -18,7 +18,15 @@ from fanning import (
     curve_to_dict,
     standard_curve,
 )
+from fanning.congruence import canonicalize_jet
 from fanning.curves import DEFAULT_CONDITION_LIMIT, FrameJet, _jet_from_state
+from fanning.invariants import (
+    invariants_from_coefficients,
+    jacobi_matrix,
+    maurer_cartan_pullback,
+    normalized_frame_jet,
+    wilczynski_invariants,
+)
 from fanning.jets import horner
 from conftest import (
     ALL_KN,
@@ -26,6 +34,7 @@ from conftest import (
     drifting_ode_curve,
     frame_jet_samples,
     ode_jet_reference,
+    random_frame_jet,
     random_invertible,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
@@ -613,3 +622,79 @@ class TestPropagator:
         assert sol.nfev == 2
         expected = [[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]]
         np.testing.assert_allclose(sol.y[-1], expected, rtol=0, atol=1e-12)
+
+
+def _truncated(fj, order):
+    return FrameJet(fj.jet.truncated(order))
+
+
+# Every order requirement of the package at k = 3: the quantity its message
+# names, its minimum order, and a call at one order.  ``normal`` is a normal
+# fanning frame jet of order 7; ``curves`` a polynomial and an ODE curve.
+ORDER_REQUIREMENTS = [
+    ("a frame jet with k=3", 2, lambda normal, curves, r: _truncated(normal, r)),
+    ("derivative 3", 3, lambda normal, curves, r: _truncated(normal, r).derivative_jet(3)),
+    (
+        "the equation coefficients",
+        3,
+        lambda normal, curves, r: _truncated(normal, r).equation_coefficients,
+    ),
+    ("the horizontal derivative", 4, lambda normal, curves, r: _truncated(normal, r).horizontal),
+    (
+        "the endomorphism bundle",
+        4,
+        lambda normal, curves, r: _truncated(normal, r).endomorphism_bundle,
+    ),
+    ("frame jets with k=3", 2, lambda normal, curves, r: curves[0].frame_jets([0.0, 0.2], r)),
+    ("frame jets with k=3", 2, lambda normal, curves, r: curves[1].frame_jets([-0.2, 0.2], r)),
+    (
+        "h_1 from coefficient jets",
+        2,
+        lambda normal, curves, r: invariants_from_coefficients(
+            tuple(p.truncated(r) for p in normal.equation_coefficients)
+        ),
+    ),
+    (
+        "the full invariant set",
+        5,
+        lambda normal, curves, r: wilczynski_invariants(_truncated(normal, r)),
+    ),
+    ("the Jacobi matrix", 4, lambda normal, curves, r: jacobi_matrix(_truncated(normal, r))),
+    (
+        "the Maurer-Cartan pullback",
+        4,
+        lambda normal, curves, r: maurer_cartan_pullback(_truncated(normal, r)),
+    ),
+    ("canonicalization", 4, lambda normal, curves, r: canonicalize_jet(_truncated(normal, r))),
+]
+
+
+class TestOrderGate:
+    """Every order requirement raises one message below its minimum and passes at it."""
+
+    @pytest.mark.parametrize(
+        "what, minimum, call",
+        ORDER_REQUIREMENTS,
+        ids=[
+            "FrameJet",
+            "derivative_jet",
+            "equation_coefficients",
+            "horizontal",
+            "endomorphism_bundle",
+            "polynomial_frame_jets",
+            "ode_frame_jets",
+            "invariants_from_coefficients",
+            "wilczynski_invariants",
+            "jacobi_matrix",
+            "maurer_cartan_pullback",
+            "canonicalize_jet",
+        ],
+    )
+    def test_minimum_order(self, what, minimum, call, rng):
+        normal = normalized_frame_jet(random_frame_jet(3, 2, 9, rng))
+        assert normal.order == 7
+        curves = (random_polynomial_curve(3, 2, rng), drifting_ode_curve(rng, 3, 2))
+        with pytest.raises(InsufficientOrderError) as excinfo:
+            call(normal, curves, minimum - 1)
+        assert str(excinfo.value) == f"{what} needs jet order >= {minimum}, have {minimum - 1}"
+        call(normal, curves, minimum)

@@ -48,18 +48,18 @@ def test_span_distance_of_a_stack_is_per_pair(rng):
 def test_nullspace_and_floor(rng):
     m = rng.standard_normal((4, 4))
     m[:, 3] = m[:, 0] + m[:, 1]
-    ns = nullspace(m)
+    ns = nullspace(m, floor=0.0)
     assert ns.shape[1] == 1
     assert np.max(np.abs(m @ ns)) < 1e-12
     tiny = 1e-13 * rng.standard_normal((3, 3))
     assert nullspace(tiny, floor=1e-9).shape[1] == 3
-    assert nullspace(np.zeros((2, 2))).shape[1] == 2
+    assert nullspace(np.zeros((2, 2)), floor=0.0).shape[1] == 2
 
 
 def test_nullspace_of_wide_matrix(rng):
     m = rng.standard_normal((3, 7))
     m[2] = m[0] - m[1]
-    ns = nullspace(m)
+    ns = nullspace(m, floor=0.0)
     assert ns.shape == (7, 5)
     assert np.max(np.abs(m @ ns)) < 1e-12
     np.testing.assert_allclose(ns.T @ ns, np.eye(5), atol=1e-12)
