@@ -80,24 +80,34 @@ def invariants_from_coefficients(p):
     the closed recursion ``h_(j-2) = sum_i C(j, i) W_(j-i) P_i`` with
     ``P_0 = W_0 = I``, ``W_1 = -P_1`` (one order more than ``W_0'`` keeps)
     and ``W_(m+1) = -P_1 W_m + W_m'``.  Each sum is one Cauchy product
-    batched over its terms, added in increasing ``i``.
+    batched over its terms, added in increasing ``i``.  Raises ``LinAlgError``
+    naming the first invariant and time whose value is not finite.
     """
     k, p1 = len(p), p[0]
     require_order(p1.order, k - 1, f"h_{k - 2} from coefficient jets")
-    w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
-    for _ in range(k - 1):
-        w.append(-jet_mul(p1, w[-1]) + w[-1].derivative())
-    hs = []
-    for j in range(2, k + 1):
-        count = min(x.order + 1 for x in [w[j]] + list(p[:j]))
-        terms = cauchy_product(
-            np.stack([w[j - i].coeffs[..., :count, :, :] for i in range(1, j + 1)]),
-            np.stack([p[i - 1].coeffs[..., :count, :, :] for i in range(1, j + 1)]),
-        )
-        h = w[j].coeffs[..., :count, :, :]
-        for i in range(1, j + 1):
-            h = h + math.comb(j, i) * terms[i - 1]
-        hs.append(MatrixJet(p1.base_time, h))
+    # High orders of W_m may overflow; no order that h_(j-2) keeps reads them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
+        for _ in range(k - 1):
+            w.append(-jet_mul(p1, w[-1]) + w[-1].derivative())
+        hs = []
+        for j in range(2, k + 1):
+            count = min(x.order + 1 for x in [w[j]] + list(p[:j]))
+            terms = cauchy_product(
+                np.stack([w[j - i].coeffs[..., :count, :, :] for i in range(1, j + 1)]),
+                np.stack([p[i - 1].coeffs[..., :count, :, :] for i in range(1, j + 1)]),
+            )
+            h = w[j].coeffs[..., :count, :, :]
+            for i in range(1, j + 1):
+                h = h + math.comb(j, i) * terms[i - 1]
+            hs.append(h)
+    finite = np.isfinite(np.stack([h[..., 0, :, :] for h in hs])).all(axis=(-2, -1))
+    if not finite.all():
+        j, i = np.argwhere(~finite.reshape(len(hs), -1))[0]
+        name = f"h_{j}" if j else "kappa"
+        t = float(np.ravel(p1.base_time)[i])
+        raise np.linalg.LinAlgError(f"{name} at t={t!r} is not finite")
+    hs = [MatrixJet(p1.base_time, h) for h in hs]
     return CoefficientSet(p=tuple(p), kappa=hs[0], h=tuple(hs[1:]))
 
 

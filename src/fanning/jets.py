@@ -149,11 +149,6 @@ class MatrixJet:
             raise JetError(f"derivative {i} is not held by an order-{self.order} jet")
         return math.factorial(i) * self.coeffs[..., i, :, :]
 
-    def truncated(self, order):
-        if order > self.order:
-            raise JetError(f"cannot extend an order-{self.order} jet to order {order}")
-        return MatrixJet(self.base_time, self.coeffs[..., : order + 1, :, :])
-
     # -- operator sugar --------------------------------------------------
 
     def __add__(self, other):

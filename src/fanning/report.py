@@ -2,8 +2,20 @@
 
 Floating-point values are printed with 17 significant digits so that
 reports round-trip exactly and identical runs produce identical bytes.
+A non-finite float prints as ``null`` in both formats, and ``-0.0`` as
+``-0``.
+
+A float array whose entries are all finite is rendered in bulk: its
+flattened values fill a ``%``-template of the array's exact layout, one
+``%.17g`` per entry, in a single string operation.  The template is built
+from the shape and nesting level, each n-dimensional layer joining copies
+of the one below.  Every other value (a non-finite entry, a sum of
+entries that overflows, an empty or 0-d array, an integer, bool or object
+array, and every Python scalar) takes the per-value route, which writes
+the same bytes one number at a time.
 """
 
+import functools
 import io
 import math
 
@@ -21,6 +33,39 @@ def _fmt(x):
     return format(x, ".17g")
 
 
+def _finite_values(a):
+    """The entries of float array ``a`` as a flat list if all are finite, else None."""
+    if a.dtype.kind != "f" or a.ndim == 0 or a.size == 0:
+        return None
+    values = a.ravel().tolist()
+    # The sum is finite only if every entry is (and it does not overflow).
+    return values if math.isfinite(sum(values)) else None
+
+
+def _json_template(shape, level):
+    """``%``-template of a non-empty array of ``shape`` written at nesting ``level``."""
+    if len(shape) == 2:
+        return _matrix_json_template(shape[0], shape[1], level)
+    inner = "%.17g" if len(shape) == 1 else _json_template(shape[1:], level + 1)
+    return _json_list(inner, shape[0], level)
+
+
+@functools.lru_cache(maxsize=256)
+def _matrix_json_template(rows, cols, level):
+    return _json_list(_json_list("%.17g", cols, level + 1), rows, level)
+
+
+def _json_list(item, count, level):
+    pad = " " * (INDENT * (level + 1))
+    return "[\n" + pad + (",\n" + pad).join([item] * count) + "\n" + pad[INDENT:] + "]"
+
+
+@functools.lru_cache(maxsize=256)
+def _csv_template(rows, cols):
+    """``%``-template of one matrix's CSV rows; each row takes the ``t,name,`` prefix and a value."""
+    return "\n".join(f"%s{i},{j},%.17g" for i in range(rows) for j in range(cols))
+
+
 def dumps_json(obj):
     """Serialize nested dict/list/scalar data with 17-significant-digit floats."""
     out = io.StringIO()
@@ -30,9 +75,14 @@ def dumps_json(obj):
 
 
 def _write_json(out, obj, level):
-    pad = " " * (INDENT * (level + 1))
-    closing = " " * (INDENT * level)
-    if isinstance(obj, (dict, list, tuple)):
+    if isinstance(obj, np.ndarray):
+        values = _finite_values(obj)
+        if values is None:
+            _write_json(out, obj.tolist(), level)
+        else:
+            out.write(_json_template(obj.shape, level) % tuple(values))
+    elif isinstance(obj, (dict, list, tuple)):
+        pad = " " * (INDENT * (level + 1))
         is_dict = isinstance(obj, dict)
         items = list(obj.items() if is_dict else enumerate(obj))
         brackets = "{}" if is_dict else "[]"
@@ -45,7 +95,7 @@ def _write_json(out, obj, level):
                 out.write(",\n")
             out.write(f'{pad}"{key}": ' if is_dict else pad)
             _write_json(out, value, level + 1)
-        out.write("\n" + closing + brackets[1])
+        out.write("\n" + pad[INDENT:] + brackets[1])
     elif isinstance(obj, bool):
         out.write("true" if obj else "false")
     elif obj is None:
@@ -56,8 +106,6 @@ def _write_json(out, obj, level):
         out.write(_fmt(obj))
     elif isinstance(obj, str):
         out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, np.ndarray):
-        _write_json(out, obj.tolist(), level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -66,6 +114,11 @@ def matrix_rows(t, name, matrix):
     """CSV rows ``t, name, i, j, value`` for one matrix (row-major) or scalar."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     t_text = "" if t is None else _fmt(t)
+    values = _finite_values(matrix) if matrix.ndim == 2 else None
+    if values is not None:
+        args = [f"{t_text},{name},", None] * len(values)
+        args[1::2] = values
+        return (_csv_template(*matrix.shape) % tuple(args)).split("\n")
     rows = []
     for i in range(matrix.shape[0]):
         for j in range(matrix.shape[1]):

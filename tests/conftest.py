@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import io
 import math
 
 import numpy as np
@@ -202,6 +203,12 @@ def taylor_shift(coefficients, t, order):
     return out
 
 
+def truncated(jet, order):
+    """``jet`` with its coefficients above ``order`` dropped."""
+    assert order <= jet.order, f"cannot extend an order-{jet.order} jet to order {order}"
+    return MatrixJet(jet.base_time, jet.coeffs[..., : order + 1, :, :])
+
+
 def jet_mul_reference(a, b):
     """Cauchy product summed term by term: ``c_j = a_0 b_j``, then ``+= a_i b_(j-i)``."""
     out = []
@@ -370,3 +377,60 @@ def h2_closed_form(p1, p2, p3, p4):
 
 ALL_KN = [(k, n) for k in (2, 3, 4, 5) for n in (1, 2, 3)]
 SMALL_KN = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1)]
+
+
+def _fmt_reference(x):
+    x = float(x)
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+def dumps_json_reference(obj):
+    """JSON report text written one value at a time, arrays through ``tolist()``."""
+    out = io.StringIO()
+    _write_json_reference(out, obj, 0)
+    out.write("\n")
+    return out.getvalue()
+
+
+def _write_json_reference(out, obj, level):
+    pad = " " * (2 * (level + 1))
+    closing = " " * (2 * level)
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        items = list(obj.items() if is_dict else enumerate(obj))
+        brackets = "{}" if is_dict else "[]"
+        if not items:
+            out.write(brackets)
+            return
+        out.write(brackets[0] + "\n")
+        for i, (key, value) in enumerate(items):
+            if i:
+                out.write(",\n")
+            out.write(f'{pad}"{key}": ' if is_dict else pad)
+            _write_json_reference(out, value, level + 1)
+        out.write("\n" + closing + brackets[1])
+    elif isinstance(obj, bool):
+        out.write("true" if obj else "false")
+    elif obj is None:
+        out.write("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.write(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.write(_fmt_reference(obj))
+    elif isinstance(obj, str):
+        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(obj, np.ndarray):
+        _write_json_reference(out, obj.tolist(), level)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def matrix_rows_reference(t, name, matrix):
+    """CSV rows ``t, name, i, j, value`` of one matrix, one entry at a time."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    t_text = "" if t is None else _fmt_reference(t)
+    return [
+        f"{t_text},{name},{i},{j},{_fmt_reference(matrix[i, j])}"
+        for i in range(matrix.shape[0])
+        for j in range(matrix.shape[1])
+    ]

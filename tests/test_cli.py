@@ -60,6 +60,9 @@ CROSSING = [[[1.0], [-0.125]], [[0.0], [0.75]], [[0.0], [-1.5]], [[0.0], [1.0]]]
 # Finite, fanning at t=0 (condition 1) but not at t=0.3 (condition 1.1e17);
 # its jet inverse at t=0 overflows.
 HUGE = [[[1.0], [0.0]], [[0.0], [1.0]], [[1e300], [1e300]]]
+# A(t) = (1, t + 1e55 t^2): kappa(0) = -3e110 is finite, but the high
+# orders of the W_m recursion behind the invariants overflow.
+STEEP = [[[1.0], [0.0]], [[0.0], [1.0]], [[0.0], [1e55]]]
 # A(t) = (1, t + t^2): fanning everywhere, but t^2 overflows at t=1e200.
 QUAD = [[[1.0], [0.0]], [[0.0], [1.0]], [[0.0], [1.0]]]
 # A(t) = (1, t + t^3): P_1(0) = 0 but P_1'(0) = -3, so the frame is normal
@@ -144,6 +147,23 @@ class TestInvariantsCommand:
         assert proc.stderr.splitlines() == [
             "numerical failure: jet solve overflowed at order 1"
         ]
+
+    def test_overflow_beyond_the_reported_orders_is_silent(self, tmp_path):
+        path = write_coefficients(tmp_path / "steep.json", STEEP)
+        src = str(Path(fanning.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanning.cli", "invariants", path, "--grid", "0"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        kappa = json.loads(proc.stdout)["points"][0]["kappa"]
+        assert kappa == [[-3.0000000000000001e110]]
 
     @pytest.mark.parametrize(
         "coefficients, argv",

@@ -42,6 +42,7 @@ from conftest import (
     schwarzian,
     standard_jet,
     taylor_shift,
+    truncated,
 )
 
 
@@ -625,7 +626,7 @@ class TestPropagator:
 
 
 def _truncated(fj, order):
-    return FrameJet(fj.jet.truncated(order))
+    return FrameJet(truncated(fj.jet, order))
 
 
 # Every order requirement of the package at k = 3: the quantity its message
@@ -651,7 +652,7 @@ ORDER_REQUIREMENTS = [
         "h_1 from coefficient jets",
         2,
         lambda normal, curves, r: invariants_from_coefficients(
-            tuple(p.truncated(r) for p in normal.equation_coefficients)
+            tuple(truncated(p, r) for p in normal.equation_coefficients)
         ),
     ),
     (

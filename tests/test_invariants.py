@@ -40,6 +40,7 @@ from conftest import (
     tame_polynomial_curve,
     tan_curve,
     tan_taylor_coefficients,
+    truncated,
 )
 
 
@@ -64,10 +65,10 @@ class TestOdeCoefficients:
             curve = random_polynomial_curve(k, n, rng, degree=k + 1)
             fj = curve.frame_jet(0.2, 2 * k + 2)
             p = ode_coefficients(fj)
-            residual = fj.derivative_jet(k).truncated(p[0].order)
+            residual = truncated(fj.derivative_jet(k), p[0].order)
             for i in range(1, k + 1):
                 residual = residual + math.comb(k, i) * jet_mul(
-                    fj.derivative_jet(k - i).truncated(p[0].order), p[i - 1]
+                    truncated(fj.derivative_jet(k - i), p[0].order), p[i - 1]
                 )
             assert max(np.max(np.abs(c)) for c in residual.coeffs) < 1e-9
 
@@ -217,6 +218,17 @@ class TestWilczynski:
         for a, b in zip(inv.h, full.h):
             np.testing.assert_array_equal(a.value(), b.value())
 
+    @pytest.mark.parametrize("k, p1, name", [(2, 1e200, "kappa"), (3, 1e103, "h_1")])
+    def test_non_finite_value_raises_naming_it(self, k, p1, name):
+        """Constant ``P_1 = a``, other ``P_j = 0``: kappa = -a^2 and h_1 = 2 a^3 overflow in turn."""
+        times = np.array([0.0, 0.5, 1.0])
+        zero = np.zeros((3, k, 1, 1))
+        first = zero.copy()
+        first[1:, 0] = p1
+        p = [MatrixJet(times, first)] + [MatrixJet(times, zero) for _ in range(k - 1)]
+        with pytest.raises(np.linalg.LinAlgError, match=rf"^{name} at t=0.5 is not finite$"):
+            invariants_from_coefficients(p)
+
 
 class TestNormalization:
     def test_high_degree_p1_is_expanded_in_full(self):
@@ -361,6 +373,6 @@ class TestNormalization:
         p1 = ode_coefficients(curve.frame_jet(0.0, 9))[0]
         y = normalizing_jet(p1)
         lhs = y.derivative()
-        rhs = jet_mul(p1, y).truncated(lhs.order)
+        rhs = truncated(jet_mul(p1, y), lhs.order)
         for a, b in zip(lhs.coeffs, rhs.coeffs):
             np.testing.assert_allclose(a, b, atol=1e-12)

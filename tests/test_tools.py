@@ -86,3 +86,16 @@ class TestParityComparison:
         old = {"conjugator": [[1.0]], "ambient": [[2.0]], "residuals": [1.0]}
         new = {"conjugator": [[-1.0]], "ambient": [[-2.0]], "residuals": [1.5]}
         assert parity.report_difference(old, new) == (0.25, ".residuals[0]")
+
+    def test_summary_totals_identical_stdout(self, monkeypatch, capsys):
+        # Nine workload-seed pairs of 4 commands: 3 identical each, one with a mismatch.
+        def compare(old, new, name, seed, scratch):
+            found = ["x: exit 0 vs 1"] if (name, seed) == ("congruence", 2) else []
+            return 4, 3, found, 1e-12 * seed, f"{name}-{seed}"
+
+        monkeypatch.setattr(parity, "compare_workload", compare)
+        assert parity.main(["old", "new"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "36 commands, 27 with identical stdout, 1 mismatches, worst |a - b| / (1 + |a|) "
+            "3e-12 at grid-poly-3: FAIL (tolerance 1e-09)"
+        )

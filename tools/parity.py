@@ -12,7 +12,8 @@ verdicts, and on the shape of every report; every number is compared as
 and ambient map that differ from OLD_TREE's only by one common sign count as
 equal (both are determined up to that sign).
 
-Prints one line per workload and seed and a summary; exits 1 on any
+Prints one line per workload and seed and a summary that totals the
+commands, those with byte-identical stdout and the mismatches; exits 1 on any
 mismatch or when the worst difference exceeds ``1e-9``.  Uses numpy and the
 modules of ``perfbench/``, which it only imports.
 """
@@ -184,7 +185,7 @@ def compare_workload(old_tree, new_tree, name, seed, scratch):
           + (f" at {where}" if where else ""))
     for line in problems:
         print(f"  {line}")
-    return len(workload.ops), problems, worst, where
+    return len(workload.ops), identical, problems, worst, where
 
 
 def main(argv=None):
@@ -193,19 +194,20 @@ def main(argv=None):
         run_commands(*args.child)
         return 0
     sys.path.insert(0, str(PERFBENCH))
-    total, problems, worst, where = 0, [], 0.0, ""
+    total, identical, problems, worst, where = 0, 0, [], 0.0, ""
     with tempfile.TemporaryDirectory(prefix="fanning-parity-") as scratch:
         for name in WORKLOADS:
             for seed in SEEDS:
-                count, found, w, at = compare_workload(args.old, args.new, name, seed,
-                                                       Path(scratch))
+                count, same, found, w, at = compare_workload(args.old, args.new, name, seed,
+                                                             Path(scratch))
                 total += count
+                identical += same
                 problems += found
                 if w > worst:
                     worst, where = w, at
     failed = bool(problems) or worst > TOLERANCE
-    print(f"{total} commands, {len(problems)} mismatches, worst |a - b| / (1 + |a|) "
-          f"{worst:.3g}" + (f" at {where}" if where else "")
+    print(f"{total} commands, {identical} with identical stdout, {len(problems)} mismatches, "
+          f"worst |a - b| / (1 + |a|) {worst:.3g}" + (f" at {where}" if where else "")
           + f": {'FAIL' if failed else 'PASS'} (tolerance {TOLERANCE:g})")
     return 1 if failed else 0
 
