@@ -6,8 +6,8 @@ package computes the complete invariant system of such curves through
 exact truncated-Taylor (jet) arithmetic: the coefficients of the order-k
 linear equation the frame satisfies, the matrix Schwarzian and the
 higher Wilczynski-type invariants, normal frames, the fundamental
-endomorphism / reflection / projection family, the horizontal derivative
-and the Jacobi endomorphism with its moving-frame matrices.  On top of
+endomorphism and reflection, the horizontal derivative, the Jacobi
+endomorphism and the Maurer-Cartan pullbacks of the frame lifts.  On top of
 those it decides congruence of two curves under a constant ambient
 transformation, canonicalizes jets to a standard form and emits orbit
 coordinates for (k+1)-jets.

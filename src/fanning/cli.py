@@ -34,6 +34,7 @@ from .curves import (
 )
 from .invariants import (
     endomorphism_bundle,
+    frame_reflection,
     is_normal,
     jacobi_matrix,
     maurer_cartan_pullback,
@@ -176,7 +177,7 @@ def _grid_invariants(fj, args):
         fj.require_fanning()
     was_normal = is_normal(fj)
     inv = wilczynski_invariants(fj)
-    reflection = endomorphism_bundle(fj).reflection
+    reflection = frame_reflection(fj)
     values = {
         "fanning_condition": fj.condition,
         "was_normal": was_normal,

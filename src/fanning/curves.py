@@ -25,10 +25,10 @@ spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
 juxtaposed kn x kn matrix ``(A | A' | ... | A^(k-1))`` is invertible
 there.  A :class:`FrameJet` caches what is computed once per jet: the
 juxtaposed lift, the equation coefficients ``P_j``, the fundamental
-endomorphism, the horizontal derivative and the endomorphism bundle.  Each
-of them broadcasts over the batch, so one function serves one time and a
-whole grid; the fanning condition and every consistency check
-test each sample and report the first that fails, in the caller's order.
+endomorphism and the endomorphism bundle.  Each of them broadcasts over
+the batch, so one function serves one time and a whole grid; the fanning
+condition and every consistency check test each sample and report the
+first that fails, in the caller's order.
 
 :meth:`FrameJet.require_fanning` is the package's one conditioning gate:
 the juxtaposed value must have a condition number below
@@ -37,9 +37,9 @@ first and share its inverse of that value, so everything built on them is
 behind it; :func:`~fanning.jets.jet_solve` checks no conditioning.
 
 :func:`require_order` is the package's one order gate: every computation
-that reads jets to a fixed order (``P_j`` frame order k, the horizontal
-derivative and the endomorphism bundle k+1, the full invariant set 2k-1)
-calls it, and it alone raises :class:`InsufficientOrderError`.
+that reads jets to a fixed order (``P_j`` frame order k, the endomorphism
+bundle k+1, the full invariant set 2k-1) calls it, and it alone raises
+:class:`InsufficientOrderError`.
 """
 
 import itertools
@@ -297,6 +297,23 @@ def nilpotent_matrix(k, n):
     return m
 
 
+def companion_stack(p):
+    """Coefficients ``(*batch, max m_i, kn, kn)`` of the companion matrix C of ``P_1 .. P_k``.
+
+    ``p`` holds the stacks ``(*batch, m_i, n, n)`` of the ``P_i``.  C has
+    identity blocks just below its block diagonal at order 0 and
+    ``-C(k, i) P_i`` in block row ``k - i`` of its last block column, so the
+    juxtaposed lift ``J = (A | ... | A^(k-1))`` of such a frame solves ``J' = J C``.
+    """
+    k, n = len(p), p[0].shape[-1]
+    count = max(c.shape[-3] for c in p)
+    stack = np.zeros(p[0].shape[:-3] + (count, k * n, k * n))
+    stack[..., 0, n:, : (k - 1) * n] = np.eye((k - 1) * n)
+    for i, c in enumerate(p, start=1):
+        stack[..., : c.shape[-3], (k - i) * n : (k - i + 1) * n, -n:] = -math.comb(k, i) * c
+    return stack
+
+
 def _derivative_blocks(coeffs, orders, count):
     """Taylor coefficients ``0 .. count-1`` of ``A^(j)``, j in ``orders``, side by side.
 
@@ -434,33 +451,25 @@ class FrameJet:
         return MatrixJet(self.base_time, np.swapaxes(transposed.coeffs, -1, -2))
 
     @cached_property
-    def horizontal(self):
-        """Jet of ``H = A^(k-1) - (1/k) F A^(k)``, the span of the horizontal curve."""
-        k = self.k
-        require_order(self.order, k + 1, "the horizontal derivative")
-        f_top = jet_mul(self.fundamental_endomorphism, self.derivative_jet(k))
-        return self.derivative_jet(k - 1) - (1.0 / k) * f_top
-
-    @cached_property
     def endomorphism_bundle(self):
-        """All pointwise endomorphism data, built once per frame jet.
+        """All pointwise endomorphism data, built from F once per frame jet.
 
-        The horizontal derivative is built through F and through the
-        equation coefficients; the two routes must agree.
+        ``H = A^(k-1) - (1/k) F A^(k)`` is built through F and as
+        ``J (e_(k-1) - N c_k / k)`` from the companion matrix C of the
+        ``P_j``, ``c_k`` being its last block column; the two routes must agree.
         """
         k, n = self.k, self.n
         require_order(self.order, k + 1, "the endomorphism bundle")
         f = self.fundamental_endomorphism
-        eye = np.eye(k * n)
-        fdot = f.derivative_value(1)
-        reflection = (2.0 * fdot - (k - 2) * eye) / k
-        projection = (eye - reflection) / 2.0
-        fddot = f.derivative_value(2)
-        pdot = -fddot / k
+        reflection = (2.0 * f.derivative_value(1) - (k - 2) * np.eye(k * n)) / k
+        pdot = -f.derivative_value(2) / k
         jacobi = pdot @ pdot
 
-        h = self.horizontal
-        h_alt = _horizontal_from_coefficients(self, self.equation_coefficients)
+        h = self.derivative_jet(k - 1) - (1.0 / k) * jet_mul(f, self.derivative_jet(k))
+        c = companion_stack([p.coeffs for p in self.equation_coefficients])[..., -n:]
+        column = nilpotent_matrix(k, n) @ c / -k
+        column[..., 0, -n:, :] += np.eye(n)
+        h_alt = jet_mul(self.juxtaposed, MatrixJet(self.base_time, column))
         every = (-3, -2, -1)
         scale = 1.0 + np.max(np.abs(h.coeffs), axis=every)
         residual = np.max(np.abs(h.coeffs - h_alt.coeffs), axis=every)
@@ -470,27 +479,15 @@ class FrameJet:
                 f"horizontal-derivative routes disagree: residual {np.ravel(residual)[i]:.3e}"
             )
 
-        # The H-lift replaces the last block column of the juxtaposed lift.
-        moving = np.concatenate(
-            (self.juxtaposed.value()[..., : (k - 1) * n], h.value()), axis=-1
-        )
-
         # The bundle is shared by every reader of this jet, so its matrices
         # are read-only like the jets'.
-        for matrix in (reflection, projection, pdot, jacobi, moving):
+        for matrix in (reflection, jacobi, residual):
             matrix.setflags(write=False)
-        if np.ndim(residual) == 0:
-            residual = float(residual)
-        else:
-            residual.setflags(write=False)
         return EndomorphismBundle(
             fundamental=f,
             reflection=reflection,
-            projection=projection,
-            pdot=pdot,
             jacobi=jacobi,
             horizontal=h,
-            moving_frame=moving,
             horizontal_residual=residual,
         )
 
@@ -520,34 +517,20 @@ class FrameJet:
 
 @dataclass(frozen=True, eq=False)
 class EndomorphismBundle:
-    """Pointwise endomorphism data of a fanning frame.
+    """Pointwise endomorphism data of a fanning frame, in ambient coordinates.
 
     ``fundamental`` is the endomorphism jet; ``reflection`` its derivative
-    scaled to an involution; ``projection`` projects onto the vertical
-    space along the horizontal curve; ``pdot`` is the projection's time
-    derivative, ``jacobi`` its square; ``horizontal`` spans the horizontal
-    curve; ``moving_frame`` juxtaposes ``(A | ... | A^(k-2) | H)`` at the
-    base time.  Every entry has the frame jet's batch shape; for a batched
-    jet ``horizontal_residual`` is an array over it.
+    scaled to an involution; ``jacobi`` the square of the derivative of the
+    projection ``(I - reflection) / 2``; ``horizontal`` spans the horizontal
+    curve.  Every entry has the frame jet's batch shape; for a batched jet
+    ``horizontal_residual`` is an array over it (a float for one time).
     """
 
     fundamental: MatrixJet
     reflection: np.ndarray
-    projection: np.ndarray
-    pdot: np.ndarray
     jacobi: np.ndarray
     horizontal: MatrixJet
-    moving_frame: np.ndarray
     horizontal_residual: float
-
-
-def _horizontal_from_coefficients(fj, p):
-    """Eq-derived route: ``H = A^(k-1) + sum C(k-1, i) A^(k-1-i) P_i``."""
-    k = fj.k
-    acc = fj.derivative_jet(k - 1)
-    for i in range(1, k):
-        acc = acc + math.comb(k - 1, i) * jet_mul(fj.derivative_jet(k - 1 - i), p[i - 1])
-    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -640,24 +623,8 @@ class OdeFrameCurve:
 
     @cached_property
     def companion(self):
-        """The block companion matrix ``C(t)`` as one matrix polynomial.
-
-        The juxtaposed state ``Y = (A | A' | ... | A^(k-1))`` solves
-        ``Y' = Y C(t)``: ``C`` has identity blocks just below its block
-        diagonal and ``-C(k, i) P_i(t)`` in block row ``k - i`` of its last
-        block column.
-        """
-        k, n = self.k, self.n
-        degree = max(poly.degree for poly in self.p)
-        stack = np.zeros((degree + 1, k * n, k * n))
-        for j in range(k - 1):
-            stack[0, (j + 1) * n : (j + 2) * n, j * n : (j + 1) * n] = np.eye(n)
-        for i, poly in enumerate(self.p, start=1):
-            for m, c in enumerate(poly.coefficients):
-                stack[m, (k - i) * n : (k - i + 1) * n, (k - 1) * n :] = (
-                    -math.comb(k, i) * c
-                )
-        return PolynomialMatrix(stack)
+        """The block companion matrix ``C(t)`` of :func:`companion_stack`: ``Y' = Y C``."""
+        return PolynomialMatrix(companion_stack([poly.coefficients for poly in self.p]))
 
     def frame_jet(self, t, order):
         """Integrate the frame state from t=0 to ``t`` and build its jet there."""

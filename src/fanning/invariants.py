@@ -3,11 +3,10 @@
 Everything here is computed through jets at a point: the coefficients of
 the order-k linear equation satisfied by the frame, the matrix Schwarzian
 and the Wilczynski-type invariants ``h_j``, normalizing frame changes, and
-the endomorphism family (fundamental endomorphism, reflection, projection,
-horizontal derivative and Jacobi endomorphism) together with their
-moving-frame matrices.  What is computed once per frame jet (``P_j``, F,
-the horizontal derivative and the endomorphism bundle) is cached on
-:class:`~fanning.curves.FrameJet` and read here.  Every function takes a
+the reflection, Jacobi matrix and Maurer-Cartan pullbacks, read from the
+companion matrix C of the ``P_j`` in the basis of the juxtaposed lift J
+(``J' = J C``).  The ambient endomorphism bundle, built from F, is
+``verify``'s cross-check.  Every function takes a
 frame jet at one time or batched over a grid, and returns values of that
 batch shape, so a grid is one pass through each of them.  The one quantity
 integrated along a grid rather than read from jets is the normalizing
@@ -28,8 +27,10 @@ from .curves import (
     TAYLOR_ORDER,
     InternalConsistencyError,
     OdeFrameCurve,
+    companion_stack,
     expansion_order,
     first_failure,
+    nilpotent_matrix,
     require_order,
     solve_ivp,
 )
@@ -275,6 +276,38 @@ def endomorphism_bundle(fj):
     return fj.endomorphism_bundle
 
 
+def _frame_basis(fj):
+    """Coefficients 0 and 1 of C and ``G - I``: ``J' = J C`` and ``J G = (A | ... | A^(k-2) | H)``.
+
+    G is the identity but for its last block column ``e_(k-1) - N c_k / k``,
+    ``c_k`` being that of C, so ``(G - I)^2 = 0`` and ``G^-1 = I - (G - I)``.
+    """
+    c = companion_stack([p.coeffs[..., :2, :, :] for p in ode_coefficients(fj)])
+    g = np.zeros_like(c)
+    g[..., -fj.n :] = nilpotent_matrix(fj.k, fj.n) @ c[..., -fj.n :] / -fj.k
+    return c, g
+
+
+def frame_reflection(fj):
+    """The reflection ``(2 F' - (k-2) I) / k`` in the basis J: ``(2 [C, N] - (k-2) I) / k``."""
+    k, nil = fj.k, nilpotent_matrix(fj.k, fj.n)
+    c = _frame_basis(fj)[0][..., 0, :, :]
+    return (2.0 * (c @ nil - nil @ c) - (k - 2) * np.eye(k * fj.n)) / k
+
+
+def _jacobi_direct(fj):
+    """The Jacobi endomorphism ``K = (P')^2`` in the basis ``J G``: ``G^-1 (J^-1 P' J)^2 G``.
+
+    ``P' = -F'' / k``, and ``J^-1 F'' J = [C, [C, N]] + [C', N]``.
+    """
+    c, g = _frame_basis(fj)
+    nil, eye = nilpotent_matrix(fj.k, fj.n), np.eye(fj.k * fj.n)
+    c0, c1, g0 = c[..., 0, :, :], c[..., 1, :, :], g[..., 0, :, :]
+    cn = c0 @ nil - nil @ c0
+    pdot = -(c0 @ cn - cn @ c0 + c1 @ nil - nil @ c1) / fj.k
+    return (eye - g0) @ (pdot @ pdot) @ (eye + g0)
+
+
 def orbit_entries(fj):
     """The stack ``C(k-1, j) (h_(j-1) - h_(j-2)')``, j = 1 .. k-1, of a normal frame jet.
 
@@ -300,7 +333,7 @@ def jacobi_matrix(fj):
     the penultimate column stacks ``C(k-1, j) (h_(j-1) - h_(j-2)')`` from
     the bottom entry ``(k-1) kappa`` upward, and the corner block repeats
     ``(k-1) kappa``.  The analytic pattern is cross-checked against the
-    direct change of basis.
+    direct change of basis, read from the companion matrix.
     """
     k, n = fj.k, fj.n
     batch = fj.jet.batch
@@ -314,8 +347,7 @@ def jacobi_matrix(fj):
     pattern[..., :, (k - 2) * n : (k - 1) * n] = column
     pattern[..., (k - 1) * n :, (k - 1) * n :] = entries[0]
 
-    bundle = endomorphism_bundle(fj)
-    direct = np.linalg.solve(bundle.moving_frame, bundle.jacobi @ bundle.moving_frame)
+    direct = _jacobi_direct(fj)
     scale = 1.0 + np.max(np.abs(direct), axis=(-2, -1))
     residual = np.max(np.abs(direct - pattern), axis=(-2, -1))
     i = first_failure(residual > CONSISTENCY_RTOL * scale)
@@ -330,17 +362,17 @@ def jacobi_matrix(fj):
 def maurer_cartan_pullback(fj, lift="with_H"):
     """Pullback ``L^-1 L'`` at the base time for one of the two frame lifts.
 
-    ``lift="with_H"`` uses ``L = (A | ... | A^(k-2) | H)``;
-    ``lift="with_kth_derivative"`` uses the plain juxtaposed lift
-    ``(A | ... | A^(k-1))``.  The frame must be normal.
+    ``lift="with_H"`` uses ``L = (A | ... | A^(k-2) | H) = J G``, whose
+    pullback is ``G^-1 (C G + G')``; ``lift="with_kth_derivative"`` uses the
+    plain juxtaposed lift ``J = (A | ... | A^(k-1))``, whose pullback is the
+    companion matrix C.  The frame must be normal.
     """
     if lift not in ("with_H", "with_kth_derivative"):
         raise ValueError(f"unknown lift {lift!r}")
-    k, n = fj.k, fj.n
     require_normal(fj)
-    require_order(fj.order, k + 1, "the Maurer-Cartan pullback")
-    # The H-lift replaces the last block column of the juxtaposed lift.
-    lifted = fj.juxtaposed.coeffs[..., :2, :, :].copy()
-    if lift == "with_H":
-        lifted[..., :, (k - 1) * n :] = fj.horizontal.coeffs[..., :2, :, :]
-    return np.linalg.solve(lifted[..., 0, :, :], lifted[..., 1, :, :])
+    require_order(fj.order, fj.k + 1, "the Maurer-Cartan pullback")
+    c, g = _frame_basis(fj)
+    if lift == "with_kth_derivative":
+        return c[..., 0, :, :]
+    eye, g0 = np.eye(fj.k * fj.n), g[..., 0, :, :]
+    return (eye - g0) @ (c[..., 0, :, :] @ (eye + g0) + g[..., 1, :, :])

@@ -2,6 +2,7 @@
 
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,6 +208,45 @@ def truncated(jet, order):
     """``jet`` with its coefficients above ``order`` dropped."""
     assert order <= jet.order, f"cannot extend an order-{jet.order} jet to order {order}"
     return MatrixJet(jet.base_time, jet.coeffs[..., : order + 1, :, :])
+
+
+def ambient_endomorphisms(fj):
+    """The endomorphisms of ``fj`` in ambient coordinates, written out from its F.
+
+    ``reflection`` is ``D = (2 F' - (k-2) I) / k``, ``projection`` is
+    ``(I - D) / 2``, ``pdot`` its derivative ``-F'' / k`` and ``jacobi``
+    the square of that; ``horizontal`` is the jet of
+    ``H = A^(k-1) - (1/k) F A^(k)``, and ``moving_frame`` the value of
+    ``(A | ... | A^(k-2) | H)``.  All values are at the base time.
+    """
+    k, n = fj.k, fj.n
+    f = fj.fundamental_endomorphism
+    eye = np.eye(k * n)
+    reflection = (2.0 * f.derivative_value(1) - (k - 2) * eye) / k
+    pdot = -f.derivative_value(2) / k
+    h = fj.derivative_jet(k - 1) - (1.0 / k) * jet_mul(f, fj.derivative_jet(k))
+    moving = np.concatenate((fj.juxtaposed.value()[..., : (k - 1) * n], h.value()), axis=-1)
+    return SimpleNamespace(
+        reflection=reflection,
+        projection=(eye - reflection) / 2.0,
+        pdot=pdot,
+        jacobi=pdot @ pdot,
+        horizontal=h,
+        moving_frame=moving,
+    )
+
+
+def pullback_by_solve(fj, lift):
+    """``L^-1 L'`` at the base time by one solve, for ``lift`` ``"with_H"`` or ``"with_kth_derivative"``.
+
+    ``L`` is the juxtaposed lift, with its last block column replaced by the
+    ambient H for the H-lift.
+    """
+    k, n = fj.k, fj.n
+    lifted = fj.juxtaposed.coeffs[..., :2, :, :].copy()
+    if lift == "with_H":
+        lifted[..., :, (k - 1) * n :] = ambient_endomorphisms(fj).horizontal.coeffs[..., :2, :, :]
+    return np.linalg.solve(lifted[..., 0, :, :], lifted[..., 1, :, :])
 
 
 def jet_mul_reference(a, b):

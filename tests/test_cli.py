@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fanning
-from fanning import curve_to_dict, standard_curve
+from fanning import curve_to_dict, normalized_frame_jet, standard_curve
 from fanning.cli import main
 from fanning.curves import FrameJet, InsufficientOrderError
 import fanning.cli as cli_mod
@@ -19,7 +19,7 @@ import fanning.congruence as congruence_mod
 import fanning.curves as curves_mod
 import fanning.invariants as invariants_mod
 import fanning.report as report_mod
-from conftest import tame_polynomial_curve, tan_curve, random_invertible
+from conftest import ALL_KN, tame_polynomial_curve, tan_curve, random_invertible
 
 
 def write_curve(path, curve):
@@ -217,65 +217,50 @@ class TestInvariantsCommand:
         # one solve for the input jet and one for its normalized jet
         assert len(solved) == 2 * 5
 
+    @staticmethod
+    def count_builds(monkeypatch, name):
+        """Base times at which the cached ``FrameJet`` property ``name`` is built."""
+        build = getattr(FrameJet, name).func
+        built = []
+
+        def counted(fj):
+            built.extend(np.ravel(fj.base_time))
+            return build(fj)
+
+        prop = cached_property(counted)
+        prop.__set_name__(FrameJet, name)
+        monkeypatch.setattr(FrameJet, name, prop)
+        return built
+
     def test_fundamental_endomorphism_built_once_per_jet(self, tmp_path, monkeypatch, rng):
-        build = FrameJet.fundamental_endomorphism.func
-        built = []
-
-        def counted(fj):
-            built.extend(np.ravel(fj.base_time))
-            return build(fj)
-
-        prop = cached_property(counted)
-        prop.__set_name__(FrameJet, "fundamental_endomorphism")
-        monkeypatch.setattr(FrameJet, "fundamental_endomorphism", prop)
+        built = self.count_builds(monkeypatch, "fundamental_endomorphism")
         general = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
         normal = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
         for path in (general, normal):
+            for options in ([], ["--jacobi"], ["--maurer-cartan", "H"]):
+                assert main(["invariants", path, "--grid", "0:0.4:5", *options]) == 0
+            # invariants reads its endomorphisms from the companion matrix
+            assert built == []
+            assert main(["verify", path, "--t", "0.2"]) == 0
+            # the input jet, its image under the random ambient map, and its
+            # normalized jet
+            assert len(built) == 3
             built.clear()
-            argv = ["invariants", path, "--grid", "0:0.4:5", "--jacobi", "--maurer-cartan", "H"]
-            assert main(argv) == 0
-            # the input jet and its normalized jet
-            assert len(built) == 2 * 5
 
-    def test_horizontal_derivative_built_once_per_jet(self, tmp_path, monkeypatch, rng):
-        build = FrameJet.horizontal.func
-        built = []
-
-        def counted(fj):
-            built.extend(np.ravel(fj.base_time))
-            return build(fj)
-
-        prop = cached_property(counted)
-        prop.__set_name__(FrameJet, "horizontal")
-        monkeypatch.setattr(FrameJet, "horizontal", prop)
+    def test_invariants_builds_no_endomorphism_bundle(self, tmp_path, monkeypatch, rng):
+        built = self.count_builds(monkeypatch, "endomorphism_bundle")
         general = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
         normal = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
         for path in (general, normal):
-            built.clear()
-            argv = ["invariants", path, "--grid", "0:0.4:5", "--jacobi", "--maurer-cartan", "H"]
-            assert main(argv) == 0
-            # the input jet's bundle, and the normalized jet's bundle and
-            # H-lift pullback, which share one H
-            assert len(built) == 2 * 5
+            for options in ([], ["--jacobi"], ["--maurer-cartan", "H"]):
+                assert main(["invariants", path, "--grid", "0:0.4:5", *options]) == 0
+        assert built == []
 
     def test_endomorphism_bundle_built_once_per_jet(self, tmp_path, monkeypatch, rng):
-        build = FrameJet.endomorphism_bundle.func
-        built = []
-
-        def counted(fj):
-            built.extend(np.ravel(fj.base_time))
-            return build(fj)
-
-        prop = cached_property(counted)
-        prop.__set_name__(FrameJet, "endomorphism_bundle")
-        monkeypatch.setattr(FrameJet, "endomorphism_bundle", prop)
+        built = self.count_builds(monkeypatch, "endomorphism_bundle")
         general = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
         normal = write_normal_ode_curve(tmp_path / "ode.json", 3, 2, rng)
         for path in (general, normal):
-            built.clear()
-            assert main(["invariants", path, "--grid", "0:0.4:5", "--jacobi"]) == 0
-            # the input jet and its normalized jet
-            assert len(built) == 2 * 5
             built.clear()
             assert main(["verify", path, "--t", "0.2"]) == 0
             # the input jet, its image under the random ambient map, and its
@@ -295,6 +280,38 @@ class TestInvariantsCommand:
         assert lines[0] == "t,name,i,j,value"
         names = {line.split(",")[1] for line in lines[1:]}
         assert "kappa" in names and "fanning_condition" in names
+
+
+class TestConditioningSweep:
+    """``B = T A`` with ``cond(T) = c``: a fanning B gets every report that A gets.
+
+    ``T = U diag(geomspace(1, 1/c, kn)) V^T`` with U and V orthogonal; A, then
+    U, then V are drawn from ``default_rng(1000 seed + 10 k + n)``, seed 1.
+    """
+
+    @pytest.mark.parametrize("c", [1e4, 1e5, 1e6])
+    def test_jacobi_and_pullback_of_an_ill_conditioned_image(self, tmp_path, capsys, c):
+        argv = ["--grid", "0:0.5:7", "--jacobi", "--maurer-cartan", "H"]
+        for k, n in ALL_KN:
+            rng = np.random.default_rng(1000 + 10 * k + n)
+            a = tame_polynomial_curve(k, n, rng)
+            u, v = (np.linalg.qr(rng.standard_normal((k * n, k * n)))[0] for _ in range(2))
+            b = a.transformed(u @ np.diag(np.geomspace(1.0, 1.0 / c, k * n)) @ v.T)
+            assert main(["invariants", write_curve(tmp_path / "a.json", a), *argv]) == 0
+            expected = [p["maurer_cartan"] for p in json.loads(capsys.readouterr().out)["points"]]
+            code = main(["invariants", write_curve(tmp_path / "b.json", b), *argv])
+            out, err = capsys.readouterr()
+            # The gate tests B's frame jets and the normal frames made from them.
+            fj = b.frame_jets(np.linspace(0.0, 0.5, 7), 2 * k + 2)
+            if not (fj.is_fanning.all() and normalized_frame_jet(fj).is_fanning.all()):
+                assert code == 3 and "not fanning" in err, (k, n, err)
+                continue
+            assert code == 0, (k, n, err)
+            for point, mc in zip(json.loads(out)["points"], expected):
+                counts = point["reflection_eigencounts"]
+                assert (counts["minus_one"], counts["plus_one"]) == ((k - 1) * n, n)
+                error = np.max(np.abs(np.subtract(point["maurer_cartan"], mc)))
+                assert error <= 1e-6 * max(1.0, np.max(np.abs(mc))), (k, n, error)
 
 
 class TestCongruentCommand:

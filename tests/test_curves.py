@@ -19,7 +19,7 @@ from fanning import (
     standard_curve,
 )
 from fanning.congruence import canonicalize_jet
-from fanning.curves import DEFAULT_CONDITION_LIMIT, FrameJet, _jet_from_state
+from fanning.curves import DEFAULT_CONDITION_LIMIT, FrameJet, _jet_from_state, companion_stack
 from fanning.invariants import (
     invariants_from_coefficients,
     jacobi_matrix,
@@ -585,6 +585,15 @@ class TestOdeJetKernel:
     """The ODE frame jet is the series of ``Y' = Y C`` from the companion matrix."""
 
     @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_companion_of_a_frame_jet_gives_its_lift_derivative(self, k, n, rng):
+        """``J' = J C`` with C built from the frame's own ``P_j``, over a batch."""
+        fj = random_polynomial_curve(k, n, rng).frame_jets([0.0, 0.3], k + 1)
+        c = companion_stack([p.coeffs for p in fj.equation_coefficients])
+        assert c.shape == (2, 2, k * n, k * n)
+        jux = fj.juxtaposed.coeffs
+        assert np.max(np.abs(jux[:, 0] @ c[:, 0] - jux[:, 1])) <= 1e-12 * np.max(np.abs(jux))
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
     def test_matches_equation_recursion(self, k, n, rng):
         curve = drifting_ode_curve(rng, k, n)
         order = 2 * k + 2
@@ -640,7 +649,11 @@ ORDER_REQUIREMENTS = [
         3,
         lambda normal, curves, r: _truncated(normal, r).equation_coefficients,
     ),
-    ("the horizontal derivative", 4, lambda normal, curves, r: _truncated(normal, r).horizontal),
+    (
+        "the endomorphism bundle",
+        4,
+        lambda normal, curves, r: _truncated(normal, r).endomorphism_bundle.horizontal,
+    ),
     (
         "the endomorphism bundle",
         4,

@@ -14,15 +14,20 @@ from fanning import (
     normalized_frame_jet,
     ode_coefficients,
 )
+from fanning.invariants import _jacobi_direct, frame_reflection
 from fanning.linalg import numeric_rank, span_distance
 from conftest import (
+    ALL_KN,
+    ambient_endomorphisms,
     eigenspace,
+    pullback_by_solve,
     random_frame_jet,
     random_invertible,
     random_polynomial_curve,
     random_polynomial_matrix_curve,
     right_multiplied,
     standard_jet,
+    tame_polynomial_curve,
 )
 
 
@@ -120,7 +125,7 @@ class TestBundle:
     def test_projection_image_and_kernel(self, rng):
         k, n = 4, 2
         fj = random_frame_jet(k, n, k + 1, rng)
-        b = endomorphism_bundle(fj)
+        b = ambient_endomorphisms(fj)
         np.testing.assert_allclose(
             b.projection @ b.projection, b.projection, atol=1e-9
         )
@@ -131,7 +136,7 @@ class TestBundle:
     def test_k2_normal_frame_horizontal_is_derivative(self, rng):
         curve = random_polynomial_curve(2, 2, rng)
         nj = normalized_frame_jet(curve.frame_jet(0.1, 6))
-        h = nj.horizontal
+        h = endomorphism_bundle(nj).horizontal
         np.testing.assert_allclose(
             h.value(), nj.derivative_jet(1).value(), atol=1e-9
         )
@@ -139,7 +144,7 @@ class TestBundle:
     def test_pdot_swaps_vertical_and_horizontal(self, rng):
         k, n = 4, 2
         fj = random_frame_jet(k, n, k + 1, rng)
-        b = endomorphism_bundle(fj)
+        b = ambient_endomorphisms(fj)
         # vertical directions other than the top one are annihilated
         for i in range(k - 2):
             image = b.pdot @ fj.derivative_jet(i).value()
@@ -165,8 +170,7 @@ class TestBundle:
 
     def test_moving_frame_invertible(self, rng):
         fj = random_frame_jet(3, 2, 5, rng)
-        b = endomorphism_bundle(fj)
-        assert np.linalg.cond(b.moving_frame) < 1e6
+        assert np.linalg.cond(ambient_endomorphisms(fj).moving_frame) < 1e6
 
     def test_horizontal_routes_agree_tightly(self, rng):
         for k, n in ((2, 2), (3, 1), (4, 2), (5, 3)):
@@ -176,8 +180,7 @@ class TestBundle:
     def test_cached_bundle_is_read_only(self, rng):
         fj = random_frame_jet(3, 2, 5, rng)
         b = endomorphism_bundle(fj)
-        for matrix in (b.reflection, b.projection, b.pdot, b.jacobi,
-                       b.moving_frame):
+        for matrix in (b.reflection, b.jacobi):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 1.0
         assert endomorphism_bundle(fj) is b
@@ -223,8 +226,8 @@ class TestJacobiMatrix:
         for k, n in ((3, 2), (4, 1)):
             curve = random_polynomial_curve(k, n, rng)
             nj = normalized_frame_jet(curve.frame_jet(0.2, 2 * k + 2))
-            b = endomorphism_bundle(nj)
-            direct = np.linalg.solve(b.moving_frame, b.jacobi @ b.moving_frame)
+            moving = ambient_endomorphisms(nj).moving_frame
+            direct = np.linalg.solve(moving, endomorphism_bundle(nj).jacobi @ moving)
             np.testing.assert_allclose(jacobi_matrix(nj), direct, atol=1e-8)
 
 
@@ -305,6 +308,29 @@ class TestMaurerCartan:
         curve = random_polynomial_curve(4, 1, rng)
         with pytest.raises(NotNormalError):
             maurer_cartan_pullback(curve.frame_jet(0.2, 10))
+
+
+class TestFrameBasis:
+    """The companion-matrix route equals the ambient route written in the same basis."""
+
+    @staticmethod
+    def assert_close(got, expected):
+        scale = 1.0 + np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("k, n", ALL_KN)
+    def test_matches_the_ambient_route(self, k, n, rng):
+        curve = tame_polynomial_curve(k, n, rng)
+        fj = curve.frame_jets(np.linspace(0.0, 0.5, 5), 2 * k + 2)
+        jux = fj.juxtaposed.value()
+        reflection = np.linalg.solve(jux, ambient_endomorphisms(fj).reflection @ jux)
+        self.assert_close(frame_reflection(fj), reflection)
+        nj = normalized_frame_jet(fj)
+        ambient = ambient_endomorphisms(nj)
+        moving = ambient.moving_frame
+        self.assert_close(_jacobi_direct(nj), np.linalg.solve(moving, ambient.jacobi @ moving))
+        for lift in ("with_H", "with_kth_derivative"):
+            self.assert_close(maurer_cartan_pullback(nj, lift=lift), pullback_by_solve(nj, lift))
 
 
 class TestFiniteDifferenceGuard:

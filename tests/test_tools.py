@@ -18,6 +18,7 @@ def _load_tool(name):
 
 
 parity = _load_tool("parity")
+abtime = _load_tool("abtime")
 
 
 def test_surface_prints_three_counts():
@@ -48,6 +49,22 @@ def test_abtime_runs_a_tree_against_itself():
     assert lines[0].startswith("round 1: old ") and " new/old " in lines[0]
     assert lines[1].startswith("congruence seed 1: 1 rounds of ")
     assert lines[1].endswith(", 0 commands with a different exit code or stdout")
+    median = float(lines[1].partition("median new/old ")[2].split()[0])
+    assert f"median new/old {median:.3f} ({abtime.resolution(median)}), " in lines[1]
+
+
+@pytest.mark.parametrize(
+    "median, text",
+    [
+        (1.0, "within 2% of 1: not resolved"),
+        (1.013, "within 2% of 1: not resolved"),
+        (0.985, "within 2% of 1: not resolved"),
+        (1.031, "more than 2% from 1: resolved"),
+        (0.762, "more than 2% from 1: resolved"),
+    ],
+)
+def test_abtime_calls_a_median_within_two_percent_of_one_not_resolved(median, text):
+    assert abtime.resolution(median) == text
 
 
 class TestParityComparison:

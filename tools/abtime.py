@@ -16,6 +16,11 @@ the median of those ratios over ``--rounds`` rounds (default 5), and the
 number of commands whose exit code or stdout differ between the trees in
 any round.  ``--quick`` takes the workload's small inputs.  Exits 0; uses
 numpy and ``perfbench/workloads.py``, which it only imports.
+
+The order of the arguments alone moves the ratio: a tree timed against
+itself, or a pair run both ways, reads about 1 % in favour of OLD_TREE.
+The summary line therefore calls a median within ``UNRESOLVED`` (2%) of 1
+not resolved; run both orders before reading a small difference.
 """
 
 import argparse
@@ -30,6 +35,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 PERFBENCH = HERE.parent / "perfbench"
 WORKLOADS = ("grid-poly", "congruence", "grid-ode")
+# A median ratio closer than this to 1 is not resolved: the first tree given
+# runs about 1 % faster than the same tree given second.
+UNRESOLVED = 0.02
 
 
 def parse_args(argv):
@@ -78,6 +86,13 @@ def run_command(modules, argv):
     return code, out.getvalue(), time.perf_counter() - start
 
 
+def resolution(median):
+    """Whether a median ratio NEW/OLD is far enough from 1 to tell the trees apart."""
+    if abs(median - 1.0) < UNRESOLVED:
+        return f"within {UNRESOLVED:.0%} of 1: not resolved"
+    return f"more than {UNRESOLVED:.0%} from 1: resolved"
+
+
 def main(argv=None):
     args = parse_args(argv)
     sys.path.insert(0, str(PERFBENCH))
@@ -108,8 +123,9 @@ def main(argv=None):
             ratios.append(totals[1] / totals[0])
             print(f"round {r + 1}: old {totals[0]:.3f} s, new {totals[1]:.3f} s, "
                   f"new/old {ratios[-1]:.3f}", flush=True)
+    median = statistics.median(ratios)
     print(f"{args.workload} seed {args.seed}: {args.rounds} rounds of {len(argvs)} commands, "
-          f"median new/old {statistics.median(ratios):.3f}, "
+          f"median new/old {median:.3f} ({resolution(median)}), "
           f"{len(differ)} commands with a different exit code or stdout")
     return 0
 
