@@ -23,11 +23,9 @@ from .congruence import (
 )
 from .curves import (
     CurveFormatError,
-    EndomorphismBundle,
     FrameJet,
     InsufficientOrderError,
     IntegrationError,
-    InternalConsistencyError,
     NotFanningError,
     OdeFrameCurve,
     PolynomialFrameCurve,
@@ -40,6 +38,8 @@ from .curves import (
 )
 from .invariants import (
     CoefficientSet,
+    EndomorphismBundle,
+    InternalConsistencyError,
     NormalizationRecord,
     NotNormalError,
     endomorphism_bundle,

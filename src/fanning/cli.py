@@ -193,8 +193,7 @@ def _grid_invariants(fj, args):
         if args.jacobi:
             values["jacobi"] = jacobi_matrix(normalized)
         if args.maurer_cartan is not None:
-            lift = "with_H" if args.maurer_cartan == "H" else "with_kth_derivative"
-            values["maurer_cartan"] = maurer_cartan_pullback(normalized, lift=lift)
+            values["maurer_cartan"] = maurer_cartan_pullback(normalized, args.maurer_cartan)
     return values
 
 
@@ -364,7 +363,7 @@ def cmd_verify(args):
     eye = np.eye(kn)
     record("reflection_square", np.max(np.abs(bundle.reflection @ bundle.reflection - eye)), tol)
 
-    f0 = bundle.fundamental.value()
+    f0 = fj.fundamental_endomorphism.value()
     fk = np.linalg.matrix_power(f0, k)
     record("endomorphism_nilpotency", np.max(np.abs(fk)), tol)
 
@@ -380,7 +379,7 @@ def cmd_verify(args):
     scale = 1.0 + np.max(np.abs(inv.kappa.value()))
     record("invariance_under_ambient_map", res / scale, tol)
 
-    f_moved = endomorphism_bundle(moved).fundamental.value()
+    f_moved = moved.fundamental_endomorphism.value()
     conj = t_matrix @ f0 @ np.linalg.inv(t_matrix)
     record(
         "endomorphism_equivariance",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DEFAULT_CONDITION_LIMIT, require_order
+from .curves import DEFAULT_CONDITION_LIMIT, FrameJet, require_order
 from .invariants import (
     checked_grid,
     normalized_frame_jet,
@@ -26,6 +26,7 @@ from .invariants import (
     orbit_entries,
     wilczynski_invariants,
 )
+from .jets import MatrixJet
 from .linalg import NULLSPACE_RTOL, nullspace, span_distance
 
 DEFAULT_SPAN_TOL = 1e-7
@@ -234,9 +235,10 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     # T maps the X-adjusted normal lift of A at the first sample onto that
     # of B, and must then map the sampled planes of A onto those of B.  The
     # normalizing change is the identity at the first sample, so the lifts
-    # there are those of the normal frames anchored at each sample.
+    # there are those of the normal frames anchored there, built from its jets.
     x_block = np.kron(np.eye(k), x)
-    lift_a, lift_b = (normalized_frame_jet(fj).juxtaposed.value()[0] for fj in jets)
+    firsts = (FrameJet(MatrixJet(fj.base_time[:1], fj.jet.coeffs[:1])) for fj in jets)
+    lift_a, lift_b = (normalized_frame_jet(fj).juxtaposed.value()[0] for fj in firsts)
     ambient = lift_b @ np.linalg.inv(lift_a @ x_block)
     spans = span_distance(ambient @ jets[0].jet.value(), jets[1].jet.value())
 

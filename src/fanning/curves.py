@@ -24,8 +24,8 @@ A frame curve takes values in the kn x n matrices; its value at ``t``
 spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
 juxtaposed kn x kn matrix ``(A | A' | ... | A^(k-1))`` is invertible
 there.  A :class:`FrameJet` caches what is computed once per jet: the
-juxtaposed lift, the equation coefficients ``P_j``, the fundamental
-endomorphism and the endomorphism bundle.  Each of them broadcasts over
+juxtaposed lift, the inverse of its value, the equation coefficients
+``P_j`` and the fundamental endomorphism.  Each of them broadcasts over
 the batch, so one function serves one time and a whole grid; the fanning
 condition and every consistency check test each sample and report the
 first that fails, in the caller's order.
@@ -72,8 +72,6 @@ TAYLOR_ORDER = 12
 STEP_SAFETY = math.e**2
 MAX_ROUNDS = 40
 MAX_KNOTS = MAX_GRID_POINTS + 1
-# Relative agreement required of two routes to the same quantity.
-CONSISTENCY_RTOL = 1e-6
 
 
 class NotFanningError(RuntimeError):
@@ -207,10 +205,6 @@ def solve_ivp(expand, times, y0):
 
 class CurveFormatError(ValueError):
     """Malformed curve description (JSON schema violation)."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two independent computation routes disagreed beyond tolerance."""
 
 
 def first_failure(failed):
@@ -450,47 +444,6 @@ class FrameJet:
         transposed = jet_solve(a, b, np.swapaxes(self._value_inverse, -1, -2))
         return MatrixJet(self.base_time, np.swapaxes(transposed.coeffs, -1, -2))
 
-    @cached_property
-    def endomorphism_bundle(self):
-        """All pointwise endomorphism data, built from F once per frame jet.
-
-        ``H = A^(k-1) - (1/k) F A^(k)`` is built through F and as
-        ``J (e_(k-1) - N c_k / k)`` from the companion matrix C of the
-        ``P_j``, ``c_k`` being its last block column; the two routes must agree.
-        """
-        k, n = self.k, self.n
-        require_order(self.order, k + 1, "the endomorphism bundle")
-        f = self.fundamental_endomorphism
-        reflection = (2.0 * f.derivative_value(1) - (k - 2) * np.eye(k * n)) / k
-        pdot = -f.derivative_value(2) / k
-        jacobi = pdot @ pdot
-
-        h = self.derivative_jet(k - 1) - (1.0 / k) * jet_mul(f, self.derivative_jet(k))
-        c = companion_stack([p.coeffs for p in self.equation_coefficients])[..., -n:]
-        column = nilpotent_matrix(k, n) @ c / -k
-        column[..., 0, -n:, :] += np.eye(n)
-        h_alt = jet_mul(self.juxtaposed, MatrixJet(self.base_time, column))
-        every = (-3, -2, -1)
-        scale = 1.0 + np.max(np.abs(h.coeffs), axis=every)
-        residual = np.max(np.abs(h.coeffs - h_alt.coeffs), axis=every)
-        i = first_failure(residual > CONSISTENCY_RTOL * scale)
-        if i is not None:
-            raise InternalConsistencyError(
-                f"horizontal-derivative routes disagree: residual {np.ravel(residual)[i]:.3e}"
-            )
-
-        # The bundle is shared by every reader of this jet, so its matrices
-        # are read-only like the jets'.
-        for matrix in (reflection, jacobi, residual):
-            matrix.setflags(write=False)
-        return EndomorphismBundle(
-            fundamental=f,
-            reflection=reflection,
-            jacobi=jacobi,
-            horizontal=h,
-            horizontal_residual=residual,
-        )
-
     def left_multiplied(self, t_matrix):
         """Frame jet of ``T A`` for a constant ambient matrix ``T``."""
         t_matrix = np.asarray(t_matrix, dtype=float)
@@ -513,24 +466,6 @@ class FrameJet:
             f"FrameJet(k={self.k}, n={self.n}, order={self.order}, "
             f"base_time={self.base_time})"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class EndomorphismBundle:
-    """Pointwise endomorphism data of a fanning frame, in ambient coordinates.
-
-    ``fundamental`` is the endomorphism jet; ``reflection`` its derivative
-    scaled to an involution; ``jacobi`` the square of the derivative of the
-    projection ``(I - reflection) / 2``; ``horizontal`` spans the horizontal
-    curve.  Every entry has the frame jet's batch shape; for a batched jet
-    ``horizontal_residual`` is an array over it (a float for one time).
-    """
-
-    fundamental: MatrixJet
-    reflection: np.ndarray
-    jacobi: np.ndarray
-    horizontal: MatrixJet
-    horizontal_residual: float
 
 
 @dataclass(frozen=True, eq=False)

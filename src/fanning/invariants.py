@@ -5,16 +5,17 @@ the order-k linear equation satisfied by the frame, the matrix Schwarzian
 and the Wilczynski-type invariants ``h_j``, normalizing frame changes, and
 the reflection, Jacobi matrix and Maurer-Cartan pullbacks, read from the
 companion matrix C of the ``P_j`` in the basis of the juxtaposed lift J
-(``J' = J C``).  The ambient endomorphism bundle, built from F, is
-``verify``'s cross-check.  Every function takes a
-frame jet at one time or batched over a grid, and returns values of that
-batch shape, so a grid is one pass through each of them.  The one quantity
-integrated along a grid rather than read from jets is the normalizing
-change ``X' = -X P_1``: :func:`normalizer` propagates it in one
-:func:`~fanning.curves.solve_ivp` call, the package's one integrator, with
-``-P_1`` expanded at every knot from the curve's prescribed ``P_1`` (ODE
-curves) or from its frame jets there (polynomial curves), and
-:func:`normal_frame` builds the normal frame ``A X^-1`` from it.
+(``J' = J C``).  The ambient endomorphism bundle, which
+:func:`endomorphism_bundle` builds from F on each call, is ``verify``'s
+cross-check.  Every function takes a frame jet at one time or batched over
+a grid, and returns values of that batch shape, so a grid is one pass
+through each of them.  The one quantity integrated along a grid rather
+than read from jets is the normalizing change ``X' = -X P_1``:
+:func:`normalizer` propagates it in one :func:`~fanning.curves.solve_ivp`
+call, the package's one integrator, with ``-P_1`` expanded at every knot
+from the curve's prescribed ``P_1`` (ODE curves) or from its frame jets
+there (polynomial curves), and :func:`normal_frame` builds the normal
+frame ``A X^-1`` from it.
 """
 
 import math
@@ -23,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (
-    CONSISTENCY_RTOL,
     TAYLOR_ORDER,
-    InternalConsistencyError,
     OdeFrameCurve,
     companion_stack,
     expansion_order,
@@ -37,10 +36,16 @@ from .curves import (
 from .jets import MatrixJet, cauchy_product, jet_mul, linear_taylor
 
 NORMALITY_RTOL = 1e-8
+# Relative agreement required of two routes to the same quantity.
+CONSISTENCY_RTOL = 1e-6
 
 
 class NotNormalError(ValueError):
     """An operation defined only for normal frames received a non-normal one."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """Two independent computation routes disagreed beyond tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,22 +272,63 @@ def normal_frame(curve, grid):
 # -- endomorphism family ----------------------------------------------------
 
 
-def endomorphism_bundle(fj):
-    """All pointwise endomorphism data; the two horizontal routes must agree.
+@dataclass(frozen=True, eq=False)
+class EndomorphismBundle:
+    """Pointwise endomorphism data of a fanning frame, in ambient coordinates.
 
-    It is built once per frame jet and cached there
-    (:attr:`FrameJet.endomorphism_bundle`).
+    ``reflection`` is the derivative of the fundamental endomorphism F
+    scaled to an involution; ``jacobi`` the square of the derivative of the
+    projection ``(I - reflection) / 2``; ``horizontal`` spans the horizontal
+    curve.  Every entry has the frame jet's batch shape; for a batched jet
+    ``horizontal_residual`` is an array over it (a float for one time).
     """
-    return fj.endomorphism_bundle
+
+    reflection: np.ndarray
+    jacobi: np.ndarray
+    horizontal: MatrixJet
+    horizontal_residual: float
 
 
-def _frame_basis(fj):
-    """Coefficients 0 and 1 of C and ``G - I``: ``J' = J C`` and ``J G = (A | ... | A^(k-2) | H)``.
+def endomorphism_bundle(fj):
+    """All pointwise endomorphism data, built from F (:attr:`FrameJet.fundamental_endomorphism`).
+
+    ``H = A^(k-1) - (1/k) F A^(k)`` is built through F and as the last
+    block column of ``J G`` (:func:`_frame_basis`); the two routes must agree.
+    """
+    k, n = fj.k, fj.n
+    require_order(fj.order, k + 1, "the endomorphism bundle")
+    f = fj.fundamental_endomorphism
+    reflection = (2.0 * f.derivative_value(1) - (k - 2) * np.eye(k * n)) / k
+    pdot = -f.derivative_value(2) / k
+    jacobi = pdot @ pdot
+
+    h = fj.derivative_jet(k - 1) - (1.0 / k) * jet_mul(f, fj.derivative_jet(k))
+    column = _frame_basis(fj, fj.order - k + 1)[1][..., -n:]
+    column[..., 0, -n:, :] += np.eye(n)
+    h_alt = jet_mul(fj.juxtaposed, MatrixJet(fj.base_time, column))
+    every = (-3, -2, -1)
+    scale = 1.0 + np.max(np.abs(h.coeffs), axis=every)
+    residual = np.max(np.abs(h.coeffs - h_alt.coeffs), axis=every)
+    i = first_failure(residual > CONSISTENCY_RTOL * scale)
+    if i is not None:
+        raise InternalConsistencyError(
+            f"horizontal-derivative routes disagree: residual {np.ravel(residual)[i]:.3e}"
+        )
+    return EndomorphismBundle(
+        reflection=reflection,
+        jacobi=jacobi,
+        horizontal=h,
+        horizontal_residual=residual,
+    )
+
+
+def _frame_basis(fj, count):
+    """The first ``count`` coefficients of C and ``G - I``: ``J' = J C``, ``J G = (A | ... | H)``.
 
     G is the identity but for its last block column ``e_(k-1) - N c_k / k``,
     ``c_k`` being that of C, so ``(G - I)^2 = 0`` and ``G^-1 = I - (G - I)``.
     """
-    c = companion_stack([p.coeffs[..., :2, :, :] for p in ode_coefficients(fj)])
+    c = companion_stack([p.coeffs[..., :count, :, :] for p in ode_coefficients(fj)])
     g = np.zeros_like(c)
     g[..., -fj.n :] = nilpotent_matrix(fj.k, fj.n) @ c[..., -fj.n :] / -fj.k
     return c, g
@@ -291,7 +337,7 @@ def _frame_basis(fj):
 def frame_reflection(fj):
     """The reflection ``(2 F' - (k-2) I) / k`` in the basis J: ``(2 [C, N] - (k-2) I) / k``."""
     k, nil = fj.k, nilpotent_matrix(fj.k, fj.n)
-    c = _frame_basis(fj)[0][..., 0, :, :]
+    c = _frame_basis(fj, 2)[0][..., 0, :, :]
     return (2.0 * (c @ nil - nil @ c) - (k - 2) * np.eye(k * fj.n)) / k
 
 
@@ -300,7 +346,7 @@ def _jacobi_direct(fj):
 
     ``P' = -F'' / k``, and ``J^-1 F'' J = [C, [C, N]] + [C', N]``.
     """
-    c, g = _frame_basis(fj)
+    c, g = _frame_basis(fj, 2)
     nil, eye = nilpotent_matrix(fj.k, fj.n), np.eye(fj.k * fj.n)
     c0, c1, g0 = c[..., 0, :, :], c[..., 1, :, :], g[..., 0, :, :]
     cn = c0 @ nil - nil @ c0
@@ -359,20 +405,20 @@ def jacobi_matrix(fj):
     return pattern
 
 
-def maurer_cartan_pullback(fj, lift="with_H"):
+def maurer_cartan_pullback(fj, lift):
     """Pullback ``L^-1 L'`` at the base time for one of the two frame lifts.
 
-    ``lift="with_H"`` uses ``L = (A | ... | A^(k-2) | H) = J G``, whose
-    pullback is ``G^-1 (C G + G')``; ``lift="with_kth_derivative"`` uses the
-    plain juxtaposed lift ``J = (A | ... | A^(k-1))``, whose pullback is the
+    ``lift="H"`` uses ``L = (A | ... | A^(k-2) | H) = J G``, whose
+    pullback is ``G^-1 (C G + G')``; ``lift="kderiv"`` uses the plain
+    juxtaposed lift ``J = (A | ... | A^(k-1))``, whose pullback is the
     companion matrix C.  The frame must be normal.
     """
-    if lift not in ("with_H", "with_kth_derivative"):
+    if lift not in ("H", "kderiv"):
         raise ValueError(f"unknown lift {lift!r}")
     require_normal(fj)
     require_order(fj.order, fj.k + 1, "the Maurer-Cartan pullback")
-    c, g = _frame_basis(fj)
-    if lift == "with_kth_derivative":
+    c, g = _frame_basis(fj, 2)
+    if lift == "kderiv":
         return c[..., 0, :, :]
     eye, g0 = np.eye(fj.k * fj.n), g[..., 0, :, :]
     return (eye - g0) @ (c[..., 0, :, :] @ (eye + g0) + g[..., 1, :, :])

@@ -237,14 +237,14 @@ def ambient_endomorphisms(fj):
 
 
 def pullback_by_solve(fj, lift):
-    """``L^-1 L'`` at the base time by one solve, for ``lift`` ``"with_H"`` or ``"with_kth_derivative"``.
+    """``L^-1 L'`` at the base time by one solve, for ``lift`` ``"H"`` or ``"kderiv"``.
 
     ``L`` is the juxtaposed lift, with its last block column replaced by the
     ambient H for the H-lift.
     """
     k, n = fj.k, fj.n
     lifted = fj.juxtaposed.coeffs[..., :2, :, :].copy()
-    if lift == "with_H":
+    if lift == "H":
         lifted[..., :, (k - 1) * n :] = ambient_endomorphisms(fj).horizontal.coeffs[..., :2, :, :]
     return np.linalg.solve(lifted[..., 0, :, :], lifted[..., 1, :, :])
 

@@ -290,7 +290,7 @@ def test_criterion_08_k4_maurer_cartan_displays():
         expected[0:n, 3 * n :] = h1d - h2
         expected[n : 2 * n, 3 * n :] = 3 * (kapd - h1)
         expected[2 * n : 3 * n, 3 * n :] = -3 * kap
-        got = maurer_cartan_pullback(nj, lift="with_H")
+        got = maurer_cartan_pullback(nj, lift="H")
         worst_h = max(worst_h, np.max(np.abs(got - expected)))
 
         expected = np.zeros((k * n, k * n))
@@ -299,7 +299,7 @@ def test_criterion_08_k4_maurer_cartan_displays():
         expected[0:n, 3 * n :] = -h2
         expected[n : 2 * n, 3 * n :] = -4 * h1
         expected[2 * n : 3 * n, 3 * n :] = -6 * kap
-        got = maurer_cartan_pullback(nj, lift="with_kth_derivative")
+        got = maurer_cartan_pullback(nj, lift="kderiv")
         worst_plain = max(worst_plain, np.max(np.abs(got - expected)))
 
         # the printed plain-lift display is the Jacobi endomorphism in the

@@ -256,6 +256,24 @@ class TestTraceEarlyExit:
         assert not w.message.startswith("invariant traces differ")
         assert calls == [curve_a, curve_b]
 
+    def test_normal_lifts_built_at_the_first_sample_only(self, rng, monkeypatch):
+        curve_a, curve_b, _, _ = congruence_pair(3, 2, rng)
+        samples = np.linspace(0.0, 0.5, 9)
+        built = []
+
+        def recording(fj, y0=None):
+            normal = invariants_mod.normalized_frame_jet(fj, y0)
+            built.append((fj.base_time.tolist(), normal.juxtaposed.value()))
+            return normal
+
+        monkeypatch.setattr(congruence_mod, "normalized_frame_jet", recording)
+        assert are_congruent(curve_a, curve_b, samples).verdict == "congruent"
+        assert [times for times, _ in built] == [[0.0], [0.0]]
+        for (_, lift), curve in zip(built, (curve_a, curve_b)):
+            # the lift of the whole batch's first sample, bit for bit
+            full = invariants_mod.normalized_frame_jet(curve.frame_jets(samples, 5))
+            np.testing.assert_array_equal(lift[0], full.juxtaposed.value()[0])
+
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_constructed_pairs_trace_margin(self, k, n, rng):
         # Recorded margin of the early exit under the default tolerance 1e-7.

@@ -21,6 +21,7 @@ from fanning import (
 from fanning.congruence import canonicalize_jet
 from fanning.curves import DEFAULT_CONDITION_LIMIT, FrameJet, _jet_from_state, companion_stack
 from fanning.invariants import (
+    endomorphism_bundle,
     invariants_from_coefficients,
     jacobi_matrix,
     maurer_cartan_pullback,
@@ -652,12 +653,12 @@ ORDER_REQUIREMENTS = [
     (
         "the endomorphism bundle",
         4,
-        lambda normal, curves, r: _truncated(normal, r).endomorphism_bundle.horizontal,
+        lambda normal, curves, r: endomorphism_bundle(_truncated(normal, r)).horizontal,
     ),
     (
         "the endomorphism bundle",
         4,
-        lambda normal, curves, r: _truncated(normal, r).endomorphism_bundle,
+        lambda normal, curves, r: endomorphism_bundle(_truncated(normal, r)),
     ),
     ("frame jets with k=3", 2, lambda normal, curves, r: curves[0].frame_jets([0.0, 0.2], r)),
     ("frame jets with k=3", 2, lambda normal, curves, r: curves[1].frame_jets([-0.2, 0.2], r)),
@@ -677,7 +678,7 @@ ORDER_REQUIREMENTS = [
     (
         "the Maurer-Cartan pullback",
         4,
-        lambda normal, curves, r: maurer_cartan_pullback(_truncated(normal, r)),
+        lambda normal, curves, r: maurer_cartan_pullback(_truncated(normal, r), "H"),
     ),
     ("canonicalization", 4, lambda normal, curves, r: canonicalize_jet(_truncated(normal, r))),
 ]

@@ -177,14 +177,6 @@ class TestBundle:
             fj = random_frame_jet(k, n, k + 2, rng)
             assert endomorphism_bundle(fj).horizontal_residual < 1e-9
 
-    def test_cached_bundle_is_read_only(self, rng):
-        fj = random_frame_jet(3, 2, 5, rng)
-        b = endomorphism_bundle(fj)
-        for matrix in (b.reflection, b.jacobi):
-            with pytest.raises(ValueError):
-                matrix[0, 0] = 1.0
-        assert endomorphism_bundle(fj) is b
-
 
 class TestJacobiMatrix:
     def test_standard_jet_patterns(self):
@@ -238,7 +230,7 @@ class TestMaurerCartan:
         expected = np.zeros((k, k))
         for j in range(k - 1):
             expected[j + 1, j] = 1.0
-        for lift in ("with_H", "with_kth_derivative"):
+        for lift in ("H", "kderiv"):
             got = maurer_cartan_pullback(fj, lift=lift)
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -260,7 +252,7 @@ class TestMaurerCartan:
         expected[0:n, 3 * n :] = h1d - h2
         expected[n : 2 * n, 3 * n :] = 3 * (kapd - h1)
         expected[2 * n : 3 * n, 3 * n :] = -3 * kap
-        got = maurer_cartan_pullback(nj, lift="with_H")
+        got = maurer_cartan_pullback(nj, lift="H")
         np.testing.assert_allclose(got, expected, atol=1e-8)
 
     def test_k4_plain_lift_pullback(self, rng):
@@ -276,7 +268,7 @@ class TestMaurerCartan:
             expected[(k - i) * n : (k - i + 1) * n, (k - 1) * n :] = (
                 -math.comb(k, i) * p[i - 1].value()
             )
-        got = maurer_cartan_pullback(nj, lift="with_kth_derivative")
+        got = maurer_cartan_pullback(nj, lift="kderiv")
         np.testing.assert_allclose(got, expected, atol=1e-8)
 
     def test_k4_jacobi_in_plain_basis_display(self, rng):
@@ -307,7 +299,12 @@ class TestMaurerCartan:
     def test_requires_normal(self, rng):
         curve = random_polynomial_curve(4, 1, rng)
         with pytest.raises(NotNormalError):
-            maurer_cartan_pullback(curve.frame_jet(0.2, 10))
+            maurer_cartan_pullback(curve.frame_jet(0.2, 10), "H")
+
+    @pytest.mark.parametrize("lift", ["with_H", "with_kth_derivative", "h"])
+    def test_unknown_lift_raises(self, lift):
+        with pytest.raises(ValueError, match="unknown lift"):
+            maurer_cartan_pullback(standard_jet(3, 1, 5), lift)
 
 
 class TestFrameBasis:
@@ -329,7 +326,7 @@ class TestFrameBasis:
         ambient = ambient_endomorphisms(nj)
         moving = ambient.moving_frame
         self.assert_close(_jacobi_direct(nj), np.linalg.solve(moving, ambient.jacobi @ moving))
-        for lift in ("with_H", "with_kth_derivative"):
+        for lift in ("H", "kderiv"):
             self.assert_close(maurer_cartan_pullback(nj, lift=lift), pullback_by_solve(nj, lift))
 
 

@@ -1,6 +1,8 @@
 """The maintenance scripts under ``tools/`` run on this checkout."""
 
 import importlib.util
+import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -50,21 +52,30 @@ def test_abtime_runs_a_tree_against_itself():
     assert lines[1].startswith("congruence seed 1: 1 rounds of ")
     assert lines[1].endswith(", 0 commands with a different exit code or stdout")
     median = float(lines[1].partition("median new/old ")[2].split()[0])
-    assert f"median new/old {median:.3f} ({abtime.resolution(median)}), " in lines[1]
+    # One round resolves nothing, whatever its ratio.
+    assert f"median new/old {median:.3f} (fewer than 5 rounds: not resolved), " in lines[1]
+
+
+RESOLUTION_CASES = [
+    ([1.0, 1.0, 1.0, 1.0, 1.0], "within 2% of 1: not resolved"),
+    ([1.013, 1.005, 1.02, 1.013, 1.01], "within 2% of 1: not resolved"),
+    ([0.985, 0.99, 0.97, 0.985, 0.995], "within 2% of 1: not resolved"),
+    ([1.031, 1.04, 1.025, 1.031, 1.05], "more than 2% from 1: resolved"),
+    ([0.762, 0.8, 0.75, 0.762, 0.77], "more than 2% from 1: resolved"),
+    ([1.031, 1.04, 1.025, 1.05], "fewer than 5 rounds: not resolved"),
+    ([1.031], "fewer than 5 rounds: not resolved"),
+    ([1.031, 1.04, 0.99, 1.031, 1.05], "rounds on both sides of 1: not resolved"),
+    ([0.762, 1.01, 0.75, 0.762, 0.77], "rounds on both sides of 1: not resolved"),
+]
 
 
 @pytest.mark.parametrize(
-    "median, text",
-    [
-        (1.0, "within 2% of 1: not resolved"),
-        (1.013, "within 2% of 1: not resolved"),
-        (0.985, "within 2% of 1: not resolved"),
-        (1.031, "more than 2% from 1: resolved"),
-        (0.762, "more than 2% from 1: resolved"),
-    ],
+    "ratios, text",
+    RESOLUTION_CASES,
+    ids=[f"{round(statistics.median(r), 4)}-{text}" for r, text in RESOLUTION_CASES],
 )
-def test_abtime_calls_a_median_within_two_percent_of_one_not_resolved(median, text):
-    assert abtime.resolution(median) == text
+def test_abtime_calls_a_median_within_two_percent_of_one_not_resolved(ratios, text):
+    assert abtime.resolution(ratios) == text
 
 
 class TestParityComparison:
@@ -104,15 +115,40 @@ class TestParityComparison:
         new = {"conjugator": [[-1.0]], "ambient": [[-2.0]], "residuals": [1.5]}
         assert parity.report_difference(old, new) == (0.25, ".residuals[0]")
 
+    def test_verify_reports_compare_as_json(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(parity.PERFBENCH))
+        import workloads
+
+        workload = workloads.build("grid-ode", 1, quick=True)
+        ops = parity.verify_ops(workload)
+        paths = {cid: f"{cid}.json" for cid in workload.curves}
+        assert [op.argv(paths) for op in ops] == [
+            ["verify", f"{cid}.json", "--t", "0.2", "--seed", "3"] for cid in workload.curves
+        ]
+        op, check = ops[0], {"name": "reflection_square", "residual": 2e-15, "pass": True}
+
+        def result(code, **changes):
+            report = {"command": "verify", "checks": [{**check, **changes}], "passed": True}
+            return {"code": code, "stdout": json.dumps(report), "stderr": ""}
+
+        assert parity.compare_op(op, result(0), result(0)) == ([], 0.0, "")
+        problems, worst, where = parity.compare_op(op, result(0), result(0, residual=3e-15))
+        assert problems == [] and worst == pytest.approx(1e-15)
+        assert where == f"{op.name}.checks[0].residual"
+        problems = parity.compare_op(op, result(0), result(1, **{"pass": False}))[0]
+        assert problems[0] == f"{op.name}: exit 0 vs 1"
+        assert problems[1].startswith(f"{op.name}: reports differ: .checks[0].pass: True vs False")
+
     def test_summary_totals_identical_stdout(self, monkeypatch, capsys):
-        # Nine workload-seed pairs of 4 commands: 3 identical each, one with a mismatch.
+        # Nine workload-seed pairs of 4 commands, 1 of them verify: 3 identical
+        # each, one with a mismatch.
         def compare(old, new, name, seed, scratch):
             found = ["x: exit 0 vs 1"] if (name, seed) == ("congruence", 2) else []
-            return 4, 3, found, 1e-12 * seed, f"{name}-{seed}"
+            return 4, 1, 3, found, 1e-12 * seed, f"{name}-{seed}"
 
         monkeypatch.setattr(parity, "compare_workload", compare)
         assert parity.main(["old", "new"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "36 commands, 27 with identical stdout, 1 mismatches, worst |a - b| / (1 + |a|) "
-            "3e-12 at grid-poly-3: FAIL (tolerance 1e-09)"
+            "36 commands (9 verify), 27 with identical stdout, 1 mismatches, "
+            "worst |a - b| / (1 + |a|) 3e-12 at grid-poly-3: FAIL (tolerance 1e-09)"
         )

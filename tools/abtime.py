@@ -18,9 +18,12 @@ any round.  ``--quick`` takes the workload's small inputs.  Exits 0; uses
 numpy and ``perfbench/workloads.py``, which it only imports.
 
 The order of the arguments alone moves the ratio: a tree timed against
-itself, or a pair run both ways, reads about 1 % in favour of OLD_TREE.
-The summary line therefore calls a median within ``UNRESOLVED`` (2%) of 1
-not resolved; run both orders before reading a small difference.
+itself, or a pair run both ways, reads about 1 % in favour of OLD_TREE,
+and one round of quick inputs spreads by more than 2 %.  The summary line
+therefore calls the trees told apart (resolved) only when there are at
+least ``MIN_ROUNDS`` (5) rounds, the median is more than ``UNRESOLVED``
+(2%) from 1 and every round falls on the same side of 1; run both orders
+before reading a small difference.
 """
 
 import argparse
@@ -38,6 +41,8 @@ WORKLOADS = ("grid-poly", "congruence", "grid-ode")
 # A median ratio closer than this to 1 is not resolved: the first tree given
 # runs about 1 % faster than the same tree given second.
 UNRESOLVED = 0.02
+# Fewer rounds than this resolve nothing.
+MIN_ROUNDS = 5
 
 
 def parse_args(argv):
@@ -86,10 +91,18 @@ def run_command(modules, argv):
     return code, out.getvalue(), time.perf_counter() - start
 
 
-def resolution(median):
-    """Whether a median ratio NEW/OLD is far enough from 1 to tell the trees apart."""
-    if abs(median - 1.0) < UNRESOLVED:
+def resolution(ratios):
+    """Whether the round ratios NEW/OLD tell the trees apart, and why.
+
+    They do with at least ``MIN_ROUNDS`` rounds, a median more than
+    ``UNRESOLVED`` from 1 and every round on the same side of 1.
+    """
+    if len(ratios) < MIN_ROUNDS:
+        return f"fewer than {MIN_ROUNDS} rounds: not resolved"
+    if not abs(statistics.median(ratios) - 1.0) > UNRESOLVED:
         return f"within {UNRESOLVED:.0%} of 1: not resolved"
+    if not (all(r > 1.0 for r in ratios) or all(r < 1.0 for r in ratios)):
+        return "rounds on both sides of 1: not resolved"
     return f"more than {UNRESOLVED:.0%} from 1: resolved"
 
 
@@ -125,7 +138,7 @@ def main(argv=None):
                   f"new/old {ratios[-1]:.3f}", flush=True)
     median = statistics.median(ratios)
     print(f"{args.workload} seed {args.seed}: {args.rounds} rounds of {len(argvs)} commands, "
-          f"median new/old {median:.3f} ({resolution(median)}), "
+          f"median new/old {median:.3f} ({resolution(ratios)}), "
           f"{len(differ)} commands with a different exit code or stdout")
     return 0
 

@@ -4,7 +4,8 @@
 
 Builds the three workloads of this checkout's ``perfbench/workloads.py`` at
 full size for seeds 1, 2 and 3 and writes their curve files once.  Each source tree then runs every
-command of the workload, ``fanning.cli.main(argv)`` with stdout and stderr
+command of the workload, and ``verify`` on each of its curve files (JSON,
+``--t 0.2 --seed 3``), ``fanning.cli.main(argv)`` with stdout and stderr
 captured, in a fresh interpreter that imports ``fanning`` from that tree's
 ``src/``.  The two runs must agree on exit codes, stderr and congruence
 verdicts, and on the shape of every report; every number is compared as
@@ -13,7 +14,8 @@ and ambient map that differ from OLD_TREE's only by one common sign count as
 equal (both are determined up to that sign).
 
 Prints one line per workload and seed and a summary that totals the
-commands, those with byte-identical stdout and the mismatches; exits 1 on any
+commands, the ``verify`` commands among them, those with byte-identical
+stdout and the mismatches; exits 1 on any
 mismatch or when the worst difference exceeds ``1e-9``.  Uses numpy and the
 modules of ``perfbench/``, which it only imports.
 """
@@ -33,6 +35,8 @@ PERFBENCH = HERE.parent / "perfbench"
 WORKLOADS = ("grid-poly", "congruence", "grid-ode")
 SEEDS = (1, 2, 3)
 TOLERANCE = 1e-9
+# Options of the ``verify`` command run on every curve file.
+VERIFY_OPTIONS = ("--t", "0.2", "--seed", "3")
 # Report keys of a congruence witness that are determined up to one common sign.
 SIGNED_PAIR = ("conjugator", "ambient")
 
@@ -161,31 +165,41 @@ def compare_op(op, old, new):
     return problems, worst, f"{name}{where}"
 
 
+def verify_ops(workload):
+    """One JSON ``verify`` command per curve file of ``workload``."""
+    import workloads
+
+    return [workloads.Op(f"verify-{cid}", "verify", (cid,), VERIFY_OPTIONS, 1, "verify")
+            for cid in workload.curves]
+
+
 def compare_workload(old_tree, new_tree, name, seed, scratch):
     import workloads
 
     workload = workloads.build(name, seed)
+    verify = verify_ops(workload)
+    ops = workload.ops + verify
     directory = scratch / f"{name}-{seed}"
     directory.mkdir()
     paths = workload.write(str(directory))
     jobs_path = directory / "jobs.json"
     with open(jobs_path, "w", encoding="utf-8") as fh:
-        json.dump([op.argv(paths) for op in workload.ops], fh)
+        json.dump([op.argv(paths) for op in ops], fh)
     old = tree_results(old_tree, jobs_path, directory / "old.json")
     new = tree_results(new_tree, jobs_path, directory / "new.json")
     problems, worst, where, identical = [], 0.0, "", 0
-    for op, a, b in zip(workload.ops, old, new):
+    for op, a, b in zip(ops, old, new):
         op_problems, op_worst, op_where = compare_op(op, a, b)
         problems += op_problems
         identical += a["stdout"] == b["stdout"]
         if op_worst > worst:
             worst, where = op_worst, op_where
-    print(f"{name} seed {seed}: {len(workload.ops)} commands, {identical} with identical "
-          f"stdout, {len(problems)} mismatches, worst difference {worst:.3g}"
+    print(f"{name} seed {seed}: {len(ops)} commands ({len(verify)} verify), {identical} with "
+          f"identical stdout, {len(problems)} mismatches, worst difference {worst:.3g}"
           + (f" at {where}" if where else ""))
     for line in problems:
         print(f"  {line}")
-    return len(workload.ops), identical, problems, worst, where
+    return len(ops), len(verify), identical, problems, worst, where
 
 
 def main(argv=None):
@@ -194,20 +208,22 @@ def main(argv=None):
         run_commands(*args.child)
         return 0
     sys.path.insert(0, str(PERFBENCH))
-    total, identical, problems, worst, where = 0, 0, [], 0.0, ""
+    total, verified, identical, problems, worst, where = 0, 0, 0, [], 0.0, ""
     with tempfile.TemporaryDirectory(prefix="fanning-parity-") as scratch:
         for name in WORKLOADS:
             for seed in SEEDS:
-                count, same, found, w, at = compare_workload(args.old, args.new, name, seed,
-                                                             Path(scratch))
+                count, verify, same, found, w, at = compare_workload(args.old, args.new, name,
+                                                                     seed, Path(scratch))
                 total += count
+                verified += verify
                 identical += same
                 problems += found
                 if w > worst:
                     worst, where = w, at
     failed = bool(problems) or worst > TOLERANCE
-    print(f"{total} commands, {identical} with identical stdout, {len(problems)} mismatches, "
-          f"worst |a - b| / (1 + |a|) {worst:.3g}" + (f" at {where}" if where else "")
+    print(f"{total} commands ({verified} verify), {identical} with identical stdout, "
+          f"{len(problems)} mismatches, worst |a - b| / (1 + |a|) {worst:.3g}"
+          + (f" at {where}" if where else "")
           + f": {'FAIL' if failed else 'PASS'} (tolerance {TOLERANCE:g})")
     return 1 if failed else 0
 
