@@ -4,7 +4,9 @@ Subcommands: ``invariants``, ``congruent``, ``canonicalize``,
 ``normal-frame`` and ``verify``.  Curve files use the JSON schema of
 :mod:`fanning.curves`.  Reports go to stdout (or ``--out``); diagnostics
 go to stderr.  The ``FANNING_TOL`` environment variable overrides the
-default verification tolerance.
+default verification tolerance.  ``invariants`` builds the least jet order
+its report reads and renders its batched arrays as a ``report.Columns``;
+``canonicalize`` and ``verify`` build order 2k+2.
 
 Exit codes: 0 success (``congruent`` verdict: congruent), 1 not congruent
 or failed verification checks, 2 parse/usage error, 3 non-fanning input,
@@ -131,10 +133,6 @@ def _build_parser():
     return parser
 
 
-def _jet_order(curve):
-    return 2 * curve.k + 2
-
-
 def _validated(args):
     """``args`` with ``grid`` parsed and ``tol`` resolved, once every value is checked.
 
@@ -163,10 +161,11 @@ def _validated(args):
 def _grid_invariants(fj, args):
     """What ``invariants`` reports, each quantity computed once over the batch ``fj``.
 
-    Errors come in grid order: when a time is not fanning, the times before
-    it are computed first, and may fail first.  The caller holds no other
-    reference to ``fj``, so its cached lifts are freed once the normal frame,
-    which builds lifts of its own, is made from it.
+    Returns the columns of the report's points but ``t``, keyed as a point
+    is.  Errors come in grid order: when a time is not fanning, the times
+    before it are computed first, and may fail first.  The caller holds no
+    other reference to ``fj``, so its cached lifts are freed once the normal
+    frame, which builds lifts of its own, is made from it.
     """
     fanning = np.ravel(fj.is_fanning)
     if not fanning.all():
@@ -175,55 +174,42 @@ def _grid_invariants(fj, args):
             prefix = MatrixJet(fj.base_time[:first], fj.jet.coeffs[:first])
             _grid_invariants(FrameJet(prefix), args)
         fj.require_fanning()
-    was_normal = is_normal(fj)
     inv = wilczynski_invariants(fj)
-    reflection = frame_reflection(fj)
+    minus_one, plus_one = eigenvalue_multiplicity(frame_reflection(fj), (-1.0, 1.0))
     values = {
         "fanning_condition": fj.condition,
-        "was_normal": was_normal,
+        "was_normal": is_normal(fj),
         "kappa": inv.kappa.value(),
-        "schwarzian": inv.schwarzian.value(),
+        "schwarzian": 2.0 * inv.kappa.value(),
         "h": [h.value() for h in inv.h],
-        "minus_one": eigenvalue_multiplicity(reflection, -1.0),
-        "plus_one": eigenvalue_multiplicity(reflection, 1.0),
+        "reflection_eigencounts": {"minus_one": minus_one, "plus_one": plus_one},
     }
     if args.jacobi or args.maurer_cartan is not None:
         normalized = normalized_frame_jet(fj)
         del fj
-        if args.jacobi:
-            values["jacobi"] = jacobi_matrix(normalized)
-        if args.maurer_cartan is not None:
-            values["maurer_cartan"] = maurer_cartan_pullback(normalized, args.maurer_cartan)
+        try:
+            if args.jacobi:
+                values["jacobi"] = jacobi_matrix(normalized)
+            if args.maurer_cartan is not None:
+                values["maurer_cartan"] = maurer_cartan_pullback(normalized, args.maurer_cartan)
+        except NotFanningError as exc:
+            raise NotFanningError(exc.condition, exc.at_time, "normal frame") from None
     return values
 
 
 def cmd_invariants(args):
-    """Invariants at every grid time: one batched pass, then the report point of each time."""
+    """Invariants at every grid time: one batched pass, rendered column by column."""
     curve = load_curve(args.curve)
-    values = _grid_invariants(curve.frame_jets(args.grid, _jet_order(curve)), args)
-
-    points = []
-    for i, t in enumerate(args.grid):
-        condition = float(values["fanning_condition"][i])
-        kappa, hs = values["kappa"][i], [h[i] for h in values["h"]]
-        counts = {key: int(values[key][i]) for key in ("minus_one", "plus_one")}
-        point = {
-            "t": float(t),
-            "fanning_condition": condition,
-            "was_normal": bool(values["was_normal"][i]),
-            "kappa": kappa,
-            "schwarzian": values["schwarzian"][i],
-            "h": hs,
-            "reflection_eigencounts": counts,
-        }
-        for key in ("jacobi", "maurer_cartan"):
-            if key in values:
-                point[key] = values[key][i]
-        points.append(point)
-    not_normal = [float(t) for t, normal in zip(args.grid, values["was_normal"]) if not normal]
-    if not_normal and (args.jacobi or args.maurer_cartan is not None):
+    # kappa and h_1 .. h_(k-2) need order 2k-1; a normal frame made from order
+    # R has order R-k+1, and the Jacobi matrix and the pullback need k+1.
+    normal_frame_read = args.jacobi or args.maurer_cartan is not None
+    order = 2 * curve.k if normal_frame_read else 2 * curve.k - 1
+    values = _grid_invariants(curve.frame_jets(args.grid, order), args)
+    times = np.asarray(args.grid, dtype=float)
+    not_normal = times[~values["was_normal"]].tolist()
+    if not_normal and normal_frame_read:
         print(
-            f"note: frame not normal at {len(not_normal)} of {len(args.grid)} grid times "
+            f"note: frame not normal at {len(not_normal)} of {len(times)} grid times "
             f"(t={not_normal[0]!r} to {not_normal[-1]!r}); the Jacobi matrix and "
             "pullback are those of the normal frame anchored at each",
             file=sys.stderr,
@@ -232,24 +218,15 @@ def cmd_invariants(args):
         "command": "invariants",
         "k": curve.k,
         "n": curve.n,
-        "grid": [float(t) for t in args.grid],
+        "grid": times,
         "tolerance": args.tol,
-        "points": points,
+        "points": report_mod.Columns({"t": times, **values}),
     }
-
-    def csv_entries():
-        for t, point in zip(args.grid, points):
-            yield t, "fanning_condition", point["fanning_condition"]
-            yield t, "kappa", point["kappa"]
-            for j, h in enumerate(point["h"], start=1):
-                yield t, f"h{j}", h
-            for key, count in point["reflection_eigencounts"].items():
-                yield t, f"reflection_{key}", count
-            for key in ("jacobi", "maurer_cartan"):
-                if key in point:
-                    yield t, key, point[key]
-
-    return report, csv_entries(), EXIT_OK
+    csv = {key: values[key] for key in ("fanning_condition", "kappa")}
+    csv.update((f"h{j}", h) for j, h in enumerate(values["h"], start=1))
+    csv.update((f"reflection_{key}", c) for key, c in values["reflection_eigencounts"].items())
+    csv.update((key, values[key]) for key in ("jacobi", "maurer_cartan") if key in values)
+    return report, [report_mod.Columns({"t": times, **csv})], EXIT_OK
 
 
 def cmd_congruent(args):
@@ -259,11 +236,11 @@ def cmd_congruent(args):
     report = {
         "command": "congruent",
         "verdict": witness.verdict,
-        "samples": list(witness.samples),
+        "samples": np.array(witness.samples, dtype=float),
         "conjugator": witness.conjugator,
         "ambient": witness.ambient,
-        "residuals": list(witness.residuals),
-        "span_distances": list(witness.span_distances),
+        "residuals": np.array(witness.residuals, dtype=float),
+        "span_distances": np.array(witness.span_distances, dtype=float),
         "conjugator_condition": witness.conjugator_condition,
         "message": witness.message,
         "tolerance": args.tol,
@@ -289,7 +266,7 @@ def cmd_congruent(args):
 
 def cmd_canonicalize(args):
     curve = load_curve(args.curve)
-    fj = curve.frame_jet(args.t, _jet_order(curve))
+    fj = curve.frame_jet(args.t, 2 * curve.k + 2)
     standard, ambient = canonicalize_jet(fj)
     entries = orbit_entries(standard)
     report = {
@@ -319,9 +296,10 @@ def cmd_canonicalize(args):
 def cmd_normal_frame(args):
     curve = load_curve(args.curve)
     record = normal_frame(curve, args.grid)
+    times = np.array(record.times, dtype=float)
     report = {
         "command": "normal-frame",
-        "grid": list(record.times),
+        "grid": times,
         "x": record.x,
         "frames": record.frames,
         "q": record.q,
@@ -329,15 +307,10 @@ def cmd_normal_frame(args):
         "tolerance": args.tol,
     }
 
-    def csv_entries():
-        for i, t in enumerate(record.times):
-            yield t, "x", record.x[i]
-            yield t, "frame", record.frames[i]
-            for j, qj in enumerate(record.q, start=2):
-                yield t, f"q{j}", qj[i]
-            yield t, "p1_residual", record.p1_residuals[i]
-
-    return report, csv_entries(), EXIT_OK
+    csv = {"t": times, "x": record.x, "frame": record.frames}
+    csv.update((f"q{j}", qj) for j, qj in enumerate(record.q, start=2))
+    csv["p1_residual"] = record.p1_residuals
+    return report, [report_mod.Columns(csv)], EXIT_OK
 
 
 def cmd_verify(args):
@@ -345,7 +318,7 @@ def cmd_verify(args):
     tol = args.tol
     k, n = curve.k, curve.n
     kn = k * n
-    fj = curve.frame_jet(args.t, _jet_order(curve))
+    fj = curve.frame_jet(args.t, 2 * curve.k + 2)
     rng = np.random.default_rng(args.seed)
     checks = []
 
@@ -415,8 +388,9 @@ def cmd_verify(args):
     return report, csv_entries(), EXIT_OK if passed else EXIT_FAILED
 
 
-# Each command returns its report, a generator of the report's CSV entries
-# ``(t, name, value)`` (run only for ``--format csv``) and its exit code.
+# Each command returns its report, an iterable of the report's CSV entries
+# (``(t, name, value)`` or a ``report.Columns``; a generator runs only for
+# ``--format csv``) and its exit code.
 _COMMANDS = {
     "invariants": cmd_invariants,
     "congruent": cmd_congruent,

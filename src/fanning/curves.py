@@ -75,10 +75,10 @@ MAX_KNOTS = MAX_GRID_POINTS + 1
 
 
 class NotFanningError(RuntimeError):
-    """The juxtaposed derivative matrix is singular or too ill-conditioned."""
+    """The juxtaposed derivative matrix of ``frame`` (a name) is singular or too ill-conditioned."""
 
-    def __init__(self, condition, at_time):
-        super().__init__(f"frame is not fanning at t={at_time!r}: condition {condition:.3e}")
+    def __init__(self, condition, at_time, frame):
+        super().__init__(f"{frame} is not fanning at t={at_time!r}: condition {condition:.3e}")
         self.condition = condition
         self.at_time = at_time
 
@@ -218,10 +218,10 @@ def first_failure(failed):
 
 
 def _require_finite(coefficients, what):
-    """Reject curve data with NaN or infinite entries (checked once at construction)."""
-    for i, c in enumerate(coefficients):
-        if not np.all(np.isfinite(c)):
-            raise CurveFormatError(f"{what} coefficient {i} is not finite")
+    """Reject a coefficient stack with NaN or infinite entries (checked once at construction)."""
+    if not np.isfinite(coefficients).all():
+        i = first_failure(~np.isfinite(coefficients).all(axis=(-2, -1)))
+        raise CurveFormatError(f"{what} coefficient {i} is not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,7 +409,7 @@ class FrameJet:
         i = first_failure(~(condition < DEFAULT_CONDITION_LIMIT))
         if i is not None:
             at_time = float(np.ravel(self.base_time)[i])
-            raise NotFanningError(float(condition[i]), at_time=at_time)
+            raise NotFanningError(float(condition[i]), at_time, "frame")
 
     @cached_property
     def equation_coefficients(self):
@@ -552,7 +552,7 @@ class OdeFrameCurve:
             raise CurveFormatError("initial juxtaposed matrix is not finite")
         condition = np.linalg.cond(a0)
         if not condition < DEFAULT_CONDITION_LIMIT:
-            raise NotFanningError(condition, at_time=0.0)
+            raise NotFanningError(condition, 0.0, "frame")
         a0.setflags(write=False)
         object.__setattr__(self, "initial_juxtaposed", a0)
 

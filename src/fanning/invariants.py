@@ -60,10 +60,6 @@ class CoefficientSet:
     kappa: MatrixJet
     h: tuple
 
-    @property
-    def schwarzian(self):
-        return 2.0 * self.kappa
-
     def values(self):
         """Values of ``kappa, h_1 .. h_(k-2)`` at the base time, stacked on a new leading axis."""
         return np.stack([self.kappa.value()] + [h.value() for h in self.h])

@@ -74,7 +74,10 @@ def eigenvalue_multiplicity(m, eigenvalue):
     """Geometric multiplicity of ``eigenvalue``, the nullity of ``m - lambda I``.
 
     One count for one square matrix, an array of counts for a stack of them.
+    ``eigenvalue`` may be a sequence: its counts, stacked on a new leading
+    axis, then come from one batched SVD of all the shifts.
     """
     m = np.asarray(m, dtype=float)
-    shifted = m - eigenvalue * np.eye(m.shape[-1])
+    lam = np.asarray(eigenvalue, dtype=float)
+    shifted = m - lam.reshape(lam.shape + (1,) * m.ndim) * np.eye(m.shape[-1])
     return m.shape[-1] - numeric_rank(shifted)

@@ -19,7 +19,13 @@ import fanning.congruence as congruence_mod
 import fanning.curves as curves_mod
 import fanning.invariants as invariants_mod
 import fanning.report as report_mod
-from conftest import ALL_KN, tame_polynomial_curve, tan_curve, random_invertible
+from conftest import (
+    ALL_KN,
+    drifting_ode_curve,
+    random_invertible,
+    tame_polynomial_curve,
+    tan_curve,
+)
 
 
 def write_curve(path, curve):
@@ -295,6 +301,99 @@ class TestInvariantsCommand:
         assert "kappa" in names and "fanning_condition" in names
 
 
+    @pytest.mark.parametrize(
+        "argv, order",
+        [
+            (["invariants", "--grid", "0:0.4:5"], 5),
+            (["invariants", "--grid", "0:0.4:5", "--jacobi"], 6),
+            (["invariants", "--grid", "0:0.4:5", "--maurer-cartan", "kderiv"], 6),
+            (["invariants", "--grid", "0:0.4:5", "--jacobi", "--maurer-cartan", "H"], 6),
+            (["canonicalize", "--t", "0.2"], 8),
+            (["verify", "--t", "0.2"], 8),
+        ],
+        ids=["plain", "jacobi", "maurer-cartan", "both", "canonicalize", "verify"],
+    )
+    def test_requested_jet_order(self, argv, order, tmp_path, monkeypatch, capsys, rng):
+        # k = 3: 2k-1 for the invariants, 2k for the normal frame's, 2k+2 otherwise.
+        path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        build = curves_mod.PolynomialFrameCurve.frame_jets
+        orders = []
+
+        def recorded(curve, times, order):
+            orders.append(order)
+            return build(curve, times, order)
+
+        monkeypatch.setattr(curves_mod.PolynomialFrameCurve, "frame_jets", recorded)
+        assert main([argv[0], path, *argv[1:]]) == 0
+        assert orders == [order]
+
+    @pytest.mark.parametrize("options", [[], ["--jacobi", "--maurer-cartan", "H"]])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rendering_calls_do_not_grow_with_the_grid(
+        self, options, fmt, tmp_path, monkeypatch, capsys, rng
+    ):
+        path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        calls = []
+
+        def counted(name):
+            render = getattr(report_mod, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return render(*args)
+
+            monkeypatch.setattr(report_mod, name, wrapper)
+
+        counted("_write_json")
+        counted("matrix_rows")
+        counts = []
+        for count in (3, 40):
+            calls.clear()
+            argv = ["invariants", path, "--grid", f"0:0.4:{count}", "--format", fmt, *options]
+            assert main(argv) == 0
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1]
+        if fmt == "csv":
+            assert counts == [0, 0]
+
+
+def leaves(tree):
+    """The arrays of nested dicts and lists, in order."""
+    if isinstance(tree, (dict, list)):
+        values = tree.values() if isinstance(tree, dict) else tree
+        return [leaf for value in values for leaf in leaves(value)]
+    return [tree]
+
+
+class TestInvariantsJetOrder:
+    """``invariants`` values at its reduced jet order equal those at 2k+2 bit for bit."""
+
+    @staticmethod
+    def assert_bitwise_equal(curve, order, argv):
+        args = cli_mod._validated(cli_mod._build_parser().parse_args(["invariants", "c.json", *argv]))
+        low = cli_mod._grid_invariants(curve.frame_jets(args.grid, order), args)
+        high = cli_mod._grid_invariants(curve.frame_jets(args.grid, 2 * curve.k + 2), args)
+        assert list(low) == list(high)
+        for a, b in zip(leaves(low), leaves(high), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k, n", ALL_KN)
+    def test_polynomial_curves(self, k, n):
+        curve = tame_polynomial_curve(k, n, np.random.default_rng(2000 + 10 * k + n))
+        self.assert_bitwise_equal(curve, 2 * k - 1, ["--grid", "0:0.5:6"])
+        options = ["--jacobi", "--maurer-cartan", "H"]
+        self.assert_bitwise_equal(curve, 2 * k, ["--grid", "0:0.5:6", *options])
+
+    @pytest.mark.parametrize("k, n", [(2, 1), (3, 2), (4, 1)])
+    def test_ode_curves(self, k, n):
+        curve = drifting_ode_curve(np.random.default_rng(3000 + 10 * k + n), k, n)
+        self.assert_bitwise_equal(curve, 2 * k - 1, ["--grid=-0.3:0.4:6"])
+        options = ["--jacobi", "--maurer-cartan", "kderiv"]
+        self.assert_bitwise_equal(curve, 2 * k, ["--grid=-0.3:0.4:6", *options])
+
+
 class TestConditioningSweep:
     """``B = T A`` with ``cond(T) = c``: a fanning B gets every report that A gets.
 
@@ -325,6 +424,25 @@ class TestConditioningSweep:
                 assert (counts["minus_one"], counts["plus_one"]) == ((k - 1) * n, n)
                 error = np.max(np.abs(np.subtract(point["maurer_cartan"], mc)))
                 assert error <= 1e-6 * max(1.0, np.max(np.abs(mc))), (k, n, error)
+
+    @pytest.mark.parametrize("k, n", [(5, 1), (5, 3)])
+    @pytest.mark.parametrize("options", [["--jacobi"], ["--maurer-cartan", "kderiv"]])
+    def test_gate_names_the_normal_frame(self, k, n, options, tmp_path, capsys):
+        # B itself is fanning (conditions near 1e6); the normal frames made
+        # from its jets are not.
+        c = 1e6
+        rng = np.random.default_rng(1000 + 10 * k + n)
+        a = tame_polynomial_curve(k, n, rng)
+        u, v = (np.linalg.qr(rng.standard_normal((k * n, k * n)))[0] for _ in range(2))
+        b = a.transformed(u @ np.diag(np.geomspace(1.0, 1.0 / c, k * n)) @ v.T)
+        path = write_curve(tmp_path / "b.json", b)
+        assert main(["invariants", path, "--grid", "0:0.5:7"]) == 0
+        conditions = [p["fanning_condition"] for p in json.loads(capsys.readouterr().out)["points"]]
+        assert max(conditions) < 2e6
+        assert main(["invariants", path, "--grid", "0:0.5:7", *options]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: normal frame is not fanning at t="), err
+        assert len(err.splitlines()) == 1
 
 
 class TestCongruentCommand:

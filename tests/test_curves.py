@@ -383,6 +383,18 @@ class TestJsonFormat:
         with pytest.raises(CurveFormatError):
             curve_from_dict(data)
 
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coefficient_named(self, index, value):
+        coeffs = standard_curve(2, 2).coefficients.copy()
+        coeffs = np.concatenate([coeffs, np.zeros((2, 4, 2))])
+        coeffs[index, 3, 1] = value
+        with pytest.raises(CurveFormatError, match=rf"^frame coefficient {index} is not finite$"):
+            PolynomialFrameCurve(2, 2, coeffs)
+        p = [PolynomialMatrix(np.zeros((3, 2, 2))), PolynomialMatrix(coeffs[:, 2:])]
+        with pytest.raises(CurveFormatError, match=rf"^P_2 coefficient {index} is not finite$"):
+            OdeFrameCurve(2, 2, tuple(p), np.eye(4))
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(CurveFormatError):
             curve_from_dict(

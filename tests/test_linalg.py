@@ -83,3 +83,23 @@ def test_counts_of_a_stack_are_per_matrix(rng):
     ds = np.array([np.diag(d) for d in ([1.0, -1.0, -1.0], [1.0, 1.0, -1.0], [2.0, 3.0, 4.0])])
     assert eigenvalue_multiplicity(ds, -1.0).tolist() == [2, 1, 0]
     assert eigenvalue_multiplicity(ds, 1.0).tolist() == [1, 2, 0]
+
+
+def test_counts_of_several_eigenvalues_come_from_one_svd(rng, monkeypatch):
+    import fanning.linalg as linalg_mod
+
+    ds = np.array([np.diag(d) for d in ([1.0, -1.0, -1.0], [1.0, 1.0, -1.0], [2.0, 3.0, 4.0])])
+    moved = ds @ rng.standard_normal((3, 3))
+    expected = [eigenvalue_multiplicity(m, lam).tolist() for m in (ds, moved) for lam in (-1.0, 1.0)]
+    calls = []
+    rank = linalg_mod.numeric_rank
+
+    def counted(m):
+        calls.append(m.shape)
+        return rank(m)
+
+    monkeypatch.setattr(linalg_mod, "numeric_rank", counted)
+    counts = [eigenvalue_multiplicity(m, (-1.0, 1.0)) for m in (ds, moved)]
+    assert [c.tolist() for pair in counts for c in pair] == expected
+    assert calls == [(2, 3, 3, 3)] * 2
+    assert eigenvalue_multiplicity(ds[0], (-1.0, 1.0)).tolist() == [2, 1]

@@ -162,3 +162,136 @@ class TestCsv:
     )
     def test_random_matrices(self, a, t):
         assert matrix_rows(t, "m", a) == matrix_rows_reference(t, "m", a)
+
+
+def point_columns(k, n, count, rng, jacobi=False):
+    """Columns keyed as an ``invariants`` point, with random finite values."""
+    columns = {
+        "t": np.linspace(0.0, 1.0, count),
+        "fanning_condition": finite_array((count,), rng),
+        "was_normal": rng.random(count) < 0.5,
+        "kappa": finite_array((count, n, n), rng),
+        "schwarzian": finite_array((count, n, n), rng),
+        "h": [finite_array((count, n, n), rng) for _ in range(k - 2)],
+        "reflection_eigencounts": {
+            "minus_one": rng.integers(0, k * n, count),
+            "plus_one": rng.integers(0, k * n, count),
+        },
+    }
+    if jacobi:
+        columns["jacobi"] = finite_array((count, k * n, k * n), rng)
+    return columns
+
+
+def point_dicts(columns):
+    """The columns as the list of per-point dicts that the per-value renderer takes."""
+    counts = columns["reflection_eigencounts"]
+    points = []
+    for i, t in enumerate(columns["t"]):
+        point = {
+            "t": float(t),
+            "fanning_condition": float(columns["fanning_condition"][i]),
+            "was_normal": bool(columns["was_normal"][i]),
+            "kappa": columns["kappa"][i],
+            "schwarzian": columns["schwarzian"][i],
+            "h": [h[i] for h in columns["h"]],
+            "reflection_eigencounts": {key: int(c[i]) for key, c in counts.items()},
+        }
+        if "jacobi" in columns:
+            point["jacobi"] = columns["jacobi"][i]
+        points.append(point)
+    return points
+
+
+def csv_columns(columns):
+    """The CSV columns of an ``invariants`` report made from ``columns``."""
+    csv = {"t": columns["t"], "fanning_condition": columns["fanning_condition"],
+           "kappa": columns["kappa"]}
+    csv.update({f"h{j}": h for j, h in enumerate(columns["h"], start=1)})
+    csv.update({f"reflection_{key}": c
+                for key, c in columns["reflection_eigencounts"].items()})
+    if "jacobi" in columns:
+        csv["jacobi"] = columns["jacobi"]
+    return csv
+
+
+def csv_rows_reference(columns):
+    return [
+        row
+        for i, t in enumerate(columns["t"])
+        for name, value in columns.items()
+        if name != "t"
+        for row in matrix_rows_reference(t, name, value[i])
+    ]
+
+
+def assert_columns_match(columns):
+    report = {"command": "invariants", "points": report_mod.Columns(columns), "tolerance": 1e-7}
+    expected = {**report, "points": point_dicts(columns)}
+    assert dumps_json(report) == dumps_json_reference(expected)
+    entries = [(None, "first", 1.0), report_mod.Columns(csv_columns(columns)), (0.5, "last", 2.0)]
+    rows = ["t,name,i,j,value", ",first,0,0,1", *csv_rows_reference(csv_columns(columns)),
+            "0.5,last,0,0,2"]
+    assert dumps_csv(entries) == "\n".join(rows) + "\n"
+
+
+class TestColumns:
+    """A Columns report renders as the per-value renderer writes its list of points."""
+
+    @pytest.mark.parametrize("k, n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+    @pytest.mark.parametrize("jacobi", [False, True])
+    def test_points_match(self, k, n, jacobi, rng):
+        assert_columns_match(point_columns(k, n, 7, rng, jacobi))
+
+    def test_k2_has_an_empty_h(self, rng):
+        columns = point_columns(2, 2, 3, rng)
+        assert columns["h"] == []
+        assert '"h": []' in dumps_json(report_mod.Columns(columns))
+        assert_columns_match(columns)
+
+    def test_one_point(self, rng):
+        assert_columns_match(point_columns(3, 2, 1, rng, jacobi=True))
+
+    def test_negative_zero(self, rng):
+        columns = point_columns(3, 1, 4, rng, jacobi=True)
+        columns["t"][0] = -0.0
+        columns["kappa"][1, 0, 0] = -0.0
+        columns["h"][0][2] = -0.0
+        columns["jacobi"][3] = -0.0
+        assert_columns_match(columns)
+        assert dumps_json(report_mod.Columns(columns)).startswith('[\n  {\n    "t": -0,\n')
+
+    @pytest.mark.parametrize("where", ["t", "fanning_condition", "kappa", "h", "jacobi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_takes_the_per_value_route(self, where, value, rng):
+        columns = point_columns(3, 2, 5, rng, jacobi=True)
+        leaf = columns[where][0] if where == "h" else columns[where]
+        leaf.reshape(5, -1)[2, -1] = value
+        assert_columns_match(columns)
+        assert "null" in dumps_json(report_mod.Columns(columns))
+
+    def test_longer_than_one_fill_block(self, rng):
+        count = 2 * report_mod.FILL_POINTS + 3
+        columns = point_columns(3, 1, count, rng)
+        assert_columns_match(columns)
+        # A non-finite value sends only its own block down the per-value route.
+        columns["kappa"][report_mod.FILL_POINTS + 1, 0, 0] = np.nan
+        assert_columns_match(columns)
+
+    def test_finite_columns_skip_the_per_value_route(self, monkeypatch, rng):
+        columns = point_columns(4, 2, 9, rng, jacobi=True)
+        expected = dumps_json_reference({"points": point_dicts(columns)})
+        expected_csv = "\n".join(["t,name,i,j,value", *csv_rows_reference(csv_columns(columns))])
+        formatted = []
+        fmt = report_mod._fmt
+
+        def counted(x):
+            formatted.append(x)
+            return fmt(x)
+
+        monkeypatch.setattr(report_mod, "_fmt", counted)
+        assert dumps_json({"points": report_mod.Columns(columns)}) == expected
+        assert formatted == []
+        assert dumps_csv([report_mod.Columns(csv_columns(columns))]) == expected_csv + "\n"
+        # Only each point's time text, once.
+        assert formatted == columns["t"].tolist()

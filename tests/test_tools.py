@@ -140,15 +140,50 @@ class TestParityComparison:
         assert problems[1].startswith(f"{op.name}: reports differ: .checks[0].pass: True vs False")
 
     def test_summary_totals_identical_stdout(self, monkeypatch, capsys):
-        # Nine workload-seed pairs of 4 commands, 1 of them verify: 3 identical
-        # each, one with a mismatch.
+        # Nine workload-seed pairs of 4 commands, 1 of them verify and 2 CSV
+        # twins: 3 identical each, one with a mismatch.
         def compare(old, new, name, seed, scratch):
             found = ["x: exit 0 vs 1"] if (name, seed) == ("congruence", 2) else []
-            return 4, 1, 3, found, 1e-12 * seed, f"{name}-{seed}"
+            return 4, 1, 2, 3, found, 1e-12 * seed, f"{name}-{seed}"
 
         monkeypatch.setattr(parity, "compare_workload", compare)
         assert parity.main(["old", "new"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "36 commands (9 verify), 27 with identical stdout, 1 mismatches, "
+            "36 commands (9 verify, 18 CSV twins), 27 with identical stdout, 1 mismatches, "
             "worst |a - b| / (1 + |a|) 3e-12 at grid-poly-3: FAIL (tolerance 1e-09)"
         )
+
+    def test_csv_twins_of_the_json_commands(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(parity.PERFBENCH))
+        import workloads
+
+        ops = workloads.build("grid-poly", 1, quick=True).ops
+        twins = parity.csv_twins(ops)
+        json_ops = [op for op in ops if "csv" not in op.options]
+        assert 0 < len(json_ops) < len(ops)
+        assert [twin.options for twin in twins] == [
+            op.options + ("--format", "csv") for op in json_ops
+        ]
+        assert len({op.name for op in ops + twins}) == len(ops) + len(twins)
+
+    def test_csv_reports_compare_cells_exactly_and_values_as_numbers(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(parity.PERFBENCH))
+        import workloads
+
+        op = parity.csv_twins(workloads.build("grid-poly", 1, quick=True).ops)[0]
+        old = "t,name,i,j,value\n0.1,kappa,0,0,2\n0.1,h1,0,0,null\n"
+
+        def result(stdout):
+            return {"code": 0, "stdout": stdout, "stderr": ""}
+
+        assert parity.compare_op(op, result(old), result(old)) == ([], 0.0, "")
+        new = old.replace(",2\n", ",2.5\n")
+        problems, worst, where = parity.compare_op(op, result(old), result(new))
+        assert problems == [] and worst == pytest.approx(0.5 / 3)
+        assert where == f"{op.name}[0.1,kappa,0,0]"
+        for changed in (old.replace("0.1,h1", "0.10,h1"), old.replace("kappa,0,0", "kappa,0,1"),
+                        old + "0.2,kappa,0,0,1\n"):
+            problems = parity.compare_op(op, result(old), result(changed))[0]
+            assert len(problems) == 1 and problems[0].startswith(f"{op.name}: reports differ: ")
+        problems = parity.compare_op(op, result(old), result(old.replace("null", "0")))[0]
+        assert problems == [f"{op.name}: reports differ: [0.1,h1,0,0]: None vs 0.0"]

@@ -4,24 +4,27 @@
 
 Builds the three workloads of this checkout's ``perfbench/workloads.py`` at
 full size for seeds 1, 2 and 3 and writes their curve files once.  Each source tree then runs every
-command of the workload, and ``verify`` on each of its curve files (JSON,
+command of the workload, the ``--format csv`` twin of each of its JSON
+commands, and ``verify`` on each of its curve files (JSON,
 ``--t 0.2 --seed 3``), ``fanning.cli.main(argv)`` with stdout and stderr
 captured, in a fresh interpreter that imports ``fanning`` from that tree's
 ``src/``.  The two runs must agree on exit codes, stderr and congruence
 verdicts, and on the shape of every report; every number is compared as
-``|a - b| / (1 + |a|)``, with ``a`` from OLD_TREE.  A congruence conjugator
-and ambient map that differ from OLD_TREE's only by one common sign count as
+``|a - b| / (1 + |a|)``, with ``a`` from OLD_TREE; a CSV report's
+``t,name,i,j`` cells must be equal row by row.  A congruence conjugator and
+ambient map that differ from OLD_TREE's only by one common sign count as
 equal (both are determined up to that sign).
 
 Prints one line per workload and seed and a summary that totals the
-commands, the ``verify`` commands among them, those with byte-identical
-stdout and the mismatches; exits 1 on any
+commands, the ``verify`` commands and CSV twins among them, those with
+byte-identical stdout and the mismatches; exits 1 on any
 mismatch or when the worst difference exceeds ``1e-9``.  Uses numpy and the
 modules of ``perfbench/``, which it only imports.
 """
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -37,6 +40,8 @@ SEEDS = (1, 2, 3)
 TOLERANCE = 1e-9
 # Options of the ``verify`` command run on every curve file.
 VERIFY_OPTIONS = ("--t", "0.2", "--seed", "3")
+# Options that turn a JSON command into its CSV twin.
+CSV_OPTIONS = ("--format", "csv")
 # Report keys of a congruence witness that are determined up to one common sign.
 SIGNED_PAIR = ("conjugator", "ambient")
 
@@ -143,6 +148,25 @@ def report_difference(a, b):
     return max(signed, worst_difference(rest_a, rest_b))
 
 
+def _csv_rows(text):
+    """A CSV report's ``t,name,i,j`` cells, header first, and its values (``null`` as None)."""
+    rows = [line.rpartition(",") for line in text.splitlines()]
+    return [row[0] for row in rows], [None if row[2] == "null" else float(row[2]) for row in rows[1:]]
+
+
+def csv_difference(a, b):
+    """Worst difference of two CSV reports, whose cells must agree row by row."""
+    (cells_a, values_a), (cells_b, values_b) = _csv_rows(a), _csv_rows(b)
+    if cells_a != cells_b:
+        row = next((i for i, pair in enumerate(zip(cells_a, cells_b)) if pair[0] != pair[1]),
+                   min(len(cells_a), len(cells_b)))
+        raise Mismatch(f"row {row}: cells differ ({len(cells_a)} vs {len(cells_b)} rows)")
+    worst = (0.0, "")
+    for cell, x, y in zip(cells_a[1:], values_a, values_b):
+        worst = max(worst, worst_difference(x, y, f"[{cell}]"))
+    return worst
+
+
 def compare_op(op, old, new):
     """``(problems, worst difference, where)`` for one command's two results."""
     import checks
@@ -155,14 +179,23 @@ def compare_op(op, old, new):
     if old["stdout"] == new["stdout"]:
         return problems, 0.0, ""
     try:
-        a, b = checks.parse(op, old["stdout"]), checks.parse(op, new["stdout"])
-        if isinstance(a, dict) and a.get("verdict") != b.get("verdict"):
-            problems.append(f"{name}: verdict {a.get('verdict')} vs {b.get('verdict')}")
-        worst, where = report_difference(a, b)
+        if "csv" in op.options:
+            worst, where = csv_difference(old["stdout"], new["stdout"])
+        else:
+            a, b = checks.parse(op, old["stdout"]), checks.parse(op, new["stdout"])
+            if a.get("verdict") != b.get("verdict"):
+                problems.append(f"{name}: verdict {a.get('verdict')} vs {b.get('verdict')}")
+            worst, where = report_difference(a, b)
     except (Mismatch, ValueError) as exc:
         problems.append(f"{name}: reports differ: {exc}")
         return problems, 0.0, ""
     return problems, worst, f"{name}{where}"
+
+
+def csv_twins(ops):
+    """The ``--format csv`` twin of every JSON command of ``ops``."""
+    return [dataclasses.replace(op, name=f"{op.name}-csv", options=op.options + CSV_OPTIONS)
+            for op in ops if "csv" not in op.options]
 
 
 def verify_ops(workload):
@@ -177,8 +210,8 @@ def compare_workload(old_tree, new_tree, name, seed, scratch):
     import workloads
 
     workload = workloads.build(name, seed)
-    verify = verify_ops(workload)
-    ops = workload.ops + verify
+    twins, verify = csv_twins(workload.ops), verify_ops(workload)
+    ops = workload.ops + twins + verify
     directory = scratch / f"{name}-{seed}"
     directory.mkdir()
     paths = workload.write(str(directory))
@@ -194,12 +227,12 @@ def compare_workload(old_tree, new_tree, name, seed, scratch):
         identical += a["stdout"] == b["stdout"]
         if op_worst > worst:
             worst, where = op_worst, op_where
-    print(f"{name} seed {seed}: {len(ops)} commands ({len(verify)} verify), {identical} with "
-          f"identical stdout, {len(problems)} mismatches, worst difference {worst:.3g}"
-          + (f" at {where}" if where else ""))
+    print(f"{name} seed {seed}: {len(ops)} commands ({len(verify)} verify, {len(twins)} CSV "
+          f"twins), {identical} with identical stdout, {len(problems)} mismatches, worst "
+          f"difference {worst:.3g}" + (f" at {where}" if where else ""))
     for line in problems:
         print(f"  {line}")
-    return len(ops), len(verify), identical, problems, worst, where
+    return len(ops), len(verify), len(twins), identical, problems, worst, where
 
 
 def main(argv=None):
@@ -208,21 +241,22 @@ def main(argv=None):
         run_commands(*args.child)
         return 0
     sys.path.insert(0, str(PERFBENCH))
-    total, verified, identical, problems, worst, where = 0, 0, 0, [], 0.0, ""
+    total, verified, twinned, identical, problems, worst, where = 0, 0, 0, 0, [], 0.0, ""
     with tempfile.TemporaryDirectory(prefix="fanning-parity-") as scratch:
         for name in WORKLOADS:
             for seed in SEEDS:
-                count, verify, same, found, w, at = compare_workload(args.old, args.new, name,
-                                                                     seed, Path(scratch))
+                count, verify, twins, same, found, w, at = compare_workload(
+                    args.old, args.new, name, seed, Path(scratch))
                 total += count
                 verified += verify
+                twinned += twins
                 identical += same
                 problems += found
                 if w > worst:
                     worst, where = w, at
     failed = bool(problems) or worst > TOLERANCE
-    print(f"{total} commands ({verified} verify), {identical} with identical stdout, "
-          f"{len(problems)} mismatches, worst |a - b| / (1 + |a|) {worst:.3g}"
+    print(f"{total} commands ({verified} verify, {twinned} CSV twins), {identical} with "
+          f"identical stdout, {len(problems)} mismatches, worst |a - b| / (1 + |a|) {worst:.3g}"
           + (f" at {where}" if where else "")
           + f": {'FAIL' if failed else 'PASS'} (tolerance {TOLERANCE:g})")
     return 1 if failed else 0
