@@ -23,6 +23,8 @@ from .invariants import (
     checked_grid,
     normalized_frame_jet,
     normalizer,
+    normalizing_jet,
+    ode_coefficients,
     orbit_entries,
     wilczynski_invariants,
 )
@@ -175,6 +177,14 @@ def _reduced_coefficients(curve, times, w):
     return x @ w @ np.linalg.inv(x)
 
 
+def _first_normal_lift(fj):
+    """The normal lift at the first sample of the batched ``fj``, from its cached ``P_1``."""
+    p1 = ode_coefficients(fj)[0]
+    y = normalizing_jet(MatrixJet(p1.base_time[:1], p1.coeffs[:1]))
+    first = FrameJet(MatrixJet(fj.base_time[:1], fj.jet.coeffs[:1]))
+    return first.right_multiplied(y).juxtaposed.value()[0]
+
+
 def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     """Decide congruence of two fanning curves from sampled invariants.
 
@@ -235,10 +245,9 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     # T maps the X-adjusted normal lift of A at the first sample onto that
     # of B, and must then map the sampled planes of A onto those of B.  The
     # normalizing change is the identity at the first sample, so the lifts
-    # there are those of the normal frames anchored there, built from its jets.
+    # there are those of the normal frames anchored there, from the batch's P_1.
     x_block = np.kron(np.eye(k), x)
-    firsts = (FrameJet(MatrixJet(fj.base_time[:1], fj.jet.coeffs[:1])) for fj in jets)
-    lift_a, lift_b = (normalized_frame_jet(fj).juxtaposed.value()[0] for fj in firsts)
+    lift_a, lift_b = (_first_normal_lift(fj) for fj in jets)
     ambient = lift_b @ np.linalg.inv(lift_a @ x_block)
     spans = span_distance(ambient @ jets[0].jet.value(), jets[1].jet.value())
 

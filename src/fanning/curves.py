@@ -17,8 +17,9 @@ series.
 and the normalizing change of :mod:`fanning.invariants`: a batched Taylor
 propagator for ``Y' = Y C(t)`` that expands ``C`` at all its knots at once,
 bisects the intervals longer than the estimated radius of convergence over
-``STEP_SAFETY``, and multiplies the intervals' propagators.  It needs
-nothing beyond numpy.
+``STEP_SAFETY``, multiplies the intervals' propagators, and reads a time
+between knots from the series of the knot before it.  It needs nothing
+beyond numpy.
 
 A frame curve takes values in the kn x n matrices; its value at ``t``
 spans an n-plane of R^(kn).  The curve is *fanning* at ``t`` when the
@@ -65,11 +66,12 @@ DEFAULT_CONDITION_LIMIT = 1e8
 MAX_GRID_POINTS = 100_000
 # The Taylor propagator of :func:`solve_ivp`: the order of its series, the
 # factor by which a step stays inside the estimated radius of convergence
-# (Jorba & Zou 2005), the bisection rounds allowed, and the knots one call
-# may hold: one series per knot, as many as the largest grid has frame jets,
-# and one more for t=0, where an ODE curve's sweep starts.
+# (Jorba & Zou 2005), the most requested times its first round expands, the
+# bisection rounds allowed, and the knots one call may hold: the step rule,
+# not the grid, sets their count, and the budget stops a runaway bisection.
 TAYLOR_ORDER = 12
 STEP_SAFETY = math.e**2
+FIRST_KNOTS = 16
 MAX_ROUNDS = 40
 MAX_KNOTS = MAX_GRID_POINTS + 1
 
@@ -131,25 +133,34 @@ def solve_ivp(expand, times, y0):
     ``(len(knots), r + 1, cols, cols)``, with ``r`` at least
     ``TAYLOR_ORDER - 1`` and, for a polynomial ``C``, at least its degree, so
     that no term of ``C`` escapes the radius estimates.  The knots start as
-    the times.  Each round expands ``C`` at the knots not yet expanded, in
-    one call, and builds each knot's propagator series ``linear_taylor(I,
-    c)``, of order ``r + 1``, in one batched call.  A knot's radius is the
-    smaller of the radii estimated from its propagator series and from
-    ``C``'s own series, which sees a pole of ``C`` where the solution stays
-    analytic.  An interval longer than ``radius / STEP_SAFETY`` is bisected,
-    and the round repeats.  Each interval's propagator is then its series
-    summed at its length, and the states are their running product from
-    ``y0``.
+    the times, or past ``FIRST_KNOTS + 1`` times as ``FIRST_KNOTS + 1`` of
+    them spread evenly by index, the first and the last among them.  Each
+    round expands ``C`` at the knots not yet expanded, in one call, and
+    builds each knot's propagator series ``linear_taylor(I, c)``, of order
+    ``r + 1``, in one batched call.  A knot's radius is the smaller of the
+    radii estimated from its propagator series and from ``C``'s own series,
+    which sees a pole of ``C`` where the solution stays analytic.  An
+    interval longer than ``radius / STEP_SAFETY`` is bisected, and the round
+    repeats.  Each interval's propagator is then its series summed at its
+    length, and the states at the knots are their running product from
+    ``y0``.  Any other time lies in an interval the step rule accepted, so
+    its truncation error has a step's bound; its state is ``Y(knot) @
+    series(t - knot)`` from the last knot at or before it, in one batch.
 
     Raises :class:`IntegrationError`, naming the time reached and the knot
     count, when a round would hold more than ``MAX_KNOTS`` knots, or when
-    intervals are still too long after ``MAX_ROUNDS`` rounds; and, naming
-    the knot, as soon as a knot's propagator series is not finite (``C``
-    too large there), or when the state overflows at a knot.
+    intervals are still too long after ``MAX_ROUNDS`` rounds; naming the
+    knot, as soon as a knot's propagator series is not finite (``C`` too
+    large there); and, naming the first knot or requested time where it
+    overflows, when a state is not finite.
     """
     knots = np.array(times, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     eye = np.eye(y0.shape[-1])
+    count, picked = len(knots), None
+    if count > FIRST_KNOTS + 1:
+        picked = np.arange(FIRST_KNOTS + 1) * (count - 1) // FIRST_KNOTS
+        times, knots = knots, knots[picked]
     on_grid = np.ones(len(knots), dtype=bool)
     # The first round expands every left knot; the stacks take their shapes from it.
     fresh, at = knots[:-1], np.zeros(len(knots) - 1, dtype=int)
@@ -195,12 +206,33 @@ def solve_ivp(expand, times, y0):
     propagators = horner(series, np.diff(knots))
     with np.errstate(over="ignore", invalid="ignore"):
         states = np.array(list(itertools.accumulate(propagators, np.matmul, initial=y0)))
-    i = first_failure(~np.isfinite(states).all(axis=(-2, -1)))
-    if i is not None:
-        raise IntegrationError(
-            f"integration stopped at t={float(knots[i])!r}: the state is not finite"
-        )
-    return Propagation(y=states[on_grid], nfev=nfev)
+    if picked is None:
+        i = first_failure(~np.isfinite(states).all(axis=(-2, -1)))
+        if i is not None:
+            raise _state_not_finite(knots[i])
+        return Propagation(y=states[on_grid], nfev=nfev)
+    is_knot = np.zeros(count, dtype=bool)
+    is_knot[picked] = True
+    rest = times[~is_knot]
+    # Knot j is the last at or before each time, in the direction of integration.
+    direction = np.sign(knots[-1] - knots[0])
+    j = np.searchsorted(direction * knots, direction * rest, side="right") - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = states[j] @ horner(series[j], rest - knots[j])
+    failed = np.append(
+        knots[~np.isfinite(states).all(axis=(-2, -1))],
+        rest[~np.isfinite(dense).all(axis=(-2, -1))],
+    )
+    if len(failed):
+        # The first time whose state is not finite, knot or not, is where integration stopped.
+        raise _state_not_finite(failed[np.argmin(direction * failed)])
+    y = np.empty((count,) + states.shape[1:])
+    y[is_knot], y[~is_knot] = states[on_grid], dense
+    return Propagation(y=y, nfev=nfev)
+
+
+def _state_not_finite(t):
+    return IntegrationError(f"integration stopped at t={float(t)!r}: the state is not finite")
 
 
 class CurveFormatError(ValueError):
@@ -349,6 +381,7 @@ class FrameJet:
             raise CurveFormatError("frames need k >= 2 (ambient dimension kn > n)")
         require_order(jet.order, self.k - 1, f"a frame jet with k={self.k}")
         self.jet = jet
+        self._fanning = False
 
     @property
     def order(self):
@@ -397,19 +430,24 @@ class FrameJet:
 
         ``||J0||_F ||J0^-1||_F`` bounds the condition of the juxtaposed value
         ``J0`` from above: below half the limit everywhere, the batch passes.
-        Otherwise, or once it is known, the condition decides.
+        Otherwise, or once it is known, the condition decides.  A batch that
+        passed once is not tested again.
         """
+        if self._fanning:
+            return
         if "condition" not in self.__dict__:
             value, inv = self.juxtaposed.value(), self._value_inverse
             with np.errstate(over="ignore", invalid="ignore"):
                 bound = np.linalg.norm(value, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
             if np.all(bound < DEFAULT_CONDITION_LIMIT / 2):
+                self._fanning = True
                 return
         condition = np.ravel(self.condition)
         i = first_failure(~(condition < DEFAULT_CONDITION_LIMIT))
         if i is not None:
             at_time = float(np.ravel(self.base_time)[i])
             raise NotFanningError(float(condition[i]), at_time, "frame")
+        self._fanning = True
 
     @cached_property
     def equation_coefficients(self):

@@ -81,25 +81,33 @@ def invariants_from_coefficients(p):
     coefficient ``Q_j``; eliminating the normalizing frame change gives
     the closed recursion ``h_(j-2) = sum_i C(j, i) W_(j-i) P_i`` with
     ``P_0 = W_0 = I``, ``W_1 = -P_1`` (one order more than ``W_0'`` keeps)
-    and ``W_(m+1) = -P_1 W_m + W_m'``.  Each sum is one Cauchy product
+    and ``W_(m+1) = -P_1 W_m + W_m'``, each ``W_m`` a coefficient array
+    one order shorter than the last.  Each sum is one Cauchy product
     batched over its terms, added in increasing ``i``.  Raises ``LinAlgError``
     naming the first invariant and time whose value is not finite.
     """
     k, p1 = len(p), p[0]
     require_order(p1.order, k - 1, f"h_{k - 2} from coefficient jets")
+    c1 = p1.coeffs
+    identity = np.zeros_like(c1)
+    identity[..., 0, :, :] = np.eye(p1.rows)
     # High orders of W_m may overflow; no order that h_(j-2) keeps reads them.
     with np.errstate(over="ignore", invalid="ignore"):
-        w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
+        w = [identity, -c1]
         for _ in range(k - 1):
-            w.append(-jet_mul(p1, w[-1]) + w[-1].derivative())
+            last = w[-1]
+            count = last.shape[-3] - 1
+            factors = np.arange(1, count + 1, dtype=float)[:, None, None]
+            product = cauchy_product(c1[..., :count, :, :], last[..., :count, :, :])
+            w.append(-product + factors * last[..., 1:, :, :])
         hs = []
         for j in range(2, k + 1):
-            count = min(x.order + 1 for x in [w[j]] + list(p[:j]))
+            count = min(x.shape[-3] for x in [w[j]] + [c.coeffs for c in p[:j]])
             terms = cauchy_product(
-                np.stack([w[j - i].coeffs[..., :count, :, :] for i in range(1, j + 1)]),
+                np.stack([w[j - i][..., :count, :, :] for i in range(1, j + 1)]),
                 np.stack([p[i - 1].coeffs[..., :count, :, :] for i in range(1, j + 1)]),
             )
-            h = w[j].coeffs[..., :count, :, :]
+            h = w[j][..., :count, :, :]
             for i in range(1, j + 1):
                 h = h + math.comb(j, i) * terms[i - 1]
             hs.append(h)
@@ -299,7 +307,7 @@ def endomorphism_bundle(fj):
     jacobi = pdot @ pdot
 
     h = fj.derivative_jet(k - 1) - (1.0 / k) * jet_mul(f, fj.derivative_jet(k))
-    column = _frame_basis(fj, fj.order - k + 1)[1][..., -n:]
+    column = _frame_basis(fj, fj.order - k + 1)[1][..., -n:].copy()
     column[..., 0, -n:, :] += np.eye(n)
     h_alt = jet_mul(fj.juxtaposed, MatrixJet(fj.base_time, column))
     every = (-3, -2, -1)
@@ -323,11 +331,17 @@ def _frame_basis(fj, count):
 
     G is the identity but for its last block column ``e_(k-1) - N c_k / k``,
     ``c_k`` being that of C, so ``(G - I)^2 = 0`` and ``G^-1 = I - (G - I)``.
+    Built once per jet and count, and kept read-only on the jet.
     """
-    c = companion_stack([p.coeffs[..., :count, :, :] for p in ode_coefficients(fj)])
-    g = np.zeros_like(c)
-    g[..., -fj.n :] = nilpotent_matrix(fj.k, fj.n) @ c[..., -fj.n :] / -fj.k
-    return c, g
+    bases = fj.__dict__.setdefault("_frame_bases", {})
+    if count not in bases:
+        c = companion_stack([p.coeffs[..., :count, :, :] for p in ode_coefficients(fj)])
+        g = np.zeros_like(c)
+        g[..., -fj.n :] = nilpotent_matrix(fj.k, fj.n) @ c[..., -fj.n :] / -fj.k
+        c.setflags(write=False)
+        g.setflags(write=False)
+        bases[count] = c, g
+    return bases[count]
 
 
 def frame_reflection(fj):

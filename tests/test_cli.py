@@ -286,6 +286,22 @@ class TestInvariantsCommand:
             # ambient map needs only its fundamental endomorphism
             assert built == [0.2, 0.2]
 
+    def test_companion_basis_built_once_per_jet(self, tmp_path, monkeypatch, rng):
+        """``--jacobi --maurer-cartan H`` builds C and G of the normalized jet once."""
+        build = invariants_mod.companion_stack
+        built = []
+
+        def counted(p):
+            built.append(p[0].shape[:-3])
+            return build(p)
+
+        monkeypatch.setattr(invariants_mod, "companion_stack", counted)
+        path = write_curve(tmp_path / "c.json", tame_polynomial_curve(3, 2, rng))
+        argv = ["invariants", path, "--grid", "0:0.4:5", "--jacobi", "--maurer-cartan", "H"]
+        assert main(argv) == 0
+        # the input jet's reflection, then the normalized jet's Jacobi matrix and pullback
+        assert built == [(5,), (5,)]
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

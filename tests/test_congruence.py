@@ -14,6 +14,7 @@ from fanning import (
     wilczynski_invariants,
 )
 import fanning.congruence as congruence_mod
+import fanning.curves as curves_mod
 import fanning.invariants as invariants_mod
 from fanning.jets import horner
 from conftest import (
@@ -257,22 +258,28 @@ class TestTraceEarlyExit:
         assert calls == [curve_a, curve_b]
 
     def test_normal_lifts_built_at_the_first_sample_only(self, rng, monkeypatch):
+        """The lifts come from the batch's own ``P_1``: no jet solve runs on the first sample alone."""
         curve_a, curve_b, _, _ = congruence_pair(3, 2, rng)
         samples = np.linspace(0.0, 0.5, 9)
-        built = []
+        solved = []
+        jet_solve = curves_mod.jet_solve
 
-        def recording(fj, y0=None):
-            normal = invariants_mod.normalized_frame_jet(fj, y0)
-            built.append((fj.base_time.tolist(), normal.juxtaposed.value()))
-            return normal
+        def recording(a, b, a0_inverse):
+            solved.append(np.ravel(a.base_time).tolist())
+            return jet_solve(a, b, a0_inverse)
 
-        monkeypatch.setattr(congruence_mod, "normalized_frame_jet", recording)
-        assert are_congruent(curve_a, curve_b, samples).verdict == "congruent"
-        assert [times for times, _ in built] == [[0.0], [0.0]]
-        for (_, lift), curve in zip(built, (curve_a, curve_b)):
-            # the lift of the whole batch's first sample, bit for bit
-            full = invariants_mod.normalized_frame_jet(curve.frame_jets(samples, 5))
-            np.testing.assert_array_equal(lift[0], full.juxtaposed.value()[0])
+        monkeypatch.setattr(curves_mod, "jet_solve", recording)
+        w = are_congruent(curve_a, curve_b, samples)
+        assert w.verdict == "congruent"
+        assert samples.tolist() in solved and [0.0] not in solved
+        # the lifts of the whole batches' first samples, bit for bit
+        monkeypatch.undo()
+        lift_a, lift_b = (
+            invariants_mod.normalized_frame_jet(curve.frame_jets(samples, 5)).juxtaposed.value()[0]
+            for curve in (curve_a, curve_b)
+        )
+        expected = lift_b @ np.linalg.inv(lift_a @ np.kron(np.eye(3), w.conjugator))
+        np.testing.assert_array_equal(w.ambient, expected)
 
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_constructed_pairs_trace_margin(self, k, n, rng):

@@ -42,6 +42,7 @@ from conftest import (
     right_multiplied,
     schwarzian,
     standard_jet,
+    tame_polynomial_curve,
     taylor_shift,
     truncated,
 )
@@ -226,6 +227,21 @@ class TestFanningGate:
         fj = jet_with_juxtaposed_value(values, k, n, np.array(GATE_TIMES))
         fj.require_fanning()
         assert "condition" not in vars(fj)
+
+    @pytest.mark.parametrize("conditions", [(10.0, 1e3, 20.0), (10.0, 9e7, 20.0)])
+    def test_a_passed_batch_is_not_tested_again(self, conditions, monkeypatch, rng):
+        """Passed by the bound or by the SVD, the second call computes no norm."""
+        values = [conditioned_matrix(4, c, rng) for c in conditions]
+        fj = jet_with_juxtaposed_value(values, 2, 2, np.array(GATE_TIMES))
+        fj.require_fanning()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gate was computed again")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        fj.require_fanning()
+        fj.equation_coefficients
 
     @pytest.mark.parametrize("case", [4e7, 1.01e8])
     def test_a_known_condition_decides(self, case, rng):
@@ -548,6 +564,26 @@ class TestOdeSweep:
             expected = curve.initial_juxtaposed @ expm(t * c)
             assert np.max(np.abs(state - expected)) <= 1e-11 * np.max(np.abs(expected)), t
 
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_dense_grid_matches_the_exponential(self, k, n, rng):
+        """On 1001 times the states between the knots, read from the knots'
+        series, are ``Y0 expm(C t)`` on both sides of t=0 as well."""
+        from scipy.linalg import expm
+
+        ps = tuple(
+            PolynomialMatrix(
+                (((0.25 if i == 2 else 0.0) * np.eye(n) + 0.05 * rng.standard_normal((n, n))),)
+            )
+            for i in range(1, k + 1)
+        )
+        curve = OdeFrameCurve(k, n, ps, random_invertible(k * n, rng, cond_max=10.0))
+        c = curve.companion.coefficients[0]
+        times = np.linspace(-8.0, 8.0, 1001)
+        states = curve.frame_jets(times, k - 1).juxtaposed.value()
+        for t, state in zip(times, states):
+            expected = curve.initial_juxtaposed @ expm(t * c)
+            assert np.max(np.abs(state - expected)) <= 1e-11 * np.max(np.abs(expected)), t
+
 
     @pytest.mark.parametrize("degree", [12, 14])
     def test_high_degree_companion_matches_a_reference_solve(self, degree):
@@ -575,7 +611,8 @@ class TestOdeSweep:
             assert np.max(np.abs(state - expected)) <= 1e-10 * np.max(np.abs(expected)), t
 
     def test_grid_at_the_cap_fits_the_knot_budget(self, monkeypatch):
-        """``MAX_GRID_POINTS`` positive times and the start at t=0 are one propagation."""
+        """``MAX_GRID_POINTS`` positive times and the start at t=0 are one propagation,
+        whose knots are those the step rule needs, not one per time."""
         import fanning.curves as curves_mod
 
         curve = _harmonic_curve(1.0)
@@ -590,7 +627,10 @@ class TestOdeSweep:
         monkeypatch.setattr(curves_mod, "solve_ivp", counting)
         times = np.linspace(0.001, 100.0, curves_mod.MAX_GRID_POINTS)
         last = frame_jet_samples(curve.frame_jets(times, 1))[-1]
-        assert nfev == [curves_mod.MAX_GRID_POINTS]
+        # The unit rotation's step limit is 11!^(1/11) / e^2, about 0.66: [0, 100]
+        # needs at least 151 intervals, and bisection at most doubles that.
+        needed = math.ceil(100.0 * curves_mod.STEP_SAFETY / math.factorial(11) ** (1 / 11))
+        assert len(nfev) == 1 and nfev[0] <= 2 * needed, nfev
         _assert_jets_close(last, curve.frame_jet(100.0, 1), 1e-9)
 
 
@@ -645,6 +685,168 @@ class TestPropagator:
         assert sol.nfev == 2
         expected = [[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]]
         np.testing.assert_allclose(sol.y[-1], expected, rtol=0, atol=1e-12)
+
+
+class TestDenseOutput:
+    """Past ``FIRST_KNOTS + 1`` times, the step rule places the knots and the
+    other times are read from the series of the knot before them."""
+
+    @staticmethod
+    def _recording(calls):
+        def expand(knots):
+            calls.append(np.array(knots))
+            return TestPropagator._rotation(knots)
+
+        return expand
+
+    @staticmethod
+    def _rotation_states(times, y0):
+        t = np.asarray(times)[:, None, None]
+        return y0 @ np.block([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+    def test_up_to_the_first_knots_every_time_is_a_knot(self):
+        import fanning.curves as curves_mod
+
+        count = curves_mod.FIRST_KNOTS + 1
+        times = np.linspace(0.0, 0.5, count)
+        calls = []
+        curves_mod.solve_ivp(self._recording(calls), times, np.eye(2))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], times[:-1])
+
+    def test_longer_grids_start_from_evenly_spread_knots(self):
+        """The first round expands ``FIRST_KNOTS`` left knots, the first time among them;
+        their states are those of a call on the knots alone, bit for bit."""
+        import fanning.curves as curves_mod
+
+        first = curves_mod.FIRST_KNOTS
+        times = np.linspace(0.0, 0.5, 3 * first + 2)
+        calls = []
+        sol = curves_mod.solve_ivp(self._recording(calls), times, np.eye(2))
+        assert len(calls) == 1 and sol.nfev == first
+        picked = np.searchsorted(times, calls[0])
+        np.testing.assert_array_equal(times[picked], calls[0])
+        assert picked[0] == 0 and np.all(np.diff(picked) >= 3)
+        knots = np.append(times[picked], times[-1])
+        alone = curves_mod.solve_ivp(TestPropagator._rotation, knots, np.eye(2))
+        np.testing.assert_array_equal(sol.y[np.append(picked, len(times) - 1)], alone.y)
+        np.testing.assert_allclose(sol.y, self._rotation_states(times, np.eye(2)), atol=1e-13)
+
+    def test_a_time_that_equals_a_knot(self):
+        """Unit steps are bisected at the odd times: their states are the knots' states."""
+        import fanning.curves as curves_mod
+
+        times = 0.5 * np.arange(2 * curves_mod.FIRST_KNOTS + 1)
+        sol = curves_mod.solve_ivp(TestPropagator._rotation, times, np.eye(2))
+        assert sol.nfev == 2 * curves_mod.FIRST_KNOTS
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curves_mod, "FIRST_KNOTS", len(times))
+            every = curves_mod.solve_ivp(TestPropagator._rotation, times, np.eye(2))
+        assert every.nfev == 2 * curves_mod.FIRST_KNOTS
+        np.testing.assert_array_equal(sol.y, every.y)
+
+    def test_descending_times(self, rng):
+        import fanning.curves as curves_mod
+
+        times = np.linspace(0.3, -6.0, 5 * curves_mod.FIRST_KNOTS)
+        y0 = random_invertible(2, rng, cond_max=10.0)
+        sol = curves_mod.solve_ivp(TestPropagator._rotation, times, y0)
+        expected = self._rotation_states(times - times[0], y0)
+        np.testing.assert_allclose(sol.y, expected, rtol=0, atol=1e-11 * np.max(np.abs(y0)))
+
+    @pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (4, 2), (3, 3)])
+    def test_dense_polynomial_normalizer_matches_a_reference_solve(self, k, n, rng, monkeypatch):
+        """161 times need the first round's expansions and its bisections only."""
+        from scipy.integrate import solve_ivp as reference
+
+        import fanning.curves as curves_mod
+        import fanning.invariants as invariants_mod
+
+        curve = tame_polynomial_curve(k, n, rng, window=(0.0, 0.4))
+        grid = np.linspace(0.0, 0.4, 161)
+        calls = []
+        solve_ivp = invariants_mod.solve_ivp
+
+        def counting(expand, times, y0):
+            def recording(knots):
+                calls.append(len(knots))
+                return expand(knots)
+
+            sol = solve_ivp(recording, times, y0)
+            calls.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(invariants_mod, "solve_ivp", counting)
+        x = invariants_mod.normalizer(curve, grid)
+        *expansions, nfev = calls
+        assert expansions[0] == curves_mod.FIRST_KNOTS and nfev == sum(expansions)
+        assert nfev <= 2 * curves_mod.FIRST_KNOTS, expansions
+
+        def rhs(t, y):
+            p1 = curve.frame_jet(t, k).equation_coefficients[0].value()
+            return -(y.reshape(n, n) @ p1).ravel()
+
+        ref = reference(rhs, (0.0, 0.4), np.eye(n).ravel(), method="DOP853",
+                        t_eval=grid, rtol=1e-13, atol=1e-14)
+        expected = ref.y.T.reshape(-1, n, n)
+        assert np.max(np.abs(x - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ascending", "descending"])
+    def test_overflow_names_the_first_time_not_the_next_knot(self, sign):
+        """``Y' = sign Y`` from ``s = max / e^2.02`` overflows past ``|t| = 2.02``,
+        knots and other times alike: the knot at 2.25 overflows too, but the
+        time 2.05 before it, read from the knot at 2.0, is where it stopped."""
+        import re
+
+        import fanning.curves as curves_mod
+
+        times = sign * np.linspace(0.0, 4.0, 5 * curves_mod.FIRST_KNOTS + 1)
+
+        def expand(knots):
+            c = np.zeros((len(knots), curves_mod.TAYLOR_ORDER, 1, 1))
+            c[:, 0] = sign
+            return c
+
+        y0 = np.array([[np.finfo(float).max / math.exp(2.02)]])
+        message = f"integration stopped at t={float(times[41])!r}: the state is not finite"
+        with pytest.raises(curves_mod.IntegrationError, match=re.escape(message)):
+            curves_mod.solve_ivp(expand, times, y0)
+
+    def test_overflow_at_a_dense_time_names_it(self, tmp_path, capsys):
+        """``y'' - 2g y' + (1 + g^2) y = 0`` from ``A0 = s I`` swings through
+        ``s e^(g t)`` near every multiple of pi/2.  On a grid of ``11 FIRST_KNOTS + 1``
+        times over [0, 11 pi/4] the knots are every 11th time; ``s`` puts the
+        peak past the largest float at grid times between knots only."""
+        from scipy.linalg import expm
+
+        import fanning.cli
+        import fanning.curves as curves_mod
+
+        g, count = 0.01, 11 * curves_mod.FIRST_KNOTS + 1
+        grid = np.linspace(0.0, 11 * math.pi / 4, count)
+        c = np.array([[0.0, -(1.0 + g * g)], [1.0, 2.0 * g]])
+        peak = np.array([np.max(np.abs(expm(c * t))) for t in grid])
+        at_knots = np.arange(count) % 11 == 0
+        assert np.max(peak[~at_knots]) > 1.02 * np.max(peak[at_knots])
+        scale = np.finfo(float).max / math.sqrt(np.max(peak[~at_knots]) * np.max(peak[at_knots]))
+        first = np.flatnonzero(peak > np.finfo(float).max / scale)[0]
+        data = {
+            "kind": "ode",
+            "k": 2,
+            "n": 1,
+            "P": [{"coefficients": [[[-g]]]}, {"coefficients": [[[1.0 + g * g]]]}],
+            "A0": (scale * np.eye(2)).tolist(),
+        }
+        path = tmp_path / "peak.json"
+        path.write_text(json.dumps(data))
+        argv = ["normal-frame", str(path), f"--grid=0.0:{float(grid[-1])!r}:{count}"]
+        assert fanning.cli.main(argv) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"numerical failure: integration stopped at t={float(grid[first])!r}: "
+            "the state is not finite\n"
+        )
 
 
 def _truncated(fj, order):

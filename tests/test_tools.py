@@ -144,14 +144,55 @@ class TestParityComparison:
         # twins: 3 identical each, one with a mismatch.
         def compare(old, new, name, seed, scratch):
             found = ["x: exit 0 vs 1"] if (name, seed) == ("congruence", 2) else []
-            return 4, 1, 2, 3, found, 1e-12 * seed, f"{name}-{seed}"
+            return 4, 1, 2, 3, found, 0, 1e-12 * seed, f"{name}-{seed}"
 
         monkeypatch.setattr(parity, "compare_workload", compare)
         assert parity.main(["old", "new"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == (
             "36 commands (9 verify, 18 CSV twins), 27 with identical stdout, 1 mismatches, "
+            "0 negated witnesses, "
             "worst |a - b| / (1 + |a|) 3e-12 at grid-poly-3: FAIL (tolerance 1e-09)"
         )
+
+    def test_summary_counts_negated_witnesses(self, monkeypatch, capsys):
+        """A negated JSON witness is no mismatch, but it is counted, and its stdout differs."""
+        def compare(old, new, name, seed, scratch):
+            negated = 2 if name == "congruence" else 0
+            return 4, 1, 2, 4 - negated, [], negated, 0.0, ""
+
+        monkeypatch.setattr(parity, "compare_workload", compare)
+        assert parity.main(["old", "new"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "36 commands (9 verify, 18 CSV twins), 30 with identical stdout, 0 mismatches, "
+            "6 negated witnesses, worst |a - b| / (1 + |a|) 0: PASS (tolerance 1e-09)"
+        )
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+    def test_negated_witness_is_named_and_still_a_difference(self, csv, monkeypatch):
+        monkeypatch.syspath_prepend(str(parity.PERFBENCH))
+        import workloads
+
+        options = parity.CSV_OPTIONS if csv else ()
+        op = workloads.Op("pair", "congruent", ("a", "b"), options, 5, "congruent")
+
+        def result(conjugator, ambient, condition=2.0):
+            if csv:
+                stdout = (f"t,name,i,j,value\n,conjugator,0,0,{conjugator}\n"
+                          f",ambient,0,0,{ambient}\n,conjugator_condition,0,0,{condition}\n")
+            else:
+                stdout = json.dumps({"verdict": "congruent", "conjugator": [[conjugator]],
+                                     "ambient": [[ambient]], "conjugator_condition": condition})
+            return {"code": 0, "stdout": stdout, "stderr": ""}
+
+        old = result(1.5, -3.0)
+        assert parity.negated_witness(op, old, result(-1.5, 3.0))
+        assert parity.negated_witness(op, old, result(-1.5 * (1 + 1e-15), 3.0))
+        for other in (old, result(1.5, 3.0), result(-1.5, 3.0, condition=2.5),
+                      result(1.5 * (1 + 1e-15), -3.0)):
+            assert not parity.negated_witness(op, old, other)
+        problems, worst, _ = parity.compare_op(op, old, result(-1.5, 3.0))
+        # JSON takes the pair up to sign; a CSV report's cells compare as they are.
+        assert problems == [] and (worst > 1.0 if csv else worst == 0.0)
 
     def test_csv_twins_of_the_json_commands(self, monkeypatch):
         monkeypatch.syspath_prepend(str(parity.PERFBENCH))

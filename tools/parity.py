@@ -13,12 +13,14 @@ verdicts, and on the shape of every report; every number is compared as
 ``|a - b| / (1 + |a|)``, with ``a`` from OLD_TREE; a CSV report's
 ``t,name,i,j`` cells must be equal row by row.  A congruence conjugator and
 ambient map that differ from OLD_TREE's only by one common sign count as
-equal (both are determined up to that sign).
+equal in a JSON report (both are determined up to that sign), but not in a
+CSV one.  Either way a ``congruent`` report that is OLD_TREE's with its
+conjugator and ambient negated is named a negated witness.
 
 Prints one line per workload and seed and a summary that totals the
 commands, the ``verify`` commands and CSV twins among them, those with
-byte-identical stdout and the mismatches; exits 1 on any
-mismatch or when the worst difference exceeds ``1e-9``.  Uses numpy and the
+byte-identical stdout, the mismatches and the negated witnesses; exits 1
+on any mismatch or when the worst difference exceeds ``1e-9``.  Uses numpy and the
 modules of ``perfbench/``, which it only imports.
 """
 
@@ -167,6 +169,41 @@ def csv_difference(a, b):
     return worst
 
 
+def _negated_csv(text):
+    """A CSV report with the values of its conjugator and ambient rows negated."""
+    lines = []
+    for line in text.splitlines():
+        cells = line.split(",")
+        if len(cells) == 5 and cells[1] in SIGNED_PAIR and cells[4] != "null":
+            cells[4] = repr(-float(cells[4]))
+        lines.append(",".join(cells))
+    return "\n".join(lines)
+
+
+def negated_witness(op, old, new):
+    """Whether ``new`` is ``old``'s ``congruent`` report with the conjugator and ambient negated.
+
+    Negated, the two reports must agree to ``TOLERANCE``, and as they are,
+    they must not.
+    """
+    if op.command != "congruent" or old["code"] != new["code"] or old["stdout"] == new["stdout"]:
+        return False
+    try:
+        if "csv" in op.options:
+            plain = csv_difference(old["stdout"], new["stdout"])[0]
+            flipped = csv_difference(old["stdout"], _negated_csv(new["stdout"]))[0]
+        else:
+            a, b = json.loads(old["stdout"]), json.loads(new["stdout"])
+            if not all(isinstance(b.get(key), list) for key in SIGNED_PAIR):
+                return False
+            negated = {key: _negated(value) if key in SIGNED_PAIR else value
+                       for key, value in b.items()}
+            plain, flipped = worst_difference(a, b)[0], worst_difference(a, negated)[0]
+    except (Mismatch, ValueError, AttributeError):
+        return False
+    return flipped <= TOLERANCE < plain
+
+
 def compare_op(op, old, new):
     """``(problems, worst difference, where)`` for one command's two results."""
     import checks
@@ -220,19 +257,22 @@ def compare_workload(old_tree, new_tree, name, seed, scratch):
         json.dump([op.argv(paths) for op in ops], fh)
     old = tree_results(old_tree, jobs_path, directory / "old.json")
     new = tree_results(new_tree, jobs_path, directory / "new.json")
-    problems, worst, where, identical = [], 0.0, "", 0
+    problems, worst, where, identical, negated = [], 0.0, "", 0, []
     for op, a, b in zip(ops, old, new):
         op_problems, op_worst, op_where = compare_op(op, a, b)
         problems += op_problems
         identical += a["stdout"] == b["stdout"]
+        if negated_witness(op, a, b):
+            negated.append(op.name)
         if op_worst > worst:
             worst, where = op_worst, op_where
     print(f"{name} seed {seed}: {len(ops)} commands ({len(verify)} verify, {len(twins)} CSV "
-          f"twins), {identical} with identical stdout, {len(problems)} mismatches, worst "
-          f"difference {worst:.3g}" + (f" at {where}" if where else ""))
-    for line in problems:
+          f"twins), {identical} with identical stdout, {len(problems)} mismatches, "
+          f"{len(negated)} negated witnesses, worst difference {worst:.3g}"
+          + (f" at {where}" if where else ""))
+    for line in problems + [f"{op_name}: negated witness" for op_name in negated]:
         print(f"  {line}")
-    return len(ops), len(verify), len(twins), identical, problems, worst, where
+    return len(ops), len(verify), len(twins), identical, problems, len(negated), worst, where
 
 
 def main(argv=None):
@@ -241,22 +281,25 @@ def main(argv=None):
         run_commands(*args.child)
         return 0
     sys.path.insert(0, str(PERFBENCH))
-    total, verified, twinned, identical, problems, worst, where = 0, 0, 0, 0, [], 0.0, ""
+    total, verified, twinned, identical, problems, negated, worst, where = (
+        0, 0, 0, 0, [], 0, 0.0, "")
     with tempfile.TemporaryDirectory(prefix="fanning-parity-") as scratch:
         for name in WORKLOADS:
             for seed in SEEDS:
-                count, verify, twins, same, found, w, at = compare_workload(
+                count, verify, twins, same, found, flipped, w, at = compare_workload(
                     args.old, args.new, name, seed, Path(scratch))
                 total += count
                 verified += verify
                 twinned += twins
                 identical += same
                 problems += found
+                negated += flipped
                 if w > worst:
                     worst, where = w, at
     failed = bool(problems) or worst > TOLERANCE
     print(f"{total} commands ({verified} verify, {twinned} CSV twins), {identical} with "
-          f"identical stdout, {len(problems)} mismatches, worst |a - b| / (1 + |a|) {worst:.3g}"
+          f"identical stdout, {len(problems)} mismatches, {negated} negated witnesses, "
+          f"worst |a - b| / (1 + |a|) {worst:.3g}"
           + (f" at {where}" if where else "")
           + f": {'FAIL' if failed else 'PASS'} (tolerance {TOLERANCE:g})")
     return 1 if failed else 0
