@@ -57,7 +57,6 @@ from .jets import (
     JetError,
     MatrixJet,
     jet_add,
-    jet_derivative,
     jet_inverse,
     jet_mul,
 )

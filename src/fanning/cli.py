@@ -16,6 +16,7 @@ error (2), as is a negative ``--seed``.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -230,31 +231,30 @@ def cmd_invariants(args):
 
 
 def cmd_congruent(args):
+    """The witness's fields as the report, each rendered by its type.
+
+    In CSV an array is one matrix, and a tuple other than ``samples`` one
+    row per sample under the field's name in the singular.
+    """
     curve_a = load_curve(args.curve_a)
     curve_b = load_curve(args.curve_b)
     witness = are_congruent(curve_a, curve_b, args.grid, tol=args.tol, seed=args.seed)
+    fields = {f.name: getattr(witness, f.name) for f in dataclasses.fields(witness)}
     report = {
         "command": "congruent",
-        "verdict": witness.verdict,
-        "samples": np.array(witness.samples, dtype=float),
-        "conjugator": witness.conjugator,
-        "ambient": witness.ambient,
-        "residuals": np.array(witness.residuals, dtype=float),
-        "span_distances": np.array(witness.span_distances, dtype=float),
-        "conjugator_condition": witness.conjugator_condition,
-        "message": witness.message,
+        **{name: np.array(value, dtype=float) if isinstance(value, tuple) else value
+           for name, value in fields.items()},
         "tolerance": args.tol,
     }
 
     def csv_entries():
         yield None, "verdict_" + witness.verdict, 1.0
-        if witness.conjugator is not None:
-            yield None, "conjugator", witness.conjugator
-            yield None, "ambient", witness.ambient
-        for t, r in zip(witness.samples, witness.residuals):
-            yield t, "residual", r
-        for t, s in zip(witness.samples, witness.span_distances):
-            yield t, "span_distance", s
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                yield None, name, value
+            elif isinstance(value, tuple) and name != "samples":
+                for t, v in zip(witness.samples, value):
+                    yield t, name.removesuffix("s"), v
 
     code = {
         "congruent": EXIT_OK,

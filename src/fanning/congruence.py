@@ -47,9 +47,12 @@ def simultaneous_conjugator(pairs, seed=0):
     count as zero, with an absolute floor of ``NULLSPACE_RTOL`` times the
     input magnitude so that a numerically vanishing system (equal
     invariants) reads as all nullspace rather than as full rank.  Returns
-    the best-conditioned candidate found; ``None`` when the nullspace is
-    trivial.  Absence of an invertible solution is a valid outcome, not an
-    error.
+    the best-conditioned candidate found, scale-normalized and negated if
+    need be so that the first entry in row-major order whose magnitude is
+    at least half the largest is positive (a plain argmax could flip
+    between near-equal entries, as near diag(1, -1)); ``None`` when the
+    nullspace is trivial.  Absence of an invertible solution is a valid
+    outcome, not an error.
     """
     if len(pairs) == 0:
         raise ValueError("at least one matrix pair is required")
@@ -96,42 +99,35 @@ def simultaneous_conjugator(pairs, seed=0):
         x, cond = candidate(rng.standard_normal(basis.shape[1]))
         if cond < best_cond:
             best, best_cond = x, cond
-    return best
+    if best is None:
+        return None
+    magnitudes = np.abs(best.ravel())
+    lead = best.flat[np.argmax(magnitudes >= 0.5 * magnitudes.max())]
+    return -best if lead < 0 else best
 
 
 @dataclass(frozen=True, eq=False)
 class CongruenceWitness:
-    """Outcome of a congruence test.
+    """Outcome of a congruence test: the ``congruent`` report, fields in its order.
 
     ``verdict`` is one of ``congruent``, ``not_congruent``, ``inconclusive``.
-    When congruent, ``conjugator`` is the constant n x n matrix relating the
-    normal-frame invariants and ``ambient`` the reconstructed kn x kn
-    transformation; ``residuals`` holds per-sample max-abs conjugation
-    defects and ``span_distances`` the subspace distances after applying
-    the ambient map.
+    Once a conjugator is found, ``conjugator`` is the constant n x n matrix
+    relating the normal-frame invariants, its sign fixed by
+    :func:`simultaneous_conjugator`'s rule, and ``ambient`` the
+    reconstructed kn x kn transformation, which is linear in the
+    conjugator's inverse and so follows its sign; ``residuals`` holds
+    per-sample max-abs conjugation defects and ``span_distances`` the
+    subspace distances after applying the ambient map.
     """
 
     verdict: str
+    samples: tuple
     conjugator: np.ndarray | None
     ambient: np.ndarray | None
-    samples: tuple
     residuals: tuple
     span_distances: tuple
     conjugator_condition: float
     message: str
-
-
-def _refused(verdict, samples, message, condition=np.inf):
-    return CongruenceWitness(
-        verdict=verdict,
-        conjugator=None,
-        ambient=None,
-        samples=tuple(samples),
-        residuals=(),
-        span_distances=(),
-        conjugator_condition=condition,
-        message=message,
-    )
 
 
 def trace_gaps(wa, wb):
@@ -211,6 +207,10 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
         fj = curve.frame_jets(times, 2 * k - 1)
         fj.require_fanning()
         jets.append(fj)
+    # Every field but the verdict and the message, as a verdict reached
+    # before the conjugator leaves them; each later stage updates its own.
+    record = dict(samples=samples, conjugator=None, ambient=None, residuals=(),
+                  span_distances=(), conjugator_condition=np.inf)
     # w[j - 2, i] is kappa (j = 2) or h_(j-2) at samples[i].
     wa, wb = (wilczynski_invariants(fj).values() for fj in jets)
     gaps = trace_gaps(wa, wb)
@@ -219,7 +219,7 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
         if not np.isfinite(gap):
             raise np.linalg.LinAlgError(f"{site} is not finite")
         message = f"invariant traces differ: {site} by {gap:.3e} (relative)"
-        return _refused("not_congruent", samples, message)
+        return CongruenceWitness("not_congruent", message=message, **record)
 
     # q[j - 2, i] is Q_j at samples[i]: kappa, h_1 .. h_(k-2) of the normal
     # frame, whose P_1 vanishes.  The pairs run sample by sample.
@@ -228,17 +228,13 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     pairs = np.stack([qa, qb], axis=2).swapaxes(0, 1).reshape(-1, 2, n, n)
     x = simultaneous_conjugator(pairs, seed=seed)
     if x is None:
-        return _refused(
-            "not_congruent", samples, "no common conjugator for the sampled invariants"
-        )
+        message = "no common conjugator for the sampled invariants"
+        return CongruenceWitness("not_congruent", message=message, **record)
     x_cond = float(np.linalg.cond(x))
     if not x_cond < DEFAULT_CONDITION_LIMIT:
-        return _refused(
-            "inconclusive",
-            samples,
-            f"only ill-conditioned conjugators found (condition {x_cond:.3e})",
-            condition=x_cond,
-        )
+        record.update(conjugator_condition=x_cond)
+        message = f"only ill-conditioned conjugators found (condition {x_cond:.3e})"
+        return CongruenceWitness("inconclusive", message=message, **record)
 
     residuals = np.max(np.abs(qa @ x - x @ qb), axis=(0, 2, 3))
 
@@ -250,19 +246,19 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     lift_a, lift_b = (_first_normal_lift(fj) for fj in jets)
     ambient = lift_b @ np.linalg.inv(lift_a @ x_block)
     spans = span_distance(ambient @ jets[0].jet.value(), jets[1].jet.value())
-
-    invariant_scale = 1.0 + np.max(np.abs(qa))
-    failed = not (np.max(residuals) <= tol * invariant_scale and np.max(spans) <= tol)
-    return CongruenceWitness(
-        verdict="not_congruent" if failed else "congruent",
+    record.update(
         conjugator=x,
         ambient=ambient,
-        samples=samples,
         residuals=tuple(residuals.tolist()),
         span_distances=tuple(spans.tolist()),
         conjugator_condition=x_cond,
-        message="conjugator found but verification failed" if failed else "",
     )
+
+    invariant_scale = 1.0 + np.max(np.abs(qa))
+    if not (np.max(residuals) <= tol * invariant_scale and np.max(spans) <= tol):
+        message = "conjugator found but verification failed"
+        return CongruenceWitness("not_congruent", message=message, **record)
+    return CongruenceWitness("congruent", message="", **record)
 
 
 def canonicalize_jet(fj):

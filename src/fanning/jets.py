@@ -168,9 +168,6 @@ class MatrixJet:
 
     __rmul__ = __mul__
 
-    def derivative(self):
-        return jet_derivative(self)
-
     def __repr__(self):
         where = f"base_time={self.base_time}" if not self.batch else f"batch={self.batch}"
         return f"MatrixJet({where}, order={self.order}, shape={self.shape})"
@@ -258,11 +255,3 @@ def linear_taylor(y0, c):
         terms = y[..., : m + 1, :, :] @ c[..., m::-1, :, :]
         y[..., m + 1, :, :] = terms.sum(axis=-3) / (m + 1)
     return y
-
-
-def jet_derivative(a):
-    """d/dt of the jet; the order drops by one."""
-    if a.order < 1:
-        raise JetError("cannot differentiate an order-0 jet")
-    factors = np.arange(1, a.order + 1, dtype=float)[:, None, None]
-    return MatrixJet(a.base_time, factors * a.coeffs[..., 1:, :, :])

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fanning import MatrixJet, PolynomialFrameCurve, PolynomialMatrix
+from fanning import JetError, MatrixJet, OdeFrameCurve, PolynomialFrameCurve, PolynomialMatrix
 from fanning.curves import FrameJet
 from fanning.jets import jet_mul
 
@@ -159,6 +159,25 @@ def right_multiplied(curve, x):
     return PolynomialFrameCurve(curve.k, curve.n, product.coefficients)
 
 
+def unconjugate_ode_pair():
+    """Two k = 2, n = 2 ODE curves whose invariant traces agree, but no conjugator relates.
+
+    P_1 = 0 on both curves, P_2^A = D and P_2^B(t) = S(t)^-1 D S(t) with
+    S(t) = (I + t E_12)(I + t E_21), whose inverse is polynomial.  kappa of
+    B is conjugate to that of A at every time, so the traces agree, but
+    only X = 0 conjugates them at t = 0 and to first order in t.
+    """
+    d, swap = np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    eye, e11, e22 = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    s = PolynomialMatrix(np.stack([eye, swap, e11]))
+    s_inv = PolynomialMatrix(np.stack([eye, -swap, e22]))
+    zero = PolynomialMatrix(np.zeros((1, 2, 2)))
+    p2_b = polynomial_product(polynomial_product(s_inv, PolynomialMatrix(d[None])), s)
+    curve_a = OdeFrameCurve(2, 2, (zero, PolynomialMatrix(d[None])), np.eye(4))
+    curve_b = OdeFrameCurve(2, 2, (zero, p2_b), np.eye(4))
+    return curve_a, curve_b
+
+
 def tan_taylor_coefficients(degree):
     """Taylor coefficients of tan at 0, from m' = 1 + m^2."""
     a = np.zeros(degree + 1)
@@ -202,6 +221,14 @@ def taylor_shift(coefficients, t, order):
         for i in range(j, len(coefficients)):
             out[j] += math.comb(i, j) * coefficients[i] * t ** (i - j)
     return out
+
+
+def jet_derivative(a):
+    """d/dt of the jet; the order drops by one."""
+    if a.order < 1:
+        raise JetError("cannot differentiate an order-0 jet")
+    factors = np.arange(1, a.order + 1, dtype=float)[:, None, None]
+    return MatrixJet(a.base_time, factors * a.coeffs[..., 1:, :, :])
 
 
 def truncated(jet, order):
@@ -282,7 +309,7 @@ def invariants_reference(p):
     k, p1 = len(p), p[0]
     w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
     for _ in range(k - 1):
-        w.append(-jet_mul(p1, w[-1]) + w[-1].derivative())
+        w.append(-jet_mul(p1, w[-1]) + jet_derivative(w[-1]))
     hs = []
     for j in range(2, k + 1):
         acc = w[j]
@@ -366,7 +393,7 @@ def schwarzian(fj):
     The program reports it as ``2 kappa``; this is the direct formula.
     """
     p1, p2 = fj.equation_coefficients[:2]
-    return 2.0 * (p2 - jet_mul(p1, p1) - p1.derivative())
+    return 2.0 * (p2 - jet_mul(p1, p1) - jet_derivative(p1))
 
 
 def h1_closed_form(p1, p2, p3):
@@ -374,8 +401,8 @@ def h1_closed_form(p1, p2, p3):
 
     ``h_1 = P_3 - 3 P_1 P_2 - 2 P_1' P_1 + 2 P_1 P_1' + 2 P_1^3 - P_1''``.
     """
-    d1 = p1.derivative()
-    d2 = d1.derivative()
+    d1 = jet_derivative(p1)
+    d2 = jet_derivative(d1)
     p1sq = jet_mul(p1, p1)
     return (
         p3
@@ -395,9 +422,9 @@ def h2_closed_form(p1, p2, p3, p4):
     + 3 P_1'^2 - P_1'''``; the last two terms carry the subscript 1
     forced by the reduction recursion.
     """
-    d1 = p1.derivative()
-    d2 = d1.derivative()
-    d3 = d2.derivative()
+    d1 = jet_derivative(p1)
+    d2 = jet_derivative(d1)
+    d3 = jet_derivative(d2)
     p1sq = jet_mul(p1, p1)
     return (
         p4

@@ -30,6 +30,7 @@ from conftest import (
     eigenspace,
     h1_closed_form,
     h2_closed_form,
+    jet_derivative,
     random_frame_jet,
     random_invertible,
     random_jet,
@@ -147,13 +148,13 @@ def test_criterion_04_printed_formula_agreement():
     # recursion forces subscript 1, and a subscript-2 literal reading is
     # quantifiably wrong:
     p = [random_jet(2, 2, 5, rng) for _ in range(4)]
-    d2 = p[1].derivative()
+    d2 = jet_derivative(p[1])
     literal = (
         h2_closed_form(p[0], p[1], p[2], p[3])
-        - 3.0 * jet_mul(p[0].derivative(), p[0].derivative())
-        + p[0].derivative().derivative().derivative()
+        - 3.0 * jet_mul(jet_derivative(p[0]), jet_derivative(p[0]))
+        + jet_derivative(jet_derivative(jet_derivative(p[0])))
         + 3.0 * jet_mul(d2, d2)
-        - p[1].derivative().derivative().derivative()
+        - jet_derivative(jet_derivative(jet_derivative(p[1])))
     )
     misreading_gap = max(
         np.max(np.abs(a - b))

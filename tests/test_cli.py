@@ -1,5 +1,6 @@
 """CLI behaviour: reports, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -23,8 +24,10 @@ from conftest import (
     ALL_KN,
     drifting_ode_curve,
     random_invertible,
+    right_multiplied,
     tame_polynomial_curve,
     tan_curve,
+    unconjugate_ode_pair,
 )
 
 
@@ -522,6 +525,144 @@ class TestCongruentCommand:
         assert proc.returncode == 6, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == "numerical failure: tr(kappa^2) at t=0.0 is not finite\n"
+
+
+def csv_rows(text):
+    """``(t, name)`` of each row of a CSV report, header dropped."""
+    return [tuple(line.split(",")[:2]) for line in text.splitlines()[1:]]
+
+
+def congruent_pair_files(tmp_path, k, n, rng):
+    """Files of a tame curve and its image under an ambient map and a frame change."""
+    curve = tame_polynomial_curve(k, n, rng, window=(0.0, 0.4))
+    moved = curve.transformed(random_invertible(k * n, rng, cond_max=40))
+    moved = right_multiplied(moved, random_invertible(n, rng, cond_max=20))
+    return write_curve(tmp_path / "a.json", curve), write_curve(tmp_path / "b.json", moved)
+
+
+WITNESS_KEYS = [
+    "command",
+    "verdict",
+    "samples",
+    "conjugator",
+    "ambient",
+    "residuals",
+    "span_distances",
+    "conjugator_condition",
+    "message",
+    "tolerance",
+]
+
+
+class TestCongruenceReport:
+    """The ``congruent`` report is the witness, rendered field by field."""
+
+    def run_both(self, capsys, argv):
+        """Exit code, JSON report and CSV rows of one ``congruent`` command."""
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--format", "csv"]) == code
+        return code, report, csv_rows(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_witness_sign_does_not_follow_the_nullspace_basis(self, k, n, tmp_path, capsys,
+                                                              monkeypatch, rng):
+        a, b = congruent_pair_files(tmp_path, k, n, rng)
+        argv = ["congruent", a, b, "--grid", f"0:0.4:{2 * k + 3}"]
+        outputs = []
+        for fmt in ("json", "csv"):
+            assert main(argv + ["--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        nullspace = congruence_mod.nullspace
+
+        def negated(*args, **kwargs):
+            return -nullspace(*args, **kwargs)
+
+        monkeypatch.setattr(congruence_mod, "nullspace", negated)
+        for fmt, expected in zip(("json", "csv"), outputs):
+            assert main(argv + ["--format", fmt]) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_trace_refusal(self, tmp_path, capsys, rng):
+        curve = tame_polynomial_curve(2, 1, rng)
+        coeffs = [c.copy() for c in curve.coefficients]
+        coeffs[1][0, 0] += 0.1
+        a = write_curve(tmp_path / "a.json", curve)
+        b = write_curve(tmp_path / "b.json", type(curve)(2, 1, tuple(coeffs)))
+        code, report, rows = self.run_both(capsys, ["congruent", a, b, "--grid", "0:0.4:7"])
+        assert code == 1 and report["message"].startswith("invariant traces differ")
+        assert list(report) == WITNESS_KEYS
+        assert rows == [("", "verdict_not_congruent")]
+
+    def test_no_conjugator(self, tmp_path, capsys):
+        a, b = (write_curve(tmp_path / f"{name}.json", curve)
+                for name, curve in zip("ab", unconjugate_ode_pair()))
+        code, report, rows = self.run_both(capsys, ["congruent", a, b, "--grid", "0:0.4:5"])
+        assert code == 1 and report["message"] == "no common conjugator for the sampled invariants"
+        assert list(report) == WITNESS_KEYS
+        assert rows == [("", "verdict_not_congruent")]
+
+    def test_inconclusive(self, tmp_path, capsys, monkeypatch, rng):
+        # Every matrix has condition at least 1, so every conjugator is refused.
+        monkeypatch.setattr(congruence_mod, "DEFAULT_CONDITION_LIMIT", 1.0)
+        a, b = congruent_pair_files(tmp_path, 2, 2, rng)
+        code, report, rows = self.run_both(capsys, ["congruent", a, b, "--grid", "0:0.4:7"])
+        assert code == 5 and report["message"].startswith("only ill-conditioned conjugators")
+        assert list(report) == WITNESS_KEYS
+        assert report["conjugator"] is None and report["conjugator_condition"] >= 1.0
+        assert rows == [("", "verdict_inconclusive")]
+
+    @staticmethod
+    def witness_rows(verdict, k, n, samples):
+        times = [format(t, ".17g") for t in samples]
+        return (
+            [("", f"verdict_{verdict}")]
+            + [("", "conjugator")] * (n * n)
+            + [("", "ambient")] * (k * n) ** 2
+            + [(t, "residual") for t in times]
+            + [(t, "span_distance") for t in times]
+        )
+
+    def test_verification_failed(self, tmp_path, capsys):
+        a = write_coefficients(tmp_path / "a.json", LINE)
+        b = write_coefficients(tmp_path / "b.json", BENT_LINE)
+        code, report, rows = self.run_both(capsys, ["congruent", a, b, "--grid", "0,0.4"])
+        assert code == 1 and report["message"] == "conjugator found but verification failed"
+        assert list(report) == WITNESS_KEYS
+        assert rows == self.witness_rows("not_congruent", 2, 1, [0.0, 0.4])
+
+    def test_congruent(self, tmp_path, capsys, rng):
+        a, b = congruent_pair_files(tmp_path, 3, 2, rng)
+        code, report, rows = self.run_both(capsys, ["congruent", a, b, "--grid", "0:0.4:9"])
+        assert code == 0 and report["message"] == ""
+        assert list(report) == WITNESS_KEYS
+        assert rows == self.witness_rows("congruent", 3, 2, report["samples"])
+
+    def test_a_new_field_reaches_both_formats(self, tmp_path, capsys, monkeypatch, rng):
+        @dataclasses.dataclass(frozen=True, eq=False)
+        class WitnessWithMargins(congruence_mod.CongruenceWitness):
+            singular_values: np.ndarray
+            margins: tuple
+
+        def are_congruent(*args, **kwargs):
+            w = congruence_mod.are_congruent(*args, **kwargs)
+            fields = {f.name: getattr(w, f.name) for f in dataclasses.fields(w)}
+            margins = tuple(float(i) for i, _ in enumerate(w.samples))
+            return WitnessWithMargins(**fields, singular_values=np.eye(2), margins=margins)
+
+        monkeypatch.setattr(cli_mod, "are_congruent", are_congruent)
+        a, b = congruent_pair_files(tmp_path, 2, 1, rng)
+        code, report, rows = self.run_both(capsys, ["congruent", a, b, "--grid", "0:0.4:3"])
+        assert code == 0
+        assert list(report) == WITNESS_KEYS[:-1] + ["singular_values", "margins", "tolerance"]
+        assert report["singular_values"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert report["margins"] == [0.0, 1.0, 2.0]
+        times = [format(t, ".17g") for t in report["samples"]]
+        assert rows == (
+            self.witness_rows("congruent", 2, 1, report["samples"])
+            + [("", "singular_values")] * 4
+            + [(t, "margin") for t in times]
+        )
 
 
 class TestFanningCheckedBeforeIntegrating:

@@ -1,11 +1,11 @@
 """Congruence decision, conjugator search, canonical jets, orbit coordinates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fanning import (
-    OdeFrameCurve,
-    PolynomialMatrix,
     are_congruent,
     canonicalize_jet,
     ode_coefficients,
@@ -20,13 +20,13 @@ from fanning.jets import horner
 from conftest import (
     ALL_KN,
     kron_system,
-    polynomial_product,
     random_invertible,
     random_polynomial_curve,
     right_multiplied,
     standard_jet,
     tame_polynomial_curve,
     tan_curve,
+    unconjugate_ode_pair,
 )
 
 
@@ -118,6 +118,41 @@ class TestSimultaneousConjugator:
         a = simultaneous_conjugator(pairs, seed=5)
         b = simultaneous_conjugator(pairs, seed=5)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("epsilon", [1e-12, -1e-12])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sign_holds_across_near_equal_entries(self, epsilon, sign, monkeypatch):
+        # Near diag(1, -1) a rounding decides which entry is largest; the first
+        # entry within half of the largest leads, so +1 stays positive either way.
+        basis = sign * np.diag([1.0, -(1.0 + epsilon)]).reshape(4, 1)
+        monkeypatch.setattr(congruence_mod, "nullspace", lambda *args, **kwargs: basis)
+        x = simultaneous_conjugator([(np.eye(2), np.eye(2))])
+        assert x[0, 0] > 0 and x[1, 1] < 0
+
+    def test_sign_is_that_of_the_leading_entry(self, rng):
+        for n in (1, 2, 3) * 4:
+            m = rng.standard_normal((n, n))
+            x0 = random_invertible(n, rng)
+            x = simultaneous_conjugator([(m, np.linalg.solve(x0, m @ x0))])
+            magnitudes = np.abs(x.ravel())
+            assert x.flat[np.argmax(magnitudes >= 0.5 * magnitudes.max())] > 0
+
+
+class TestWitnessRecord:
+    def test_fields_in_report_order_without_defaults(self):
+        fields = dataclasses.fields(congruence_mod.CongruenceWitness)
+        assert [f.name for f in fields] == [
+            "verdict",
+            "samples",
+            "conjugator",
+            "ambient",
+            "residuals",
+            "span_distances",
+            "conjugator_condition",
+            "message",
+        ]
+        assert all(f.default is dataclasses.MISSING for f in fields)
+        assert all(f.default_factory is dataclasses.MISSING for f in fields)
 
 
 class TestAreCongruent:
@@ -227,22 +262,13 @@ class TestTraceEarlyExit:
         gap = invariant_traces_gap(curve_a, curve_b, samples)
         assert gap > 1e-7
         assert f"by {gap:.3e} (relative)" in w.message
+        assert w.samples == tuple(samples.tolist())
         assert w.conjugator is None and w.ambient is None
         assert w.residuals == () and w.span_distances == ()
+        assert w.conjugator_condition == np.inf
 
     def test_equal_traces_take_the_full_path(self, monkeypatch):
-        # P_1 = 0 on both curves, P_2^A = D and P_2^B(t) = S(t)^-1 D S(t) with
-        # S(t) = (I + t E_12)(I + t E_21), whose inverse is polynomial.  kappa
-        # of B is conjugate to that of A at every time, so the traces agree,
-        # but only X = 0 conjugates them at t = 0 and to first order in t.
-        d, swap = np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
-        eye, e11, e22 = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        s = PolynomialMatrix(np.stack([eye, swap, e11]))
-        s_inv = PolynomialMatrix(np.stack([eye, -swap, e22]))
-        zero = PolynomialMatrix(np.zeros((1, 2, 2)))
-        p2_b = polynomial_product(polynomial_product(s_inv, PolynomialMatrix(d[None])), s)
-        curve_a = OdeFrameCurve(2, 2, (zero, PolynomialMatrix(d[None])), np.eye(4))
-        curve_b = OdeFrameCurve(2, 2, (zero, p2_b), np.eye(4))
+        curve_a, curve_b = unconjugate_ode_pair()
         samples = np.linspace(0.0, 0.4, 5)
         assert invariant_traces_gap(curve_a, curve_b, samples) < 1e-10
         calls = []

@@ -11,17 +11,13 @@ captured, in a fresh interpreter that imports ``fanning`` from that tree's
 ``src/``.  The two runs must agree on exit codes, stderr and congruence
 verdicts, and on the shape of every report; every number is compared as
 ``|a - b| / (1 + |a|)``, with ``a`` from OLD_TREE; a CSV report's
-``t,name,i,j`` cells must be equal row by row.  A congruence conjugator and
-ambient map that differ from OLD_TREE's only by one common sign count as
-equal in a JSON report (both are determined up to that sign), but not in a
-CSV one.  Either way a ``congruent`` report that is OLD_TREE's with its
-conjugator and ambient negated is named a negated witness.
+``t,name,i,j`` cells must be equal row by row.
 
 Prints one line per workload and seed and a summary that totals the
 commands, the ``verify`` commands and CSV twins among them, those with
-byte-identical stdout, the mismatches and the negated witnesses; exits 1
-on any mismatch or when the worst difference exceeds ``1e-9``.  Uses numpy and the
-modules of ``perfbench/``, which it only imports.
+byte-identical stdout and the mismatches; exits 1 on any mismatch or when
+the worst difference exceeds ``1e-9``.  Uses numpy and the modules of
+``perfbench/``, which it only imports.
 """
 
 import argparse
@@ -44,8 +40,6 @@ TOLERANCE = 1e-9
 VERIFY_OPTIONS = ("--t", "0.2", "--seed", "3")
 # Options that turn a JSON command into its CSV twin.
 CSV_OPTIONS = ("--format", "csv")
-# Report keys of a congruence witness that are determined up to one common sign.
-SIGNED_PAIR = ("conjugator", "ambient")
 
 
 class Mismatch(Exception):
@@ -129,27 +123,6 @@ def worst_difference(a, b, where=""):
     return 0.0, where
 
 
-def _negated(value):
-    if isinstance(value, list):
-        return [_negated(v) for v in value]
-    return -value if isinstance(value, (int, float)) else value
-
-
-def report_difference(a, b):
-    """Worst difference of two reports, a conjugator/ambient pair taken up to sign."""
-    if not (isinstance(a, dict) and isinstance(b, dict)
-            and all(isinstance(a.get(key), list) for key in SIGNED_PAIR)
-            and all(isinstance(b.get(key), list) for key in SIGNED_PAIR)):
-        return worst_difference(a, b)
-    pair_a = [a[key] for key in SIGNED_PAIR]
-    pair_b = [b[key] for key in SIGNED_PAIR]
-    signed = min(worst_difference(pair_a, pair_b, ".conjugator|ambient"),
-                 worst_difference(pair_a, _negated(pair_b), ".conjugator|ambient (sign flipped)"))
-    rest_a = {key: value for key, value in a.items() if key not in SIGNED_PAIR}
-    rest_b = {key: value for key, value in b.items() if key not in SIGNED_PAIR}
-    return max(signed, worst_difference(rest_a, rest_b))
-
-
 def _csv_rows(text):
     """A CSV report's ``t,name,i,j`` cells, header first, and its values (``null`` as None)."""
     rows = [line.rpartition(",") for line in text.splitlines()]
@@ -167,41 +140,6 @@ def csv_difference(a, b):
     for cell, x, y in zip(cells_a[1:], values_a, values_b):
         worst = max(worst, worst_difference(x, y, f"[{cell}]"))
     return worst
-
-
-def _negated_csv(text):
-    """A CSV report with the values of its conjugator and ambient rows negated."""
-    lines = []
-    for line in text.splitlines():
-        cells = line.split(",")
-        if len(cells) == 5 and cells[1] in SIGNED_PAIR and cells[4] != "null":
-            cells[4] = repr(-float(cells[4]))
-        lines.append(",".join(cells))
-    return "\n".join(lines)
-
-
-def negated_witness(op, old, new):
-    """Whether ``new`` is ``old``'s ``congruent`` report with the conjugator and ambient negated.
-
-    Negated, the two reports must agree to ``TOLERANCE``, and as they are,
-    they must not.
-    """
-    if op.command != "congruent" or old["code"] != new["code"] or old["stdout"] == new["stdout"]:
-        return False
-    try:
-        if "csv" in op.options:
-            plain = csv_difference(old["stdout"], new["stdout"])[0]
-            flipped = csv_difference(old["stdout"], _negated_csv(new["stdout"]))[0]
-        else:
-            a, b = json.loads(old["stdout"]), json.loads(new["stdout"])
-            if not all(isinstance(b.get(key), list) for key in SIGNED_PAIR):
-                return False
-            negated = {key: _negated(value) if key in SIGNED_PAIR else value
-                       for key, value in b.items()}
-            plain, flipped = worst_difference(a, b)[0], worst_difference(a, negated)[0]
-    except (Mismatch, ValueError, AttributeError):
-        return False
-    return flipped <= TOLERANCE < plain
 
 
 def compare_op(op, old, new):
@@ -222,7 +160,7 @@ def compare_op(op, old, new):
             a, b = checks.parse(op, old["stdout"]), checks.parse(op, new["stdout"])
             if a.get("verdict") != b.get("verdict"):
                 problems.append(f"{name}: verdict {a.get('verdict')} vs {b.get('verdict')}")
-            worst, where = report_difference(a, b)
+            worst, where = worst_difference(a, b)
     except (Mismatch, ValueError) as exc:
         problems.append(f"{name}: reports differ: {exc}")
         return problems, 0.0, ""
@@ -257,22 +195,19 @@ def compare_workload(old_tree, new_tree, name, seed, scratch):
         json.dump([op.argv(paths) for op in ops], fh)
     old = tree_results(old_tree, jobs_path, directory / "old.json")
     new = tree_results(new_tree, jobs_path, directory / "new.json")
-    problems, worst, where, identical, negated = [], 0.0, "", 0, []
+    problems, worst, where, identical = [], 0.0, "", 0
     for op, a, b in zip(ops, old, new):
         op_problems, op_worst, op_where = compare_op(op, a, b)
         problems += op_problems
         identical += a["stdout"] == b["stdout"]
-        if negated_witness(op, a, b):
-            negated.append(op.name)
         if op_worst > worst:
             worst, where = op_worst, op_where
     print(f"{name} seed {seed}: {len(ops)} commands ({len(verify)} verify, {len(twins)} CSV "
           f"twins), {identical} with identical stdout, {len(problems)} mismatches, "
-          f"{len(negated)} negated witnesses, worst difference {worst:.3g}"
-          + (f" at {where}" if where else ""))
-    for line in problems + [f"{op_name}: negated witness" for op_name in negated]:
+          f"worst difference {worst:.3g}" + (f" at {where}" if where else ""))
+    for line in problems:
         print(f"  {line}")
-    return len(ops), len(verify), len(twins), identical, problems, len(negated), worst, where
+    return len(ops), len(verify), len(twins), identical, problems, worst, where
 
 
 def main(argv=None):
@@ -281,25 +216,22 @@ def main(argv=None):
         run_commands(*args.child)
         return 0
     sys.path.insert(0, str(PERFBENCH))
-    total, verified, twinned, identical, problems, negated, worst, where = (
-        0, 0, 0, 0, [], 0, 0.0, "")
+    total, verified, twinned, identical, problems, worst, where = 0, 0, 0, 0, [], 0.0, ""
     with tempfile.TemporaryDirectory(prefix="fanning-parity-") as scratch:
         for name in WORKLOADS:
             for seed in SEEDS:
-                count, verify, twins, same, found, flipped, w, at = compare_workload(
+                count, verify, twins, same, found, w, at = compare_workload(
                     args.old, args.new, name, seed, Path(scratch))
                 total += count
                 verified += verify
                 twinned += twins
                 identical += same
                 problems += found
-                negated += flipped
                 if w > worst:
                     worst, where = w, at
     failed = bool(problems) or worst > TOLERANCE
     print(f"{total} commands ({verified} verify, {twinned} CSV twins), {identical} with "
-          f"identical stdout, {len(problems)} mismatches, {negated} negated witnesses, "
-          f"worst |a - b| / (1 + |a|) {worst:.3g}"
+          f"identical stdout, {len(problems)} mismatches, worst |a - b| / (1 + |a|) {worst:.3g}"
           + (f" at {where}" if where else "")
           + f": {'FAIL' if failed else 'PASS'} (tolerance {TOLERANCE:g})")
     return 1 if failed else 0
