@@ -53,12 +53,6 @@ from .invariants import (
     ode_coefficients,
     wilczynski_invariants,
 )
-from .jets import (
-    JetError,
-    MatrixJet,
-    jet_add,
-    jet_inverse,
-    jet_mul,
-)
+from .jets import JetError, MatrixJet, jet_inverse, jet_mul
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from .congruence import DEFAULT_SPAN_TOL, are_congruent, canonicalize_jet
 from .curves import (
     MAX_GRID_POINTS,
     CurveFormatError,
-    FrameJet,
     InsufficientOrderError,
     IntegrationError,
     NotFanningError,
@@ -47,7 +46,7 @@ from .invariants import (
     orbit_entries,
     wilczynski_invariants,
 )
-from .jets import JetError, MatrixJet
+from .jets import JetError
 from .linalg import eigenvalue_multiplicity
 
 EXIT_OK = 0
@@ -172,8 +171,7 @@ def _grid_invariants(fj, args):
     if not fanning.all():
         first = int(np.argmin(fanning))
         if first:
-            prefix = MatrixJet(fj.base_time[:first], fj.jet.coeffs[:first])
-            _grid_invariants(FrameJet(prefix), args)
+            _grid_invariants(fj.head(first), args)
         fj.require_fanning()
     inv = wilczynski_invariants(fj)
     minus_one, plus_one = eigenvalue_multiplicity(frame_reflection(fj), (-1.0, 1.0))
@@ -233,26 +231,22 @@ def cmd_invariants(args):
 def cmd_congruent(args):
     """The witness's fields as the report, each rendered by its type.
 
-    In CSV an array is one matrix, and a tuple other than ``samples`` one
-    row per sample under the field's name in the singular.
+    In CSV a matrix (a 2-D array) is one entry, and a per-sample field (a
+    1-D array) other than ``samples`` one row per sample under the field's
+    name in the singular.
     """
     curve_a = load_curve(args.curve_a)
     curve_b = load_curve(args.curve_b)
     witness = are_congruent(curve_a, curve_b, args.grid, tol=args.tol, seed=args.seed)
     fields = {f.name: getattr(witness, f.name) for f in dataclasses.fields(witness)}
-    report = {
-        "command": "congruent",
-        **{name: np.array(value, dtype=float) if isinstance(value, tuple) else value
-           for name, value in fields.items()},
-        "tolerance": args.tol,
-    }
+    report = {"command": "congruent", **fields, "tolerance": args.tol}
 
     def csv_entries():
         yield None, "verdict_" + witness.verdict, 1.0
         for name, value in fields.items():
-            if isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray) and value.ndim == 2:
                 yield None, name, value
-            elif isinstance(value, tuple) and name != "samples":
+            elif isinstance(value, np.ndarray) and name != "samples":
                 for t, v in zip(witness.samples, value):
                     yield t, name.removesuffix("s"), v
 

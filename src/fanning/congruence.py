@@ -18,17 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DEFAULT_CONDITION_LIMIT, FrameJet, require_order
+from .curves import DEFAULT_CONDITION_LIMIT, _derivative_blocks, require_order
 from .invariants import (
     checked_grid,
     normalized_frame_jet,
     normalizer,
-    normalizing_jet,
+    normalizing_series,
     ode_coefficients,
     orbit_entries,
     wilczynski_invariants,
 )
-from .jets import MatrixJet
+from .jets import cauchy_product
 from .linalg import NULLSPACE_RTOL, nullspace, span_distance
 
 DEFAULT_SPAN_TOL = 1e-7
@@ -115,19 +115,26 @@ class CongruenceWitness:
     relating the normal-frame invariants, its sign fixed by
     :func:`simultaneous_conjugator`'s rule, and ``ambient`` the
     reconstructed kn x kn transformation, which is linear in the
-    conjugator's inverse and so follows its sign; ``residuals`` holds
-    per-sample max-abs conjugation defects and ``span_distances`` the
-    subspace distances after applying the ambient map.
+    conjugator's inverse and so follows its sign.  ``samples``, and the
+    per-sample ``residuals`` (max-abs conjugation defects) and
+    ``span_distances`` (after applying the ambient map), are read-only
+    float arrays, as every array field is; the last two are empty until a
+    conjugator is found.
     """
 
     verdict: str
-    samples: tuple
+    samples: np.ndarray
     conjugator: np.ndarray | None
     ambient: np.ndarray | None
-    residuals: tuple
-    span_distances: tuple
+    residuals: np.ndarray
+    span_distances: np.ndarray
     conjugator_condition: float
     message: str
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 def trace_gaps(wa, wb):
@@ -159,7 +166,7 @@ def _largest_gap(gaps, samples):
     word = "kappa" if j == 0 else f"h_{j}"
     if m:
         word = f"{word}^{m + 1}"
-    return gaps[index], f"tr({word}) at t={samples[i]!r}"
+    return gaps[index], f"tr({word}) at t={float(samples[i])!r}"
 
 
 def _reduced_coefficients(curve, times, w):
@@ -174,11 +181,10 @@ def _reduced_coefficients(curve, times, w):
 
 
 def _first_normal_lift(fj):
-    """The normal lift at the first sample of the batched ``fj``, from its cached ``P_1``."""
-    p1 = ode_coefficients(fj)[0]
-    y = normalizing_jet(MatrixJet(p1.base_time[:1], p1.coeffs[:1]))
-    first = FrameJet(MatrixJet(fj.base_time[:1], fj.jet.coeffs[:1]))
-    return first.right_multiplied(y).juxtaposed.value()[0]
+    """The normal lift at the first sample of the batched ``fj``: ``A Y``, Y from its cached ``P_1``."""
+    y = normalizing_series(ode_coefficients(fj)[0].coeffs[:1], None)
+    normal = cauchy_product(fj.jet.coeffs[:1], y)
+    return _derivative_blocks(normal, range(fj.k), 1)[0, 0]
 
 
 def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
@@ -197,10 +203,10 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     """
     if curve_a.k != curve_b.k or curve_a.n != curve_b.n:
         raise ValueError("curves live in different Grassmannians")
-    samples = tuple(np.asarray(samples, dtype=float).tolist())
-    if len(samples) < 2:
+    times = np.array(samples, dtype=float)
+    if len(times) < 2:
         raise ValueError("need at least two sample times")
-    times = checked_grid(samples)
+    checked_grid(times)
     k, n = curve_a.k, curve_a.n
     jets = []
     for curve in (curve_a, curve_b):
@@ -209,13 +215,13 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
         jets.append(fj)
     # Every field but the verdict and the message, as a verdict reached
     # before the conjugator leaves them; each later stage updates its own.
-    record = dict(samples=samples, conjugator=None, ambient=None, residuals=(),
-                  span_distances=(), conjugator_condition=np.inf)
+    record = dict(samples=times, conjugator=None, ambient=None, residuals=np.empty(0),
+                  span_distances=np.empty(0), conjugator_condition=np.inf)
     # w[j - 2, i] is kappa (j = 2) or h_(j-2) at samples[i].
     wa, wb = (wilczynski_invariants(fj).values() for fj in jets)
     gaps = trace_gaps(wa, wb)
     if not np.max(gaps) <= tol:
-        gap, site = _largest_gap(gaps, samples)
+        gap, site = _largest_gap(gaps, times)
         if not np.isfinite(gap):
             raise np.linalg.LinAlgError(f"{site} is not finite")
         message = f"invariant traces differ: {site} by {gap:.3e} (relative)"
@@ -249,8 +255,8 @@ def are_congruent(curve_a, curve_b, samples, tol=DEFAULT_SPAN_TOL, seed=0):
     record.update(
         conjugator=x,
         ambient=ambient,
-        residuals=tuple(residuals.tolist()),
-        span_distances=tuple(spans.tolist()),
+        residuals=residuals,
+        span_distances=spans,
         conjugator_condition=x_cond,
     )
 

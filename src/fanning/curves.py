@@ -51,14 +51,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .jets import (
-    MatrixJet,
-    coefficient_stack,
-    horner,
-    jet_mul,
-    jet_solve,
-    linear_taylor,
-)
+from .jets import MatrixJet, coefficient_stack, horner, jet_solve, linear_taylor
 
 # A frame is fanning where its juxtaposed value's condition number is below this.
 DEFAULT_CONDITION_LIMIT = 1e8
@@ -279,27 +272,30 @@ class PolynomialMatrix:
         return self.coefficients.shape[1:]
 
     def jet_at(self, times, order):
-        """Exact Taylor re-expansion about each base time, truncated at ``order``.
+        """The jet of :func:`taylor_coefficients` about one time, or batched over an array of them."""
+        return MatrixJet(times, taylor_coefficients(self.coefficients, times, order))
 
-        ``times`` is one time (a jet of batch ``()``) or an array of them (a
-        jet batched over its shape).  Coefficient ``j`` is
-        ``sum_i C(i, j) t^(i-j) C_i``: one contraction of the coefficient
-        stack with the Taylor-shift matrices of all times.  Raises
-        ``LinAlgError`` naming the first time whose shift overflows.
-        """
-        times = np.array(times, dtype=float)
-        times.setflags(write=False)
-        binomials = _binomials(order + 1, self.degree + 1)
-        powers = np.maximum(np.arange(self.degree + 1) - np.arange(order + 1)[:, None], 0)
-        flat = self.coefficients.reshape(self.degree + 1, -1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            shift = binomials * np.power(times[..., None, None], powers)
-            coeffs = (shift @ flat).reshape(shift.shape[:-1] + self.shape)
-        finite = np.isfinite(coeffs).all(axis=(-3, -2, -1))
-        if not finite.all():
-            t = float(times[~finite][0])
-            raise np.linalg.LinAlgError(f"Taylor shift to t={t!r} overflowed")
-        return MatrixJet(times, coeffs)
+
+def taylor_coefficients(coefficients, times, order):
+    """Coefficients ``0 .. order`` of ``sum_i C_i t^i`` (the stack ``coefficients``) about ``times``.
+
+    Coefficient ``j`` is ``sum_i C(i, j) t^(i-j) C_i``, for every time at
+    once: the shape of ``times`` leads the result.  Raises ``LinAlgError``
+    naming the first time whose shift overflows.
+    """
+    times = np.asarray(times, dtype=float)
+    count = len(coefficients)
+    binomials = _binomials(order + 1, count)
+    powers = np.maximum(np.arange(count) - np.arange(order + 1)[:, None], 0)
+    flat = coefficients.reshape(count, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = binomials * np.power(times[..., None, None], powers)
+        coeffs = (shift @ flat).reshape(shift.shape[:-1] + coefficients.shape[1:])
+    finite = np.isfinite(coeffs).all(axis=(-3, -2, -1))
+    if not finite.all():
+        t = float(times[~finite][0])
+        raise np.linalg.LinAlgError(f"Taylor shift to t={t!r} overflowed")
+    return coeffs
 
 
 def expansion_order(poly):
@@ -382,6 +378,8 @@ class FrameJet:
         require_order(jet.order, self.k - 1, f"a frame jet with k={self.k}")
         self.jet = jet
         self._fanning = False
+        # The stacked P_1 .. P_k of a frame whose equation is given (OdeFrameCurve.equation).
+        self._equation = None
 
     @property
     def order(self):
@@ -453,20 +451,23 @@ class FrameJet:
     def equation_coefficients(self):
         """Coefficients ``P_1 .. P_k`` of the frame's order-k equation, as jets.
 
-        Solves the block system ``(A | A' | ... | A^(k-1)) S = -A^(k)`` at
-        jet level, once per frame jet; block ``k - i`` of ``S`` is
-        ``C(k, i) P_i``.  With a frame jet of order R the coefficient jets
-        have order R - k.
+        Behind the fanning gate, once per frame jet: a given equation is
+        shifted to the base time, else ``(A | A' | ... | A^(k-1)) S = -A^(k)``
+        is solved, block ``k - i`` of ``S`` being ``C(k, i) P_i``.  A frame
+        jet of order R gives them to order R - k.
         """
         k, n = self.k, self.n
         require_order(self.order, k, "the equation coefficients")
         self.require_fanning()
-        s = jet_solve(self.juxtaposed, -self.derivative_jet(k), self._value_inverse).coeffs
-        s = s.reshape(s.shape[:-2] + (k, n, n))
-        return tuple(
-            MatrixJet(self.base_time, (1.0 / math.comb(k, i)) * s[..., k - i, :, :])
-            for i in range(1, k + 1)
-        )
+        if self._equation is not None:
+            p = taylor_coefficients(self._equation, self.base_time, self.order - k)
+            p = [p[..., i * n : (i + 1) * n, :] for i in range(k)]
+        else:
+            dk = _derivative_blocks(self.jet.coeffs, (k,), self.order - k + 1)
+            s = jet_solve(self.juxtaposed.coeffs, -dk, self._value_inverse)
+            s = s.reshape(s.shape[:-2] + (k, n, n))
+            p = [(1.0 / math.comb(k, i)) * s[..., k - i, :, :] for i in range(1, k + 1)]
+        return tuple(MatrixJet(self.base_time, c) for c in p)
 
     @cached_property
     def fundamental_endomorphism(self):
@@ -477,19 +478,21 @@ class FrameJet:
         jet of order R gives it to order R - k + 1.
         """
         self.require_fanning()
-        lifts = (self.juxtaposed.coeffs, self.juxtaposed.coeffs @ nilpotent_matrix(self.k, self.n))
-        a, b = (MatrixJet(self.base_time, np.swapaxes(c, -1, -2)) for c in lifts)
+        lift = self.juxtaposed.coeffs
+        a, b = (np.swapaxes(c, -1, -2) for c in (lift, lift @ nilpotent_matrix(self.k, self.n)))
         transposed = jet_solve(a, b, np.swapaxes(self._value_inverse, -1, -2))
-        return MatrixJet(self.base_time, np.swapaxes(transposed.coeffs, -1, -2))
+        return MatrixJet(self.base_time, np.swapaxes(transposed, -1, -2))
+
+    def head(self, count):
+        """The frame jet of the first ``count`` samples of a batch, with the same equation."""
+        head = FrameJet(MatrixJet(self.base_time[:count], self.jet.coeffs[:count]))
+        head._equation = self._equation
+        return head
 
     def left_multiplied(self, t_matrix):
         """Frame jet of ``T A`` for a constant ambient matrix ``T``."""
         t_matrix = np.asarray(t_matrix, dtype=float)
         return FrameJet(MatrixJet(self.base_time, t_matrix @ self.jet.coeffs))
-
-    def right_multiplied(self, x):
-        """Frame jet of ``A X`` for an n x n jet ``X``."""
-        return FrameJet(jet_mul(self.jet, x))
 
     def extended_with_zeros(self, order):
         """Pad with zero coefficients; used to fix a jet extension explicitly."""
@@ -526,15 +529,6 @@ class PolynomialFrameCurve:
         _require_finite(stack, "frame")
         object.__setattr__(self, "coefficients", stack)
 
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    @cached_property
-    def polynomial(self):
-        """The frame as one :class:`PolynomialMatrix`."""
-        return PolynomialMatrix(self.coefficients)
-
     def frame_jet(self, t, order):
         """Exact jet of the frame at base time ``t``."""
         return self.frame_jets(float(t), order)
@@ -542,7 +536,7 @@ class PolynomialFrameCurve:
     def frame_jets(self, times, order):
         """Exact frame jets at many times, batched over ``times`` in the caller's order."""
         require_order(order, self.k - 1, f"frame jets with k={self.k}")
-        return FrameJet(self.polynomial.jet_at(times, order))
+        return FrameJet(MatrixJet(times, taylor_coefficients(self.coefficients, times, order)))
 
     def transformed(self, t_matrix):
         """The curve ``T A(t)`` for a constant kn x kn matrix ``T``."""
@@ -599,6 +593,16 @@ class OdeFrameCurve:
         """The block companion matrix ``C(t)`` of :func:`companion_stack`: ``Y' = Y C``."""
         return PolynomialMatrix(companion_stack([poly.coefficients for poly in self.p]))
 
+    @cached_property
+    def equation(self):
+        """``P_1 .. P_k`` as the n x n blocks, top down, of one ``(degree + 1, kn, n)`` stack."""
+        n, count = self.n, max(poly.degree for poly in self.p) + 1
+        stack = np.zeros((count, self.k * n, n))
+        for i, poly in enumerate(self.p):
+            stack[: poly.degree + 1, i * n : (i + 1) * n] = poly.coefficients
+        stack.setflags(write=False)
+        return stack
+
     def frame_jet(self, t, order):
         """Integrate the frame state from t=0 to ``t`` and build its jet there."""
         return self.frame_jets(float(t), order)
@@ -611,7 +615,8 @@ class OdeFrameCurve:
         initial state at t=0 through the side's distinct times, with the
         companion matrix expanded at every knot.  The states are then
         expanded at all times in one series, batched over ``times`` in the
-        caller's order; a repeated time repeats its state.
+        caller's order; a repeated time repeats its state.  The jets carry
+        :attr:`equation`, whose shift gives their ``P_j``.
         """
         k, kn = self.k, self.k * self.n
         require_order(order, k - 1, f"frame jets with k={k}")
@@ -621,13 +626,13 @@ class OdeFrameCurve:
             if not math.isfinite(t):
                 raise ValueError(f"frame jet times must be finite, got {t!r}")
         states = {0.0: self.initial_juxtaposed}
-        expansion = expansion_order(self.companion)
+        companion, expansion = self.companion.coefficients, expansion_order(self.companion)
         positive = sorted({t for t in flat if t > 0.0})
         negative = sorted({t for t in flat if t < 0.0}, reverse=True)
         for side in (positive, negative):
             if side:
                 sol = solve_ivp(
-                    lambda knots: self.companion.jet_at(knots, expansion).coeffs,
+                    lambda knots: taylor_coefficients(companion, knots, expansion),
                     [0.0] + side,
                     self.initial_juxtaposed,
                 )
@@ -640,16 +645,19 @@ def _jet_from_state(curve, t, state, order):
     """Frame jet at ``t`` from the juxtaposed state there (both batched alike, or not).
 
     The state's Taylor series comes from ``Y' = Y C`` with the companion
-    matrix expanded about ``t``; the frame is its first block column.
+    matrix expanded about ``t``; the frame is its first block column, and
+    its equation the curve's.
     """
-    companion = curve.companion.jet_at(t, order - 1)
+    companion = taylor_coefficients(curve.companion.coefficients, t, order - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        series = linear_taylor(state, companion.coeffs)
+        series = linear_taylor(state, companion)
     i = first_failure(~np.isfinite(series).all(axis=(-3, -2, -1)))
     if i is not None:
-        at_time = float(np.ravel(companion.base_time)[i])
+        at_time = float(np.ravel(t)[i])
         raise np.linalg.LinAlgError(f"the frame's series at t={at_time!r} overflowed")
-    return FrameJet(MatrixJet(companion.base_time, series[..., : curve.n]))
+    fj = FrameJet(MatrixJet(t, series[..., : curve.n]))
+    fj._equation = curve.equation
+    return fj
 
 
 def standard_curve(k, n):

@@ -25,13 +25,16 @@ import numpy as np
 
 from .curves import (
     TAYLOR_ORDER,
+    FrameJet,
     OdeFrameCurve,
+    _derivative_blocks,
     companion_stack,
     expansion_order,
     first_failure,
     nilpotent_matrix,
     require_order,
     solve_ivp,
+    taylor_coefficients,
 )
 from .jets import MatrixJet, cauchy_product, jet_mul, linear_taylor
 
@@ -155,28 +158,35 @@ def require_normal(fj):
         raise NotNormalError(f"frame is not normal at t={t!r}: |P_1| = {p1:.3e}")
 
 
+def normalizing_series(p1, y0):
+    """Coefficients of ``Y' = P_1 Y``, ``Y(t0) = y0`` (None: I), from those of ``P_1``.
+
+    The series is that of ``(Y^T)' = Y^T P_1^T``, transposed back.
+    """
+    y0 = np.eye(p1.shape[-1]) if y0 is None else y0
+    series = linear_taylor(np.swapaxes(y0, -1, -2), np.swapaxes(p1, -1, -2))
+    return np.swapaxes(series, -1, -2)
+
+
 def normalizing_jet(p1, y0=None):
     """Jet of the right factor ``Y`` making ``A Y`` normal.
 
     ``Y`` solves ``Y' = P_1 Y`` with ``Y(t0) = y0`` (identity by default);
     it is the inverse of the reduction frame change ``X`` that solves
-    ``X' = -X P_1``.  Its series is that of ``(Y^T)' = Y^T P_1^T``,
-    transposed back.
+    ``X' = -X P_1``.  Its coefficients are :func:`normalizing_series`.
     """
-    y0 = np.eye(p1.rows) if y0 is None else y0
-    series = linear_taylor(np.swapaxes(y0, -1, -2), np.swapaxes(p1.coeffs, -1, -2))
-    return MatrixJet(p1.base_time, np.swapaxes(series, -1, -2))
+    return MatrixJet(p1.base_time, normalizing_series(p1.coeffs, y0))
 
 
 def normalized_frame_jet(fj, y0=None):
     """The normal frame jet through the same point: ``A Y`` with ``P_1 -> 0``.
 
     ``Y(t0) = y0``, the identity by default, or one matrix per sample of a
-    batched ``fj``.  The output order is
+    batched ``fj``; ``Y`` is :func:`normalizing_jet`.  The output order is
     ``R - k + 1`` for an input of order R, the most the normalizing change
     is determined to.
     """
-    return fj.right_multiplied(normalizing_jet(ode_coefficients(fj)[0], y0))
+    return FrameJet(jet_mul(fj.jet, normalizing_jet(ode_coefficients(fj)[0], y0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +236,7 @@ def _p1_series(curve, knots):
     at the first knot where the frame is not fanning.
     """
     if isinstance(curve, OdeFrameCurve):
-        return curve.p[0].jet_at(knots, expansion_order(curve.p[0])).coeffs
+        return taylor_coefficients(curve.p[0].coefficients, knots, expansion_order(curve.p[0]))
     jets = curve.frame_jets(knots, TAYLOR_ORDER + curve.k - 1)
     return ode_coefficients(jets)[0].coeffs
 
@@ -306,13 +316,15 @@ def endomorphism_bundle(fj):
     pdot = -f.derivative_value(2) / k
     jacobi = pdot @ pdot
 
-    h = fj.derivative_jet(k - 1) - (1.0 / k) * jet_mul(f, fj.derivative_jet(k))
-    column = _frame_basis(fj, fj.order - k + 1)[1][..., -n:].copy()
+    count = fj.order - k + 1
+    a_km1, a_k = (_derivative_blocks(fj.jet.coeffs, (j,), count) for j in (k - 1, k))
+    h = a_km1 - (1.0 / k) * cauchy_product(f.coeffs, a_k)
+    column = _frame_basis(fj, count)[1][..., -n:].copy()
     column[..., 0, -n:, :] += np.eye(n)
-    h_alt = jet_mul(fj.juxtaposed, MatrixJet(fj.base_time, column))
+    h_alt = cauchy_product(fj.juxtaposed.coeffs, column)
     every = (-3, -2, -1)
-    scale = 1.0 + np.max(np.abs(h.coeffs), axis=every)
-    residual = np.max(np.abs(h.coeffs - h_alt.coeffs), axis=every)
+    scale = 1.0 + np.max(np.abs(h), axis=every)
+    residual = np.max(np.abs(h - h_alt), axis=every)
     i = first_failure(residual > CONSISTENCY_RTOL * scale)
     if i is not None:
         raise InternalConsistencyError(
@@ -321,7 +333,7 @@ def endomorphism_bundle(fj):
     return EndomorphismBundle(
         reflection=reflection,
         jacobi=jacobi,
-        horizontal=h,
+        horizontal=MatrixJet(fj.base_time, h),
         horizontal_residual=residual,
     )
 

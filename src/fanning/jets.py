@@ -1,41 +1,31 @@
 """Truncated Taylor (jet) arithmetic over dense real matrices.
 
-A :class:`MatrixJet` stores the Taylor coefficients ``c_0 .. c_r`` of a
-matrix-valued curve about a base time ``t0``; the represented curve is
-``sum_i c_i (t - t0)**i`` and the i-th derivative at ``t0`` is
-``i! * c_i``.  Coefficients rather than raw derivatives are stored so that
-entries stay O(1) for analytic curves and no factorial overflow occurs at
-high order; accessors convert on demand.
+A jet holds the Taylor coefficients ``c_0 .. c_r`` of a matrix curve about
+a base time ``t0``: the curve is ``sum_i c_i (t - t0)**i`` and its i-th
+derivative there ``i! * c_i``, so entries stay O(1) for analytic curves.
 
-The coefficients are one read-only float array of shape
-``(*batch, order + 1, rows, cols)``.  The optional leading batch axes hold
-independent samples, typically the jets of one curve at every time of a
-grid: ``base_time`` is then a float array of shape ``batch``, and a float
-for the unbatched jet (batch ``()``).  Every kernel indexes the
-coefficient axis as ``[..., i, :, :]``, so one function serves any batch
-shape and a batch costs one array operation where the samples would cost
-one each.  Coefficientwise operations are single array expressions and a
-constant right or left factor is one broadcast matmul.  The Cauchy product
-takes one broadcast matmul per term index against the whole other stack,
-and the solve of ``a x = b`` one batched matmul and sum per order; no
-kernel loops over samples or coefficient pairs in Python or leaves numpy.
-Stacked matmul and ``inv`` treat each sample as the unbatched call would,
-so a batch agrees bitwise with its samples computed one at a time.
-:func:`linear_taylor` expands both linear equations ``Y' = Y C`` that the
-package solves by series, the ODE state's and the normalizing change's.
-Matrix polynomials in :mod:`fanning.curves` hold their coefficients in the
-unbatched layout, and :func:`horner` evaluates either.
+The kernels (:func:`cauchy_product`, :func:`jet_solve`, :func:`linear_taylor`,
+:func:`horner`) take and return coefficient arrays of shape
+``(*batch, order + 1, rows, cols)``; the package chains them on arrays.
+The optional batch axes hold independent samples, typically one curve's
+jets at every time of a grid.  Each kernel indexes the coefficient axis as
+``[..., i, :, :]`` and costs one broadcast matmul per order, with no Python
+loop over samples; stacked matmul and ``inv`` treat each sample as the
+unbatched call would, so a batch agrees bitwise with its samples.
+Products and solves truncate to the smaller order and never zero-pad:
+unknown higher derivatives are unknown, not zero.
 
-Mixed-order binary operations truncate to the minimum order and never
-zero-pad: unknown higher derivatives are unknown, not zero.  Binary
-operations need equal base times, and so equal batch shapes.
+:class:`MatrixJet`, a validated read-only coefficient array with its base
+times, is the type of the public API, built where a jet enters the package
+(a curve's ``jet_at``, a library caller) or leaves it.  It has no
+arithmetic operators: :func:`jet_mul` (at equal base times) and
+:func:`jet_inverse` are its operations.
 
-No kernel here checks conditioning: the one conditioning gate is the
-fanning test of :class:`fanning.curves.FrameJet`, which admits a jet to
+No kernel checks conditioning: the one conditioning gate is the fanning
+test of :class:`fanning.curves.FrameJet`, which admits a jet to
 :func:`jet_solve` only when its juxtaposed value is well conditioned.
-
-Jets are immutable and all operations are pure functions, so shared jets
-are safe to use concurrently.
+Jets are immutable and all operations pure, so shared jets are safe to use
+concurrently.
 """
 
 import math
@@ -109,14 +99,6 @@ class MatrixJet:
         object.__setattr__(self, "coeffs", stack)
         object.__setattr__(self, "base_time", base_time)
 
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def identity(cls, dim, base_time=0.0, order=0):
-        coeffs = np.zeros(np.shape(base_time) + (order + 1, dim, dim))
-        coeffs[..., 0, :, :] = np.eye(dim)
-        return cls(base_time, coeffs)
-
     # -- structure -----------------------------------------------------
 
     @property
@@ -149,95 +131,66 @@ class MatrixJet:
             raise JetError(f"derivative {i} is not held by an order-{self.order} jet")
         return math.factorial(i) * self.coeffs[..., i, :, :]
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return jet_add(self, other)
-
-    def __sub__(self, other):
-        return jet_add(self, -other)
-
-    def __neg__(self):
-        return MatrixJet(self.base_time, -self.coeffs)
-
-    def __matmul__(self, other):
-        return jet_mul(self, other)
-
-    def __mul__(self, scalar):
-        return MatrixJet(self.base_time, float(scalar) * self.coeffs)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         where = f"base_time={self.base_time}" if not self.batch else f"batch={self.batch}"
         return f"MatrixJet({where}, order={self.order}, shape={self.shape})"
 
 
-def _check_compatible(a, b, same_shape):
-    if a.base_time is not b.base_time and not np.array_equal(a.base_time, b.base_time):
-        raise JetError(f"base times differ: {a.base_time} vs {b.base_time}")
-    if same_shape and a.shape != b.shape:
-        raise JetError(f"shapes differ: {a.shape} vs {b.shape}")
-    if not same_shape and a.cols != b.rows:
-        raise JetError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-
-
-def jet_add(a, b):
-    """Coefficientwise sum, truncated to the smaller order."""
-    _check_compatible(a, b, same_shape=True)
-    m = min(a.order, b.order)
-    return MatrixJet(a.base_time, a.coeffs[..., : m + 1, :, :] + b.coeffs[..., : m + 1, :, :])
-
-
 def cauchy_product(ac, bc):
-    """``c_m = sum_i a_i b_(m-i)`` of two coefficient stacks of one order, any leading axes."""
+    """``c_m = sum_i a_i b_(m-i)`` of two coefficient stacks, any leading axes, to the shorter's order."""
+    m = min(ac.shape[-3], bc.shape[-3])
+    ac, bc = ac[..., :m, :, :], bc[..., :m, :, :]
     # Term i adds a_i b_(j-i) to every c_j at once, so each c_j is summed as a_0 b_j +
     # a_1 b_(j-1) + ...: a pairwise sum over the term axis would round 1 x 1 blocks differently.
     out = ac[..., :1, :, :] @ bc
-    for i in range(1, bc.shape[-3]):
+    for i in range(1, m):
         out[..., i:, :, :] += ac[..., i : i + 1, :, :] @ bc[..., :-i, :, :]
     return out
 
 
 def jet_mul(a, b):
-    """Cauchy product, truncated to the smaller order."""
-    _check_compatible(a, b, same_shape=False)
-    m = min(a.order, b.order) + 1
-    return MatrixJet(a.base_time, cauchy_product(a.coeffs[..., :m, :, :], b.coeffs[..., :m, :, :]))
+    """Cauchy product of two jets, truncated to the smaller order."""
+    if a.base_time is not b.base_time and not np.array_equal(a.base_time, b.base_time):
+        raise JetError(f"base times differ: {a.base_time} vs {b.base_time}")
+    if a.cols != b.rows:
+        raise JetError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    return MatrixJet(a.base_time, cauchy_product(a.coeffs, b.coeffs))
 
 
-def jet_solve(a, b, a0_inverse):
-    """The jet ``x`` with ``a x = b``, truncated to the smaller order.
+def jet_solve(ac, bc, a0_inverse):
+    """The coefficients of ``x`` with ``a x = b``, truncated to the smaller order.
 
-    Recurses on ``x_m = a_0^-1 (b_m - sum_(i=1..m) a_i x_(m-i))``, so that
-    ``x_m`` reads no order above m.  ``a0_inverse`` is ``a_0^-1``, or None
-    to invert it here.  Raises ``LinAlgError`` when ``a_0`` is singular or
-    not finite, or, naming the first such order, when ``x`` overflows.
+    ``ac`` and ``bc`` are the coefficient stacks of ``a`` and ``b``, with
+    equal leading axes.  Recurses on ``x_m = a_0^-1 (b_m - sum_(i=1..m)
+    a_i x_(m-i))``, so that ``x_m`` reads no order above m.  ``a0_inverse``
+    is ``a_0^-1``, or None to invert it here.  Raises ``LinAlgError`` when
+    ``a_0`` is singular or not finite, or, naming the first such order,
+    when ``x`` overflows.
     """
-    if a.rows != a.cols:
-        raise JetError(f"only square jets can be solved against, got shape {a.shape}")
-    _check_compatible(a, b, same_shape=False)
-    ac, bc = a.coeffs, b.coeffs
+    if ac.shape[-2] != ac.shape[-1]:
+        raise JetError(f"only square jets can be solved against, got shape {ac.shape[-2:]}")
     if not np.isfinite(ac[..., 0, :, :]).all():
         raise np.linalg.LinAlgError("jet solve against a non-finite leading coefficient")
-    order = min(a.order, b.order)
-    x = np.empty(bc.shape[:-3] + (order + 1,) + bc.shape[-2:])
+    count = min(ac.shape[-3], bc.shape[-3])
+    x = np.empty(bc.shape[:-3] + (count,) + bc.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):
         if a0_inverse is None:
             a0_inverse = np.linalg.inv(ac[..., 0, :, :])
         x[..., 0, :, :] = a0_inverse @ bc[..., 0, :, :]
-        for m in range(1, order + 1):
+        for m in range(1, count):
             terms = ac[..., m:0:-1, :, :] @ x[..., :m, :, :]
             x[..., m, :, :] = a0_inverse @ (bc[..., m, :, :] - terms.sum(axis=-3))
-    overflowed = np.flatnonzero(~np.isfinite(x).all(axis=(-2, -1)).reshape(-1, order + 1).all(0))
+    overflowed = np.flatnonzero(~np.isfinite(x).all(axis=(-2, -1)).reshape(-1, count).all(0))
     if overflowed.size:
         raise np.linalg.LinAlgError(f"jet solve overflowed at order {overflowed[0]}")
-    return MatrixJet(a.base_time, x)
+    return x
 
 
 def jet_inverse(a):
-    """Multiplicative inverse to the truncation order: :func:`jet_solve` against the identity."""
-    return jet_solve(a, MatrixJet.identity(a.rows, a.base_time, a.order), None)
+    """Multiplicative inverse of a square jet to its order: :func:`jet_solve` against the identity."""
+    identity = np.zeros(a.batch + (a.order + 1, a.rows, a.rows))
+    identity[..., 0, :, :] = np.eye(a.rows)
+    return MatrixJet(a.base_time, jet_solve(a.coeffs, identity, None))
 
 
 def linear_taylor(y0, c):

@@ -17,6 +17,20 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def constructed_jets(monkeypatch):
+    """A list that gains every :class:`MatrixJet` built while the test runs, in order."""
+    built = []
+    post_init = MatrixJet.__post_init__
+
+    def counting(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(MatrixJet, "__post_init__", counting)
+    return built
+
+
 def random_invertible(dim, rng, cond_max=100.0):
     while True:
         m = rng.standard_normal((dim, dim))
@@ -155,7 +169,7 @@ def right_multiplied(curve, x):
     """The polynomial curve ``A(t) X(t)`` for a constant matrix or a PolynomialMatrix ``X``."""
     if not isinstance(x, PolynomialMatrix):
         x = PolynomialMatrix(np.asarray(x, dtype=float)[None])
-    product = polynomial_product(curve.polynomial, x)
+    product = polynomial_product(PolynomialMatrix(curve.coefficients), x)
     return PolynomialFrameCurve(curve.k, curve.n, product.coefficients)
 
 
@@ -206,7 +220,7 @@ def classical_schwarzian(poly_coeffs, t):
 def derivative_value(curve, t, j):
     """A^(j)(t) of a polynomial frame curve by direct differentiation."""
     val = np.zeros((curve.k * curve.n, curve.n))
-    for i in range(j, curve.degree + 1):
+    for i in range(j, len(curve.coefficients)):
         val = val + math.perm(i, j) * curve.coefficients[i] * float(t) ** (i - j)
     return val
 
@@ -221,6 +235,36 @@ def taylor_shift(coefficients, t, order):
         for i in range(j, len(coefficients)):
             out[j] += math.comb(i, j) * coefficients[i] * t ** (i - j)
     return out
+
+
+def jet_identity(dim, base_time=0.0, order=0):
+    """The constant identity jet, batched like ``base_time``."""
+    coeffs = np.zeros(np.shape(base_time) + (order + 1, dim, dim))
+    coeffs[..., 0, :, :] = np.eye(dim)
+    return MatrixJet(base_time, coeffs)
+
+
+def jet_add(a, b):
+    """Coefficientwise sum of two jets at one base time, truncated to the smaller order."""
+    if not np.array_equal(a.base_time, b.base_time):
+        raise JetError(f"base times differ: {a.base_time} vs {b.base_time}")
+    if a.shape != b.shape:
+        raise JetError(f"shapes differ: {a.shape} vs {b.shape}")
+    m = min(a.order, b.order) + 1
+    return MatrixJet(a.base_time, a.coeffs[..., :m, :, :] + b.coeffs[..., :m, :, :])
+
+
+def jet_scaled(scalar, a):
+    """The jet ``scalar a``, coefficientwise."""
+    return MatrixJet(a.base_time, float(scalar) * a.coeffs)
+
+
+def jet_sum(*terms):
+    """``sum_i s_i a_i`` of ``(s_i, a_i)`` pairs, added left to right by :func:`jet_add`."""
+    total = jet_scaled(*terms[0])
+    for scalar, a in terms[1:]:
+        total = jet_add(total, jet_scaled(scalar, a))
+    return total
 
 
 def jet_derivative(a):
@@ -251,7 +295,7 @@ def ambient_endomorphisms(fj):
     eye = np.eye(k * n)
     reflection = (2.0 * f.derivative_value(1) - (k - 2) * eye) / k
     pdot = -f.derivative_value(2) / k
-    h = fj.derivative_jet(k - 1) - (1.0 / k) * jet_mul(f, fj.derivative_jet(k))
+    h = jet_sum((1.0, fj.derivative_jet(k - 1)), (-1.0 / k, jet_mul(f, fj.derivative_jet(k))))
     moving = np.concatenate((fj.juxtaposed.value()[..., : (k - 1) * n], h.value()), axis=-1)
     return SimpleNamespace(
         reflection=reflection,
@@ -307,14 +351,14 @@ def invariants_reference(p):
     ``h_(j-2) = W_j + sum_(i=1..j) C(j, i) W_(j-i) P_i``.
     """
     k, p1 = len(p), p[0]
-    w = [MatrixJet.identity(p1.rows, p1.base_time, p1.order), -p1]
+    w = [jet_identity(p1.rows, p1.base_time, p1.order), jet_scaled(-1.0, p1)]
     for _ in range(k - 1):
-        w.append(-jet_mul(p1, w[-1]) + jet_derivative(w[-1]))
+        w.append(jet_sum((-1.0, jet_mul(p1, w[-1])), (1.0, jet_derivative(w[-1]))))
     hs = []
     for j in range(2, k + 1):
         acc = w[j]
         for i in range(1, j + 1):
-            acc = acc + math.comb(j, i) * jet_mul(w[j - i], p[i - 1])
+            acc = jet_add(acc, jet_scaled(math.comb(j, i), jet_mul(w[j - i], p[i - 1])))
         hs.append(acc)
     return hs
 
@@ -393,7 +437,7 @@ def schwarzian(fj):
     The program reports it as ``2 kappa``; this is the direct formula.
     """
     p1, p2 = fj.equation_coefficients[:2]
-    return 2.0 * (p2 - jet_mul(p1, p1) - jet_derivative(p1))
+    return jet_sum((2.0, p2), (-2.0, jet_mul(p1, p1)), (-2.0, jet_derivative(p1)))
 
 
 def h1_closed_form(p1, p2, p3):
@@ -404,13 +448,13 @@ def h1_closed_form(p1, p2, p3):
     d1 = jet_derivative(p1)
     d2 = jet_derivative(d1)
     p1sq = jet_mul(p1, p1)
-    return (
-        p3
-        - 3.0 * jet_mul(p1, p2)
-        - 2.0 * jet_mul(d1, p1)
-        + 2.0 * jet_mul(p1, d1)
-        + 2.0 * jet_mul(p1sq, p1)
-        - d2
+    return jet_sum(
+        (1.0, p3),
+        (-3.0, jet_mul(p1, p2)),
+        (-2.0, jet_mul(d1, p1)),
+        (2.0, jet_mul(p1, d1)),
+        (2.0, jet_mul(p1sq, p1)),
+        (-1.0, d2),
     )
 
 
@@ -426,19 +470,19 @@ def h2_closed_form(p1, p2, p3, p4):
     d2 = jet_derivative(d1)
     d3 = jet_derivative(d2)
     p1sq = jet_mul(p1, p1)
-    return (
-        p4
-        - 4.0 * jet_mul(p1, p3)
-        + 6.0 * jet_mul(p1sq, p2)
-        - 6.0 * jet_mul(d1, p2)
-        + 3.0 * jet_mul(d1, p1sq)
-        - 3.0 * jet_mul(p1sq, d1)
-        + 6.0 * jet_mul(jet_mul(p1, d1), p1)
-        + 3.0 * jet_mul(p1, d2)
-        - 3.0 * jet_mul(d2, p1)
-        - 3.0 * jet_mul(p1sq, p1sq)
-        + 3.0 * jet_mul(d1, d1)
-        - d3
+    return jet_sum(
+        (1.0, p4),
+        (-4.0, jet_mul(p1, p3)),
+        (6.0, jet_mul(p1sq, p2)),
+        (-6.0, jet_mul(d1, p2)),
+        (3.0, jet_mul(d1, p1sq)),
+        (-3.0, jet_mul(p1sq, d1)),
+        (6.0, jet_mul(jet_mul(p1, d1), p1)),
+        (3.0, jet_mul(p1, d2)),
+        (-3.0, jet_mul(d2, p1)),
+        (-3.0, jet_mul(p1sq, p1sq)),
+        (3.0, jet_mul(d1, d1)),
+        (-1.0, d3),
     )
 
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from fanning import (
+    FrameJet,
     are_congruent,
     endomorphism_bundle,
     invariants_from_coefficients,
@@ -31,6 +32,7 @@ from conftest import (
     h1_closed_form,
     h2_closed_form,
     jet_derivative,
+    jet_sum,
     random_frame_jet,
     random_invertible,
     random_jet,
@@ -149,12 +151,12 @@ def test_criterion_04_printed_formula_agreement():
     # quantifiably wrong:
     p = [random_jet(2, 2, 5, rng) for _ in range(4)]
     d2 = jet_derivative(p[1])
-    literal = (
-        h2_closed_form(p[0], p[1], p[2], p[3])
-        - 3.0 * jet_mul(jet_derivative(p[0]), jet_derivative(p[0]))
-        + jet_derivative(jet_derivative(jet_derivative(p[0])))
-        + 3.0 * jet_mul(d2, d2)
-        - jet_derivative(jet_derivative(jet_derivative(p[1])))
+    literal = jet_sum(
+        (1.0, h2_closed_form(p[0], p[1], p[2], p[3])),
+        (-3.0, jet_mul(jet_derivative(p[0]), jet_derivative(p[0]))),
+        (1.0, jet_derivative(jet_derivative(jet_derivative(p[0])))),
+        (3.0, jet_mul(d2, d2)),
+        (-1.0, jet_derivative(jet_derivative(jet_derivative(p[1])))),
     )
     misreading_gap = max(
         np.max(np.abs(a - b))
@@ -185,7 +187,7 @@ def test_criterion_05_normal_frame_fixed_point():
             fj = curve.frame_jet(t, 3 * k)
             p1 = ode_coefficients(fj)[0]
             yjet = normalizing_jet(p1, y0=np.linalg.inv(record.x[i]))
-            bjet = fj.right_multiplied(yjet)
+            bjet = FrameJet(jet_mul(fj.jet, yjet))
             inv = wilczynski_invariants(bjet)
             pb = ode_coefficients(bjet)
             worst_id = max(
@@ -358,7 +360,7 @@ def test_criterion_09_congruence_completeness_and_soundness():
             accepted += 1
         else:
             false_verdicts.append((k, n, i, witness.verdict, "completeness"))
-        if witness.span_distances:
+        if witness.span_distances.size:
             worst_span = max(worst_span, max(witness.span_distances))
 
         # soundness: perturb until kappa provably moves by >= 0.01

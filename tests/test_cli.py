@@ -642,12 +642,12 @@ class TestCongruenceReport:
         @dataclasses.dataclass(frozen=True, eq=False)
         class WitnessWithMargins(congruence_mod.CongruenceWitness):
             singular_values: np.ndarray
-            margins: tuple
+            margins: np.ndarray
 
         def are_congruent(*args, **kwargs):
             w = congruence_mod.are_congruent(*args, **kwargs)
             fields = {f.name: getattr(w, f.name) for f in dataclasses.fields(w)}
-            margins = tuple(float(i) for i, _ in enumerate(w.samples))
+            margins = np.arange(len(w.samples), dtype=float)
             return WitnessWithMargins(**fields, singular_values=np.eye(2), margins=margins)
 
         monkeypatch.setattr(cli_mod, "are_congruent", are_congruent)

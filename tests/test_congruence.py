@@ -19,6 +19,7 @@ import fanning.invariants as invariants_mod
 from fanning.jets import horner
 from conftest import (
     ALL_KN,
+    SMALL_KN,
     kron_system,
     random_invertible,
     random_polynomial_curve,
@@ -262,9 +263,11 @@ class TestTraceEarlyExit:
         gap = invariant_traces_gap(curve_a, curve_b, samples)
         assert gap > 1e-7
         assert f"by {gap:.3e} (relative)" in w.message
-        assert w.samples == tuple(samples.tolist())
+        np.testing.assert_array_equal(w.samples, samples)
         assert w.conjugator is None and w.ambient is None
-        assert w.residuals == () and w.span_distances == ()
+        assert w.residuals.shape == (0,) and w.span_distances.shape == (0,)
+        for values in (w.samples, w.residuals, w.span_distances):
+            assert values.dtype == float and not values.flags.writeable
         assert w.conjugator_condition == np.inf
 
     def test_equal_traces_take_the_full_path(self, monkeypatch):
@@ -291,13 +294,13 @@ class TestTraceEarlyExit:
         jet_solve = curves_mod.jet_solve
 
         def recording(a, b, a0_inverse):
-            solved.append(np.ravel(a.base_time).tolist())
+            solved.append(a.shape[:-3])
             return jet_solve(a, b, a0_inverse)
 
         monkeypatch.setattr(curves_mod, "jet_solve", recording)
         w = are_congruent(curve_a, curve_b, samples)
         assert w.verdict == "congruent"
-        assert samples.tolist() in solved and [0.0] not in solved
+        assert (len(samples),) in solved and (1,) not in solved
         # the lifts of the whole batches' first samples, bit for bit
         monkeypatch.undo()
         lift_a, lift_b = (
@@ -306,6 +309,17 @@ class TestTraceEarlyExit:
         )
         expected = lift_b @ np.linalg.inv(lift_a @ np.kron(np.eye(3), w.conjugator))
         np.testing.assert_array_equal(w.ambient, expected)
+
+    @pytest.mark.parametrize("k,n", SMALL_KN)
+    def test_first_sample_lifts_build_no_jets(self, k, n, rng, constructed_jets):
+        curve_a, _, _, _ = congruence_pair(k, n, rng)
+        fj = curve_a.frame_jets(np.linspace(0.0, 0.5, 2 * k + 3), 2 * k - 1)
+        invariants_mod.ode_coefficients(fj)
+        constructed_jets.clear()
+        lift = congruence_mod._first_normal_lift(fj)
+        assert constructed_jets == []
+        expected = invariants_mod.normalized_frame_jet(fj).juxtaposed.value()[0]
+        np.testing.assert_array_equal(lift, expected)
 
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_constructed_pairs_trace_margin(self, k, n, rng):

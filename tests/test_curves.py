@@ -345,6 +345,22 @@ class TestFrameJetStructure:
                 )
 
 
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_equation_coefficients_build_only_the_jets_they_return(self, k, n, rng, constructed_jets):
+        fj = random_polynomial_curve(k, n, rng).frame_jets(np.linspace(0.0, 0.5, 4), 2 * k)
+        fj.require_fanning()
+        constructed_jets.clear()
+        p = fj.equation_coefficients
+        assert len(p) == k and constructed_jets == list(p)
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_fundamental_endomorphism_builds_one_jet(self, k, n, rng, constructed_jets):
+        fj = random_polynomial_curve(k, n, rng).frame_jets(np.linspace(0.0, 0.5, 4), 2 * k)
+        fj.require_fanning()
+        constructed_jets.clear()
+        assert constructed_jets == [fj.fundamental_endomorphism]
+
+
 class TestStandardJet:
     def test_k2_is_one_t(self):
         fj = standard_jet(2, 1, 3)
@@ -430,7 +446,7 @@ class TestJsonFormat:
         )
         for stack, shape in (
             (curve.coefficients, (3, 6, 2)),
-            (curve.polynomial.coefficients, (3, 6, 2)),
+            (ode.equation, (2, 2, 1)),
             (ode.p[1].coefficients, (2, 1, 1)),
         ):
             assert isinstance(stack, np.ndarray) and stack.shape == shape

@@ -9,6 +9,7 @@ from fanning import (
     FrameJet,
     InsufficientOrderError,
     MatrixJet,
+    NotFanningError,
     OdeFrameCurve,
     PolynomialMatrix,
     invariants_from_coefficients,
@@ -19,6 +20,7 @@ from fanning import (
     standard_curve,
     wilczynski_invariants,
 )
+from fanning.curves import DEFAULT_CONDITION_LIMIT
 from fanning.invariants import normalizer
 from fanning.jets import horner, jet_mul
 from conftest import (
@@ -30,6 +32,7 @@ from conftest import (
     h2_closed_form,
     invariants_reference,
     jet_derivative,
+    jet_sum,
     normalizing_jet_reference,
     random_frame_jet,
     random_invertible,
@@ -66,17 +69,70 @@ class TestOdeCoefficients:
             curve = random_polynomial_curve(k, n, rng, degree=k + 1)
             fj = curve.frame_jet(0.2, 2 * k + 2)
             p = ode_coefficients(fj)
-            residual = truncated(fj.derivative_jet(k), p[0].order)
-            for i in range(1, k + 1):
-                residual = residual + math.comb(k, i) * jet_mul(
-                    truncated(fj.derivative_jet(k - i), p[0].order), p[i - 1]
-                )
+            residual = jet_sum(
+                (1.0, truncated(fj.derivative_jet(k), p[0].order)),
+                *(
+                    (math.comb(k, i), jet_mul(truncated(fj.derivative_jet(k - i), p[0].order), p[i - 1]))
+                    for i in range(1, k + 1)
+                ),
+            )
             assert max(np.max(np.abs(c)) for c in residual.coeffs) < 1e-9
 
     def test_insufficient_order(self, rng):
         curve = random_polynomial_curve(3, 1, rng)
         fj = curve.frame_jet(0.0, 2)
         with pytest.raises(InsufficientOrderError):
+            ode_coefficients(fj)
+
+
+def ill_conditioned_ode_curve(k, n):
+    """The frame equation with ``P_k = -I`` from ``J(0) = I``: ``A'' = A`` for k = 2.
+
+    For k > 2, ``P_2`` drifts in t and ``P_3 .. P_(k-1)`` are constant, so
+    that no invariant vanishes.  ``P_k = -I`` makes the solutions grow and
+    decay exponentially: the juxtaposed value's condition grows by orders of
+    magnitude along ``0 .. ILL_CONDITIONED_END[k]``, staying inside the
+    fanning gate.
+    """
+    eye = np.eye(n)
+    p = [np.zeros((1, n, n))] + [-0.1 * eye[None]] * (k - 2) + [-eye[None]]
+    if k > 2:
+        p[1] = np.stack((-0.5 * eye, 0.01 * np.ones((n, n))))
+    return OdeFrameCurve(k, n, tuple(PolynomialMatrix(c) for c in p), np.eye(k * n))
+
+
+ILL_CONDITIONED_END = {2: 8.0, 3: 7.0, 4: 4.0, 5: 3.0}
+
+
+class TestGivenEquation:
+    """An ODE curve's frame jets read ``P_j`` from the curve's own polynomials."""
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_invariants_do_not_lose_digits_to_the_condition(self, k, n):
+        curve = ill_conditioned_ode_curve(k, n)
+        times = np.linspace(0.0, ILL_CONDITIONED_END[k], 5)
+        fj = curve.frame_jets(times, 2 * k)
+        assert 1e6 < fj.condition[-1] < DEFAULT_CONDITION_LIMIT
+        got = wilczynski_invariants(fj).values()
+        for i, t in enumerate(times):
+            expected = invariants_reference([p.jet_at(t, k) for p in curve.p])
+            for g, e in zip(got, expected):
+                scale = np.max(np.abs(e.value()))
+                assert np.max(np.abs(g[i] - e.value())) <= 1e-13 * scale
+
+    def test_given_equation_matches_the_solve(self, rng):
+        curve = drifting_ode_curve(rng, k=3, n=2)
+        times = np.linspace(-0.3, 0.4, 5)
+        given = ode_coefficients(curve.frame_jets(times, 8))
+        solved = ode_coefficients(FrameJet(curve.frame_jets(times, 8).jet))
+        for a, b in zip(given, solved):
+            assert a.order == b.order == 5
+            np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0, atol=1e-10)
+
+    def test_the_fanning_gate_still_comes_first(self):
+        curve = ill_conditioned_ode_curve(2, 1)
+        fj = curve.frame_jets(np.array([0.0, 10.0]), 4)
+        with pytest.raises(NotFanningError, match="at t=10.0: condition 4.85"):
             ode_coefficients(fj)
 
 
@@ -184,7 +240,7 @@ class TestWilczynski:
         fj = curve.frame_jet(0.1, 8)
         inv = wilczynski_invariants(fj)
         sch = schwarzian(fj)
-        for a, b in zip(inv.kappa.coeffs, (0.5 * sch).coeffs):
+        for a, b in zip(inv.kappa.coeffs, 0.5 * sch.coeffs):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_constant_frame_change_conjugates_all(self, rng):
@@ -261,7 +317,7 @@ class TestNormalization:
             fj = curve.frame_jet(t, 6)
             p1 = ode_coefficients(fj)[0]
             yjet = normalizing_jet(p1, y0=np.linalg.inv(record.x[i]))
-            bjet = fj.right_multiplied(yjet)
+            bjet = FrameJet(jet_mul(fj.jet, yjet))
             # the record holds B's normal lift, whose first block column is B
             lift = bjet.juxtaposed.value()
             np.testing.assert_allclose(record.lifts[i], lift, rtol=1e-12, atol=1e-12)

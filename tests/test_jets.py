@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanning import (
-    JetError,
-    MatrixJet,
-    jet_add,
-    jet_inverse,
-    jet_mul,
-)
+from fanning import JetError, MatrixJet, jet_inverse, jet_mul
 from fanning.jets import horner, jet_solve, linear_taylor
 from conftest import (
+    jet_add,
     jet_derivative,
+    jet_identity,
     jet_inverse_reference,
     jet_mul_reference,
+    jet_scaled,
     random_jet,
     truncated,
 )
@@ -100,7 +97,7 @@ class TestAdd:
 class TestMul:
     def test_multiplicative_identity(self, rng):
         a = random_jet(2, 2, 3, rng)
-        eye = MatrixJet.identity(2, order=3)
+        eye = jet_identity(2, order=3)
         out = jet_mul(a, eye)
         for c, expected in zip(out.coeffs, a.coeffs):
             np.testing.assert_allclose(c, expected, rtol=0, atol=0)
@@ -154,7 +151,7 @@ class TestMul:
 
 class TestInverse:
     def test_identity(self):
-        eye = MatrixJet.identity(3, order=2)
+        eye = jet_identity(3, order=2)
         out = jet_inverse(eye)
         for c, expected in zip(out.coeffs, eye.coeffs):
             np.testing.assert_array_equal(c, expected)
@@ -210,11 +207,16 @@ class TestInverse:
 def shifted_jet(dim, order, rng, base_time=0.0):
     """Random square jet whose constant term is kept well away from singular."""
     a = random_jet(dim, dim, order, rng, base_time=base_time)
-    return jet_add(a, 4.0 * MatrixJet.identity(dim, base_time, order))
+    return jet_add(a, jet_scaled(4.0, jet_identity(dim, base_time, order)))
 
 
 def transposed(a):
     return MatrixJet(a.base_time, np.swapaxes(a.coeffs, -1, -2))
+
+
+def solve(a, b, a0_inverse):
+    """:func:`jet_solve` on the coefficient arrays of two jets, as a jet."""
+    return MatrixJet(a.base_time, jet_solve(a.coeffs, b.coeffs, a0_inverse))
 
 
 class TestSolve:
@@ -223,11 +225,11 @@ class TestSolve:
         dim, cols = dims
         a = shifted_jet(dim, 6, rng)
         b = random_jet(dim, cols, 6, rng)
-        left = jet_mul(a, jet_solve(a, b, None)).coeffs - b.coeffs
+        left = jet_mul(a, solve(a, b, None)).coeffs - b.coeffs
         assert np.max(np.abs(left)) < 1e-12 * (1.0 + np.max(np.abs(b.coeffs)))
         # x a = c, solved on transposes: a^T x^T = c^T.
         c = random_jet(cols, dim, 6, rng)
-        x = transposed(jet_solve(transposed(a), transposed(c), None))
+        x = transposed(solve(transposed(a), transposed(c), None))
         right = jet_mul(x, a).coeffs - c.coeffs
         assert np.max(np.abs(right)) < 1e-12 * (1.0 + np.max(np.abs(c.coeffs)))
 
@@ -237,7 +239,7 @@ class TestSolve:
         a = shifted_jet(dim, 8, rng)
         b = random_jet(dim, cols, 8, rng)
         expected = jet_mul_reference(jet_inverse_reference(a), b)
-        got = jet_solve(a, b, None).coeffs
+        got = solve(a, b, None).coeffs
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_given_inverse_of_the_constant_term(self, rng):
@@ -245,23 +247,23 @@ class TestSolve:
         b = random_jet(3, 2, 5, rng)
         inverse = np.linalg.inv(a.value())
         np.testing.assert_array_equal(
-            jet_solve(a, b, inverse).coeffs, jet_solve(a, b, None).coeffs
+            solve(a, b, inverse).coeffs, solve(a, b, None).coeffs
         )
 
     def test_truncates_to_the_smaller_order(self, rng):
         a = shifted_jet(2, 6, rng)
         b = random_jet(2, 1, 3, rng)
-        assert jet_solve(a, b, None).order == 3
-        assert jet_solve(truncated(a, 2), b, None).order == 2
+        assert solve(a, b, None).order == 3
+        assert solve(truncated(a, 2), b, None).order == 2
 
     @pytest.mark.parametrize("dims", [(1, 1), (3, 1), (4, 2)])
     def test_coefficients_do_not_depend_on_higher_orders(self, dims, rng):
         dim, cols = dims
         a = shifted_jet(dim, 9, rng)
         b = random_jet(dim, cols, 9, rng)
-        full = jet_solve(a, b, None).coeffs
+        full = solve(a, b, None).coeffs
         for order in range(9):
-            low = jet_solve(truncated(a, order), truncated(b, order), None).coeffs
+            low = solve(truncated(a, order), truncated(b, order), None).coeffs
             np.testing.assert_array_equal(low, full[: order + 1])
 
     @pytest.mark.parametrize("dims", [(1, 1), (3, 2), (4, 4)])
@@ -270,9 +272,9 @@ class TestSolve:
         times = TestBatch.TIMES
         a = [shifted_jet(dim, 7, rng, base_time=t) for t in times]
         b = [random_jet(dim, cols, 7, rng, base_time=t) for t in times]
-        batched = jet_solve(TestBatch.stack(a), TestBatch.stack(b), None)
+        batched = solve(TestBatch.stack(a), TestBatch.stack(b), None)
         TestBatch.assert_stacked(
-            batched.coeffs, [jet_solve(x, y, None).coeffs for x, y in zip(a, b)]
+            batched.coeffs, [solve(x, y, None).coeffs for x, y in zip(a, b)]
         )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -282,18 +284,18 @@ class TestSolve:
         a = MatrixJet(0.0, (c0, np.eye(2)))
         b = MatrixJet(0.0, (np.ones((2, 1)), np.ones((2, 1))))
         with pytest.raises(np.linalg.LinAlgError, match="non-finite leading coefficient"):
-            jet_solve(a, b, np.eye(2))
+            solve(a, b, np.eye(2))
 
     def test_overflow_names_its_order(self):
         # x_1 = -1e200 stays finite; x_2 = 1e400 does not.
         a = MatrixJet(0.0, (np.eye(2), 1e200 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))))
         b = MatrixJet(0.0, (np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))))
         with pytest.raises(np.linalg.LinAlgError, match="jet solve overflowed at order 2$"):
-            jet_solve(a, b, None)
+            solve(a, b, None)
 
     def test_non_square(self, rng):
         with pytest.raises(JetError):
-            jet_solve(random_jet(2, 3, 1, rng), random_jet(2, 1, 1, rng), None)
+            solve(random_jet(2, 3, 1, rng), random_jet(2, 1, 1, rng), None)
 
 
 class TestLinearTaylor:
@@ -320,7 +322,7 @@ class TestLinearTaylor:
 
 class TestDerivative:
     def test_constant_jet(self):
-        out = jet_derivative(MatrixJet.identity(2, order=2))
+        out = jet_derivative(jet_identity(2, order=2))
         for c in out.coeffs:
             np.testing.assert_array_equal(c, np.zeros((2, 2)))
 
@@ -332,7 +334,7 @@ class TestDerivative:
 
     def test_order_zero_rejected(self):
         with pytest.raises(JetError):
-            jet_derivative(MatrixJet.identity(2))
+            jet_derivative(jet_identity(2))
 
     def test_leibniz(self, rng):
         a = random_jet(2, 2, 5, rng)
@@ -412,7 +414,7 @@ def test_ring_distributivity(jets):
 @given(square_jet_triples())
 def test_inverse_residual_property(jets):
     a = jets[0]
-    shifted = jet_add(a, 4.0 * MatrixJet.identity(a.rows, 0.0, a.order))
+    shifted = jet_add(a, jet_scaled(4.0, jet_identity(a.rows, 0.0, a.order)))
     if np.linalg.cond(shifted.coeffs[0]) > 1e6:
         return
     residual = jet_mul(shifted, jet_inverse(shifted))
@@ -467,7 +469,7 @@ class TestBatch:
     @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_inverse_and_linear_taylor(self, dim, rng):
         a = [
-            jet_add(x, 3.0 * MatrixJet.identity(dim, x.base_time, x.order))
+            jet_add(x, jet_scaled(3.0, jet_identity(dim, x.base_time, x.order)))
             for x in self.samples(dim, dim, 7, rng)
         ]
         batched = jet_inverse(self.stack(a))
@@ -480,7 +482,7 @@ class TestBatch:
     def test_batch_of_one_time_per_axis_entry(self, rng):
         a = self.stack(self.samples(2, 2, 2, rng))
         assert a.base_time.shape == (5,) and not a.base_time.flags.writeable
-        eye = MatrixJet.identity(2, a.base_time, 2)
+        eye = jet_identity(2, a.base_time, 2)
         assert eye.batch == (5,)
         np.testing.assert_array_equal(jet_mul(a, eye).coeffs, a.coeffs)
 

@@ -1,5 +1,6 @@
 """The maintenance scripts under ``tools/`` run on this checkout."""
 
+import ast
 import importlib.util
 import json
 import statistics
@@ -23,7 +24,7 @@ parity = _load_tool("parity")
 abtime = _load_tool("abtime")
 
 
-def test_surface_prints_three_counts():
+def test_surface_prints_four_counts():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "surface.py")],
         capture_output=True,
@@ -33,8 +34,12 @@ def test_surface_prints_three_counts():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     labels = [line.rpartition(": ")[0] for line in lines]
-    assert labels == ["src lines", "settable parameters", "command-line options"]
+    assert labels == ["src lines", "settable parameters", "command-line options", "exported names"]
     assert all(int(line.rpartition(": ")[2]) > 0 for line in lines)
+    # the names the package's __init__ imports from its modules
+    init = ast.parse((ROOT / "src" / "fanning" / "__init__.py").read_text())
+    imported = [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert int(lines[3].rpartition(": ")[2]) == len(imported)
 
 
 def test_abtime_runs_a_tree_against_itself():

@@ -1,4 +1,4 @@
-"""Print the size of the ``fanning`` package: source lines, settable parameters and options.
+"""Print the size of the ``fanning`` package: source lines, settable parameters, options and exports.
 
     python3 tools/surface.py [TREE]
 
@@ -9,7 +9,9 @@ value of every function, method and class defined in the package, counted
 with ``inspect``, plus the dataclass fields with a default; a dataclass's
 generated ``__init__`` is not counted a second time.  Command-line options
 are the optional arguments of ``fanning.cli._build_parser()``, summed over
-its subcommands, without ``--help``.
+its subcommands, without ``--help``.  Exported names are the public
+(not underscored) attributes of the imported package that are not its
+submodules.
 """
 
 import argparse
@@ -77,6 +79,16 @@ def command_line_options(package_dir):
     return count
 
 
+def exported_names(package_dir):
+    """Count the public names the package exports, its submodules aside."""
+    sys.path.insert(0, str(package_dir.parent))
+    package = importlib.import_module(package_dir.name)
+    return sum(
+        not name.startswith("_") and not inspect.ismodule(value)
+        for name, value in vars(package).items()
+    )
+
+
 def main(argv):
     tree = Path(argv[0] if argv else HERE.parent).resolve()
     package_dir = tree / "src" / "fanning"
@@ -85,6 +97,7 @@ def main(argv):
     print(f"src lines: {source_lines(package_dir)}")
     print(f"settable parameters: {settable_parameters(package_dir)}")
     print(f"command-line options: {command_line_options(package_dir)}")
+    print(f"exported names: {exported_names(package_dir)}")
 
 
 if __name__ == "__main__":
