@@ -29,7 +29,6 @@ from .curves import (
     NotFanningError,
     OdeFrameCurve,
     PolynomialFrameCurve,
-    PolynomialMatrix,
     curve_from_dict,
     curve_to_dict,
     load_curve,

@@ -59,6 +59,7 @@ EXIT_NUMERICAL = 6
 EXIT_INTERNAL = 10
 
 def _parse_grid(text):
+    """The times of ``start:end:count`` or ``t1,t2,...`` as a float array."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -73,14 +74,12 @@ def _parse_grid(text):
             raise ValueError(f"grid endpoints must be finite, got {text!r}")
         if not 1 <= count <= MAX_GRID_POINTS:
             raise ValueError(f"grid count must be in 1..{MAX_GRID_POINTS}, got {count}")
-        if count == 1:
-            return (start,)
-        return tuple(np.linspace(start, end, count))
+        return np.linspace(start, end, count)
     try:
-        times = tuple(float(x) for x in text.split(","))
+        times = np.array([float(x) for x in text.split(",")])
     except ValueError as exc:
         raise ValueError(f"grid times must be numbers, got {text!r}") from exc
-    if not all(math.isfinite(t) for t in times):
+    if not np.isfinite(times).all():
         raise ValueError(f"grid times must be finite, got {text!r}")
     if len(times) > MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} times")
@@ -140,7 +139,7 @@ def _validated(args):
     tolerance.
     """
     grid = getattr(args, "grid", None)
-    args.grid = _parse_grid(grid) if grid else ()
+    args.grid = _parse_grid(grid) if grid else np.empty(0)
     if args.tol is None:
         env = os.environ.get("FANNING_TOL")
         try:
@@ -153,7 +152,7 @@ def _validated(args):
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if not math.isfinite(getattr(args, "t", 0.0)):
         raise ValueError(f"--t must be finite, got {args.t!r}")
-    if args.command in ("invariants", "congruent", "normal-frame") and not args.grid:
+    if args.command in ("invariants", "congruent", "normal-frame") and not args.grid.size:
         raise ValueError(f"{args.command} needs a time grid")
     return args
 
@@ -203,8 +202,8 @@ def cmd_invariants(args):
     # R has order R-k+1, and the Jacobi matrix and the pullback need k+1.
     normal_frame_read = args.jacobi or args.maurer_cartan is not None
     order = 2 * curve.k if normal_frame_read else 2 * curve.k - 1
-    values = _grid_invariants(curve.frame_jets(args.grid, order), args)
-    times = np.asarray(args.grid, dtype=float)
+    times = args.grid
+    values = _grid_invariants(curve.frame_jets(times, order), args)
     not_normal = times[~values["was_normal"]].tolist()
     if not_normal and normal_frame_read:
         print(
@@ -246,9 +245,8 @@ def cmd_congruent(args):
         for name, value in fields.items():
             if isinstance(value, np.ndarray) and value.ndim == 2:
                 yield None, name, value
-            elif isinstance(value, np.ndarray) and name != "samples":
-                for t, v in zip(witness.samples, value):
-                    yield t, name.removesuffix("s"), v
+            elif isinstance(value, np.ndarray) and name != "samples" and len(value):
+                yield report_mod.Columns({"t": witness.samples, name.removesuffix("s"): value})
 
     code = {
         "congruent": EXIT_OK,
@@ -290,10 +288,9 @@ def cmd_canonicalize(args):
 def cmd_normal_frame(args):
     curve = load_curve(args.curve)
     record = normal_frame(curve, args.grid)
-    times = np.array(record.times, dtype=float)
     report = {
         "command": "normal-frame",
-        "grid": times,
+        "grid": record.times,
         "x": record.x,
         "frames": record.frames,
         "q": record.q,
@@ -301,7 +298,7 @@ def cmd_normal_frame(args):
         "tolerance": args.tol,
     }
 
-    csv = {"t": times, "x": record.x, "frame": record.frames}
+    csv = {"t": record.times, "x": record.x, "frame": record.frames}
     csv.update((f"q{j}", qj) for j, qj in enumerate(record.q, start=2))
     csv["p1_residual"] = record.p1_residuals
     return report, [report_mod.Columns(csv)], EXIT_OK

@@ -249,33 +249,6 @@ def _require_finite(coefficients, what):
         raise CurveFormatError(f"{what} coefficient {i} is not finite")
 
 
-@dataclass(frozen=True, eq=False)
-class PolynomialMatrix:
-    """Matrix polynomial ``sum_i C_i t^i`` in the global time variable.
-
-    ``coefficients`` is one read-only array of shape ``(degree + 1, rows, cols)``.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", coefficient_stack(self.coefficients, CurveFormatError, ())
-        )
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    @property
-    def shape(self):
-        return self.coefficients.shape[1:]
-
-    def jet_at(self, times, order):
-        """The jet of :func:`taylor_coefficients` about one time, or batched over an array of them."""
-        return MatrixJet(times, taylor_coefficients(self.coefficients, times, order))
-
-
 def taylor_coefficients(coefficients, times, order):
     """Coefficients ``0 .. order`` of ``sum_i C_i t^i`` (the stack ``coefficients``) about ``times``.
 
@@ -298,9 +271,9 @@ def taylor_coefficients(coefficients, times, order):
     return coeffs
 
 
-def expansion_order(poly):
-    """Order to which :func:`solve_ivp` expands ``poly``: at least ``TAYLOR_ORDER - 1``, and all of it."""
-    return max(TAYLOR_ORDER - 1, poly.degree)
+def expansion_order(coefficients):
+    """Order to which :func:`solve_ivp` expands a polynomial: its degree, at least ``TAYLOR_ORDER - 1``."""
+    return max(TAYLOR_ORDER - 1, len(coefficients) - 1)
 
 
 @cache
@@ -388,14 +361,6 @@ class FrameJet:
     @property
     def base_time(self):
         return self.jet.base_time
-
-    def derivative_jet(self, j):
-        """Jet of A^(j) about the base time (order drops by ``j``)."""
-        require_order(self.order, j, f"derivative {j}")
-        if j == 0:
-            return self.jet
-        blocks = _derivative_blocks(self.jet.coeffs, (j,), self.jet.order - j + 1)
-        return MatrixJet(self.base_time, blocks)
 
     @cached_property
     def juxtaposed(self):
@@ -550,7 +515,8 @@ class OdeFrameCurve:
 
     The frame satisfies ``A^(k) + sum_(i=1..k) C(k,i) A^(k-i) P_i = 0``
     with prescribed n x n polynomial coefficient curves ``P_1 .. P_k``
-    and initial juxtaposed matrix ``(A | A' | ... | A^(k-1))(0)``.
+    and initial juxtaposed matrix ``(A | A' | ... | A^(k-1))(0)``.  ``p``
+    holds each ``P_i`` as one read-only array of shape ``(degree_i + 1, n, n)``.
     """
 
     k: int
@@ -565,14 +531,13 @@ class OdeFrameCurve:
             raise CurveFormatError(f"expected {self.k} coefficient curves, got {len(self.p)}")
         ps = []
         for i, poly in enumerate(self.p):
-            if not isinstance(poly, PolynomialMatrix):
-                poly = PolynomialMatrix(poly)
-            if poly.shape != (self.n, self.n):
+            stack = coefficient_stack(poly, CurveFormatError, ())
+            if stack.shape[1:] != (self.n, self.n):
                 raise CurveFormatError(
-                    f"P_{i + 1} has shape {poly.shape}, expected {(self.n, self.n)}"
+                    f"P_{i + 1} has shape {stack.shape[1:]}, expected {(self.n, self.n)}"
                 )
-            _require_finite(poly.coefficients, f"P_{i + 1}")
-            ps.append(poly)
+            _require_finite(stack, f"P_{i + 1}")
+            ps.append(stack)
         object.__setattr__(self, "p", tuple(ps))
         a0 = np.array(self.initial_juxtaposed, dtype=float)
         kn = self.k * self.n
@@ -590,16 +555,18 @@ class OdeFrameCurve:
 
     @cached_property
     def companion(self):
-        """The block companion matrix ``C(t)`` of :func:`companion_stack`: ``Y' = Y C``."""
-        return PolynomialMatrix(companion_stack([poly.coefficients for poly in self.p]))
+        """The block companion matrix ``C(t)`` of :func:`companion_stack`, read-only: ``Y' = Y C``."""
+        stack = companion_stack(self.p)
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def equation(self):
         """``P_1 .. P_k`` as the n x n blocks, top down, of one ``(degree + 1, kn, n)`` stack."""
-        n, count = self.n, max(poly.degree for poly in self.p) + 1
+        n, count = self.n, max(len(poly) for poly in self.p)
         stack = np.zeros((count, self.k * n, n))
         for i, poly in enumerate(self.p):
-            stack[: poly.degree + 1, i * n : (i + 1) * n] = poly.coefficients
+            stack[: len(poly), i * n : (i + 1) * n] = poly
         stack.setflags(write=False)
         return stack
 
@@ -626,7 +593,7 @@ class OdeFrameCurve:
             if not math.isfinite(t):
                 raise ValueError(f"frame jet times must be finite, got {t!r}")
         states = {0.0: self.initial_juxtaposed}
-        companion, expansion = self.companion.coefficients, expansion_order(self.companion)
+        companion, expansion = self.companion, expansion_order(self.companion)
         positive = sorted({t for t in flat if t > 0.0})
         negative = sorted({t for t in flat if t < 0.0}, reverse=True)
         for side in (positive, negative):
@@ -648,7 +615,7 @@ def _jet_from_state(curve, t, state, order):
     matrix expanded about ``t``; the frame is its first block column, and
     its equation the curve's.
     """
-    companion = taylor_coefficients(curve.companion.coefficients, t, order - 1)
+    companion = taylor_coefficients(curve.companion, t, order - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         series = linear_taylor(state, companion)
     i = first_failure(~np.isfinite(series).all(axis=(-3, -2, -1)))
@@ -695,7 +662,7 @@ def curve_from_dict(data):
         ps = []
         for i, entry in enumerate(data["P"]):
             try:
-                ps.append(PolynomialMatrix(entry["coefficients"]))
+                ps.append(coefficient_stack(entry["coefficients"], CurveFormatError, ()))
             except (TypeError, KeyError) as exc:
                 raise CurveFormatError(f"P entry {i} lacks 'coefficients'") from exc
             except CurveFormatError as exc:
@@ -722,7 +689,7 @@ def curve_to_dict(curve):
             "k": curve.k,
             "n": curve.n,
             "P": [
-                {"degree": poly.degree, "coefficients": poly.coefficients.tolist()}
+                {"degree": len(poly) - 1, "coefficients": poly.tolist()}
                 for poly in curve.p
             ],
             "A0": curve.initial_juxtaposed.tolist(),

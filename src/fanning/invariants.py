@@ -193,18 +193,21 @@ def normalized_frame_jet(fj, y0=None):
 class NormalizationRecord:
     """Normalizing frame change integrated along a grid of N times.
 
-    Every field but ``times`` is an array whose sample axis runs over the
-    grid.  ``x``, of shape (N, n, n), solves ``X' = -X P_1`` with
-    ``X(times[0]) = I``; ``lifts``, of shape (N, kn, kn), holds the normal
-    lift ``(B | B' | ... | B^(k-1))`` of the normal frame ``B = A X^-1``
-    (the inverse makes the order k-1 term vanish), and ``frames`` is its
-    first block column B, of shape (N, kn, n); ``q``, of shape
-    (k-1, N, n, n), holds the reduced-equation coefficients, ``q[j - 2][i]``
-    being ``Q_j = P_j[B]`` at ``times[i]``; and ``p1_residuals``, of shape
-    (N,), the achieved ``max |P_1[B]|``.
+    Every field is an array whose sample axis runs over the grid: ``times``,
+    of shape (N,), holds the grid's times; ``x``, of shape (N, n, n), solves
+    ``X' = -X P_1`` with ``X(times[0]) = I``; ``lifts``, of shape
+    (N, kn, kn), holds the normal lift ``(B | B' | ... | B^(k-1))`` of the
+    normal frame ``B = A X^-1`` (the inverse makes the order k-1 term
+    vanish), and ``frames`` is its first block column B, of shape
+    (N, kn, n); ``q``, of shape (k-1, N, n, n), holds the reduced-equation
+    coefficients, ``q[j - 2][i]`` being ``Q_j = P_j[B]`` at ``times[i]``;
+    and ``p1_residuals``, of shape (N,), the achieved ``max |P_1[B]|``.
+    Each sample's jet of B is built from its own ``X(t_i)`` and the local
+    series of ``Y' = P_1 Y``, so ``p1_residuals`` vanishes whatever ``X``
+    is: it does not check the integrated ``X``.
     """
 
-    times: tuple
+    times: np.ndarray
     x: np.ndarray
     lifts: np.ndarray
     q: np.ndarray
@@ -216,8 +219,8 @@ class NormalizationRecord:
 
 
 def checked_grid(grid):
-    """The times of ``grid`` as a float array, which must be non-empty and strictly monotonic."""
-    times = np.asarray(grid, dtype=float)
+    """The times of ``grid`` as a new float array, which must be non-empty and strictly monotonic."""
+    times = np.array(grid, dtype=float)
     if times.ndim != 1:
         raise ValueError("time grid must be a sequence of times")
     if len(times) < 1:
@@ -236,7 +239,7 @@ def _p1_series(curve, knots):
     at the first knot where the frame is not fanning.
     """
     if isinstance(curve, OdeFrameCurve):
-        return taylor_coefficients(curve.p[0].coefficients, knots, expansion_order(curve.p[0]))
+        return taylor_coefficients(curve.p[0], knots, expansion_order(curve.p[0]))
     jets = curve.frame_jets(knots, TAYLOR_ORDER + curve.k - 1)
     return ode_coefficients(jets)[0].coeffs
 
@@ -275,7 +278,7 @@ def normal_frame(curve, grid):
     bjet = normalized_frame_jet(jets, y0=np.linalg.inv(xs))
     pb = ode_coefficients(bjet)
     return NormalizationRecord(
-        times=tuple(times.tolist()),
+        times=times,
         x=xs,
         lifts=bjet.juxtaposed.value(),
         q=np.stack([pb[j].value() for j in range(1, k)]),

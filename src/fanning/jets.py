@@ -17,7 +17,7 @@ unknown higher derivatives are unknown, not zero.
 
 :class:`MatrixJet`, a validated read-only coefficient array with its base
 times, is the type of the public API, built where a jet enters the package
-(a curve's ``jet_at``, a library caller) or leaves it.  It has no
+(a curve's ``frame_jets``, a library caller) or leaves it.  It has no
 arithmetic operators: :func:`jet_mul` (at equal base times) and
 :func:`jet_inverse` are its operations.
 

@@ -95,12 +95,6 @@ def _json_list(items, level):
     return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[INDENT:] + "]"
 
 
-@functools.lru_cache(maxsize=256)
-def _csv_template(rows, cols):
-    """``%``-template of one matrix's CSV rows; each row takes the ``t,name,`` prefix and a value."""
-    return "\n".join(f"%s{i},{j},%.17g" for i in range(rows) for j in range(cols))
-
-
 def dumps_json(obj):
     """Serialize nested dict/list/scalar data with 17-significant-digit floats."""
     return _json_text(obj, 0) + "\n"
@@ -186,14 +180,17 @@ def _write_columns(out, columns, level):
 
 
 def _csv_columns(columns):
-    """CSV rows of a :class:`Columns`: the rows of each point's entries in turn."""
+    """CSV rows of a :class:`Columns`: the rows of each point's entries in turn.
+
+    A time of None has an empty time text.
+    """
     times = columns["t"]
     entries = [(name, np.asarray(a, dtype=float)) for name, a in columns.items() if name != "t"]
     # One point's rows without the time text that starts each of them.
     suffixes = [f",{name},{i},{j},%.17g"
                 for name, a in entries for i, j in np.ndindex(np.atleast_2d(a[0]).shape)]
     table = np.concatenate([a.reshape(len(times), -1) for _, a in entries], axis=1)
-    texts = [_fmt(t) for t in times.tolist()]
+    texts = ["" if t is None else _fmt(t) for t in times.tolist()]
     return _fill(lambda block: [t + ("\n" + t).join(suffixes) for t in texts[block]],
                  table, table, "\n")
 
@@ -201,17 +198,10 @@ def _csv_columns(columns):
 def matrix_rows(t, name, matrix):
     """CSV rows ``t, name, i, j, value`` for one matrix (row-major) or scalar."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    t_text = "" if t is None else _fmt(t)
-    values = _finite_values(matrix) if matrix.ndim == 2 else None
-    if values is not None:
-        args = [f"{t_text},{name},", None] * len(values)
-        args[1::2] = values
-        return (_csv_template(*matrix.shape) % tuple(args)).split("\n")
-    rows = []
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            rows.append(f"{t_text},{name},{i},{j},{_fmt(matrix[i, j])}")
-    return rows
+    if matrix.size == 0:
+        return []
+    point = Columns({"t": np.array([t], dtype=object), name: matrix[None]})
+    return _csv_columns(point)[0].split("\n")
 
 
 def dumps_csv(entries):

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fanning import JetError, MatrixJet, OdeFrameCurve, PolynomialFrameCurve, PolynomialMatrix
-from fanning.curves import FrameJet
+from fanning import JetError, MatrixJet, OdeFrameCurve, PolynomialFrameCurve
+from fanning.curves import FrameJet, _derivative_blocks, require_order, taylor_coefficients
 from fanning.jets import jet_mul
 
 
@@ -145,32 +145,40 @@ def drifting_ode_curve(rng, k=3, n=2):
     for i in range(1, k + 1):
         c0 = (0.25 if i == 2 else 0.0) * np.eye(n) + 0.05 * rng.standard_normal((n, n))
         c1 = 0.02 * rng.standard_normal((n, n))
-        ps.append(PolynomialMatrix((c0, c1)))
+        ps.append(np.stack((c0, c1)))
     return OdeFrameCurve(k, n, tuple(ps), random_invertible(k * n, rng, cond_max=10.0))
 
 
 def random_polynomial_matrix_curve(n, degree, rng, scale=0.5):
-    """Random n x n matrix polynomial with invertible constant term."""
+    """Random n x n matrix polynomial with invertible constant term, as its coefficient stack."""
     coeffs = [random_invertible(n, rng)]
     coeffs.extend(scale * rng.standard_normal((n, n)) for _ in range(degree))
-    return PolynomialMatrix(tuple(coeffs))
+    return np.array(coeffs)
 
 
 def polynomial_product(a, b):
-    """The matrix polynomial ``a(t) b(t)``, by coefficient convolution."""
-    coeffs = np.zeros((a.degree + b.degree + 1, a.shape[0], b.shape[1]))
-    for i, x in enumerate(a.coefficients):
-        for j, y in enumerate(b.coefficients):
+    """The coefficient stack of ``a(t) b(t)`` from those of ``a`` and ``b``, by convolution."""
+    coeffs = np.zeros((len(a) + len(b) - 1, a.shape[1], b.shape[2]))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             coeffs[i + j] += x @ y
-    return PolynomialMatrix(coeffs)
+    return coeffs
 
 
 def right_multiplied(curve, x):
-    """The polynomial curve ``A(t) X(t)`` for a constant matrix or a PolynomialMatrix ``X``."""
-    if not isinstance(x, PolynomialMatrix):
-        x = PolynomialMatrix(np.asarray(x, dtype=float)[None])
-    product = polynomial_product(PolynomialMatrix(curve.coefficients), x)
-    return PolynomialFrameCurve(curve.k, curve.n, product.coefficients)
+    """The polynomial curve ``A(t) X(t)`` for a constant matrix or a coefficient stack ``X``."""
+    x = np.asarray(x, dtype=float)
+    product = polynomial_product(curve.coefficients, x[None] if x.ndim == 2 else x)
+    return PolynomialFrameCurve(curve.k, curve.n, product)
+
+
+def derivative_jet(fj, j):
+    """Jet of A^(j) about the base time of the frame jet ``fj`` (order drops by ``j``)."""
+    require_order(fj.order, j, f"derivative {j}")
+    if j == 0:
+        return fj.jet
+    blocks = _derivative_blocks(fj.jet.coeffs, (j,), fj.order - j + 1)
+    return MatrixJet(fj.base_time, blocks)
 
 
 def unconjugate_ode_pair():
@@ -183,11 +191,11 @@ def unconjugate_ode_pair():
     """
     d, swap = np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     eye, e11, e22 = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    s = PolynomialMatrix(np.stack([eye, swap, e11]))
-    s_inv = PolynomialMatrix(np.stack([eye, -swap, e22]))
-    zero = PolynomialMatrix(np.zeros((1, 2, 2)))
-    p2_b = polynomial_product(polynomial_product(s_inv, PolynomialMatrix(d[None])), s)
-    curve_a = OdeFrameCurve(2, 2, (zero, PolynomialMatrix(d[None])), np.eye(4))
+    s = np.stack([eye, swap, e11])
+    s_inv = np.stack([eye, -swap, e22])
+    zero = np.zeros((1, 2, 2))
+    p2_b = polynomial_product(polynomial_product(s_inv, d[None]), s)
+    curve_a = OdeFrameCurve(2, 2, (zero, d[None]), np.eye(4))
     curve_b = OdeFrameCurve(2, 2, (zero, p2_b), np.eye(4))
     return curve_a, curve_b
 
@@ -295,7 +303,7 @@ def ambient_endomorphisms(fj):
     eye = np.eye(k * n)
     reflection = (2.0 * f.derivative_value(1) - (k - 2) * eye) / k
     pdot = -f.derivative_value(2) / k
-    h = jet_sum((1.0, fj.derivative_jet(k - 1)), (-1.0 / k, jet_mul(f, fj.derivative_jet(k))))
+    h = jet_sum((1.0, derivative_jet(fj, k - 1)), (-1.0 / k, jet_mul(f, derivative_jet(fj, k))))
     moving = np.concatenate((fj.juxtaposed.value()[..., : (k - 1) * n], h.value()), axis=-1)
     return SimpleNamespace(
         reflection=reflection,
@@ -363,6 +371,81 @@ def invariants_reference(p):
     return hs
 
 
+def dyadic_scalar_frame(k):
+    """A k x 1 polynomial frame as a ``(k + 2, k, 1)`` stack of sympy rationals.
+
+    ``A_i = t^i / 2^i`` plus multiples of 1/16 in every degree up to k + 1;
+    every coefficient is dyadic, so its float curve is the same curve.
+    """
+    import sympy as sp
+
+    rng = np.random.default_rng(100 + k)
+    steps = rng.integers(-4, 5, size=(k + 2, k, 1))
+    coeffs = np.empty(steps.shape, dtype=object)
+    for d, i in np.ndindex(k + 2, k):
+        coeffs[d, i, 0] = sp.Rational(int(steps[d, i, 0]), 16) + (
+            sp.Rational(1, 2**i) if d == i else 0
+        )
+    return coeffs
+
+
+def scalar_equation_oracle(coeffs, t0):
+    """Exact ``p_j``, ``p_1^(r)`` and normal-form ``q_j`` of a k x 1 frame at rational ``t0``.
+
+    ``coeffs`` is a ``(degree + 1, k, 1)`` stack of sympy rationals.  The
+    ``p_j`` solve ``(A | ... | A^(k-1)) S = -A^(k)``, block ``k - j`` of S
+    being ``C(k, j) p_j``.  ``p_1 = N / (k D)`` by Cramer's rule, D the
+    Wronskian and N its determinant with ``-A^(k)`` as last column, both
+    polynomials; its derivatives ``0 .. k-1`` at ``t0`` come from the series
+    of N over that of kD.  The ``q_j`` solve the same system for ``z = A y``,
+    ``y' = p_1 y``: ``z^(m) / y = sum_r C(m, r) A^(m-r) w_r`` with ``w_0 = 1``
+    and ``w_(r+1) = w_r' + p_1 w_r``, each ``w_r`` a polynomial in
+    ``p_1, p_1', ...`` whose derivative follows the chain rule.  Returns the
+    lists ``p_1 .. p_k``, ``p_1 .. p_1^(k-1)`` and ``q_1 .. q_k``, all exact.
+    """
+    import sympy as sp
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sp.Symbol("t")
+    degree, k = coeffs.shape[0] - 1, coeffs.shape[1]
+    a = [sp.Poly([coeffs[d, i, 0] for d in range(degree, -1, -1)], t, domain=sp.QQ)
+         for i in range(k)]
+    derivs = [a] + [[ai.diff((t, m)) for ai in a] for m in range(1, k + 1)]
+    ring = sp.QQ[t]
+
+    def determinant(columns):
+        entries = [[ring.from_sympy(col[i].as_expr()) for col in columns] for i in range(k)]
+        return sp.Poly(ring.to_sympy(DomainMatrix(entries, (k, k), ring).det()), t, domain=sp.QQ)
+
+    def series(poly):
+        """Taylor coefficients ``0 .. k-1`` of ``poly`` about ``t0``."""
+        shifted = poly.shift(t0).all_coeffs()[::-1]
+        return shifted + [sp.Integer(0)] * (k - len(shifted))
+
+    num = series(determinant(derivs[: k - 1] + [[-x for x in derivs[k]]]))
+    den = series(k * determinant(derivs[:k]))
+    c = []
+    for r in range(k):
+        c.append((num[r] - sum(c[i] * den[r - i] for i in range(r))) / den[0])
+    p1_derivs = [math.factorial(r) * c[r] for r in range(k)]
+
+    def solve(columns):
+        s = sp.Matrix.hstack(*columns[:k]).LUsolve(-columns[k])
+        return [s[k - j] / math.comb(k, j) for j in range(1, k + 1)]
+
+    at = [sp.Matrix([d.eval(t0) for d in column]) for column in derivs]
+    u = sp.symbols(f"u0:{k + 1}")
+    w = [sp.Integer(1)]
+    for _ in range(k):
+        derivative = sum(sp.diff(w[-1], u[i]) * u[i + 1] for i in range(k))
+        w.append(sp.expand(derivative + u[0] * w[-1]))
+    values = dict(zip(u, p1_derivs))
+    w = [x.subs(values) for x in w]
+    z = [sum((math.comb(m, r) * w[r] * at[m - r] for r in range(m + 1)), sp.zeros(k, 1))
+         for m in range(k + 1)]
+    return solve(at), p1_derivs, solve(z)
+
+
 def kron_system(pairs):
     """The intertwining system ``M kron I - I kron N^T``, one Kronecker pair at a time."""
     n = len(pairs[0][0])
@@ -393,7 +476,7 @@ def ode_jet_reference(curve, t, state, order):
     coeffs = np.empty((order + 1, k * n, n))
     for j in range(k):
         coeffs[j] = state[:, j * n : (j + 1) * n] / math.factorial(j)
-    p_coeffs = [poly.jet_at(t, max(order - k, 0)).coeffs for poly in curve.p]
+    p_coeffs = [taylor_coefficients(poly, t, max(order - k, 0)) for poly in curve.p]
     for m in range(k, order + 1):
         idx = m - k
         top = np.zeros((k * n, n))

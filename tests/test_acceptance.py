@@ -121,7 +121,7 @@ def test_criterion_03_equivariance_suite():
 
             x_poly = random_polynomial_matrix_curve(n, 2, rng, scale=0.3)
             changed = right_multiplied(curve, x_poly).frame_jet(t0, order)
-            x0 = horner(x_poly.coefficients, t0)
+            x0 = horner(x_poly, t0)
             sch = schwarzian(fj).value()
             sch_x = schwarzian(changed).value()
             worst = max(

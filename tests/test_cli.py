@@ -789,6 +789,15 @@ class TestInputValidation:
         assert main(["invariants", path, f"--grid={grid}"]) == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, times",
+        [("0.25:1:1", [0.25]), ("0:1:3", [0.0, 0.5, 1.0]), ("0.5,-1,2", [0.5, -1.0, 2.0])],
+    )
+    def test_grid_is_a_float_array(self, text, times):
+        grid = cli_mod._parse_grid(text)
+        assert isinstance(grid, np.ndarray) and grid.dtype == float
+        np.testing.assert_array_equal(grid, times)
+
     def test_grid_cap_checked_before_allocation(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("grid allocated before the cap check")

@@ -13,13 +13,18 @@ from fanning import (
     InsufficientOrderError,
     OdeFrameCurve,
     PolynomialFrameCurve,
-    PolynomialMatrix,
     curve_from_dict,
     curve_to_dict,
     standard_curve,
 )
 from fanning.congruence import canonicalize_jet
-from fanning.curves import DEFAULT_CONDITION_LIMIT, FrameJet, _jet_from_state, companion_stack
+from fanning.curves import (
+    DEFAULT_CONDITION_LIMIT,
+    FrameJet,
+    _jet_from_state,
+    companion_stack,
+    taylor_coefficients,
+)
 from fanning.invariants import (
     endomorphism_bundle,
     invariants_from_coefficients,
@@ -32,6 +37,7 @@ from fanning.jets import horner
 from conftest import (
     ALL_KN,
     curve_p_values,
+    derivative_jet,
     drifting_ode_curve,
     frame_jet_samples,
     ode_jet_reference,
@@ -82,34 +88,33 @@ class TestEvalFrameJet:
     @pytest.mark.parametrize("extra", [-3, 0, 3])
     def test_jet_at_matches_binomial_oracle(self, t0, extra, rng):
         poly = random_polynomial_matrix_curve(3, 6, rng)
-        order = poly.degree + extra
-        jet = poly.jet_at(t0, order)
-        assert jet.base_time == t0 and jet.coeffs.shape == (order + 1, 3, 3)
+        order = len(poly) - 1 + extra
+        coeffs = taylor_coefficients(poly, t0, order)
+        assert coeffs.shape == (order + 1, 3, 3)
         # within 1e-15 per term of the bound sum_i C(i, j) |t0|^(i-j) |C_i|
-        bound = taylor_shift(np.abs(poly.coefficients), abs(t0), order)
-        error = np.abs(jet.coeffs - taylor_shift(poly.coefficients, t0, order))
-        assert np.all(error <= 1e-15 * (poly.degree + 1) * bound)
+        bound = taylor_shift(np.abs(poly), abs(t0), order)
+        error = np.abs(coeffs - taylor_shift(poly, t0, order))
+        assert np.all(error <= 1e-15 * len(poly) * bound)
 
     @pytest.mark.parametrize("t0", [1e200, -1e200, 1e160])
     def test_overflowing_shift_is_a_numerical_failure(self, t0):
-        poly = PolynomialMatrix(np.array([[[1.0]], [[0.0]], [[1.0]]]))
+        poly = np.array([[[1.0]], [[0.0]], [[1.0]]])
         with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
-            poly.jet_at(t0, 4)
+            taylor_coefficients(poly, t0, 4)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_jet_at_batch_is_stacked_per_time(self, dim, rng):
         poly = random_polynomial_matrix_curve(dim, 9, rng)
         times = np.array([0.4, -1.1, 0.0, 0.4, 2.0])
-        batched = poly.jet_at(times, 7)
-        assert batched.batch == (5,)
-        np.testing.assert_array_equal(batched.base_time, times)
-        expected = np.array([poly.jet_at(t, 7).coeffs for t in times])
-        np.testing.assert_array_equal(batched.coeffs, expected)
+        batched = taylor_coefficients(poly, times, 7)
+        assert batched.shape == (5, 8, dim, dim)
+        expected = np.array([taylor_coefficients(poly, t, 7) for t in times])
+        np.testing.assert_array_equal(batched, expected)
 
     def test_overflowing_shift_names_the_first_such_time(self):
-        poly = PolynomialMatrix(np.array([[[1.0]], [[0.0]], [[1.0]]]))
+        poly = np.array([[[1.0]], [[0.0]], [[1.0]]])
         with pytest.raises(np.linalg.LinAlgError, match=r"to t=-1e\+200 overflowed"):
-            poly.jet_at(np.array([0.5, -1e200, 1e200]), 4)
+            taylor_coefficients(poly, np.array([0.5, -1e200, 1e200]), 4)
 
     def test_coefficients_beyond_degree_are_zero(self, rng):
         curve = random_polynomial_curve(2, 1, rng, degree=3)
@@ -259,14 +264,14 @@ class TestFanningGate:
 class TestOdeCurve:
     def test_free_equation_gives_standard_jet(self):
         k, n = 3, 2
-        zero = PolynomialMatrix((np.zeros((n, n)),))
+        zero = np.zeros((1, n, n))
         curve = OdeFrameCurve(k, n, (zero,) * k, np.eye(k * n))
         fj = curve.frame_jet(0.4, k + 3)
         reference = standard_jet(k, n, k + 3)
         np.testing.assert_allclose(
             fj.jet.value(), horner(reference.jet.coeffs, 0.4 - reference.base_time), atol=1e-12
         )
-        np.testing.assert_array_equal(fj.derivative_jet(k).value(), np.zeros((k * n, n)))
+        np.testing.assert_array_equal(derivative_jet(fj, k).value(), np.zeros((k * n, n)))
 
     def test_harmonic_oscillator_closed_form(self):
         omega = 1.3
@@ -274,8 +279,8 @@ class TestOdeCurve:
             2,
             1,
             (
-                PolynomialMatrix((np.zeros((1, 1)),)),
-                PolynomialMatrix((np.array([[omega**2]]),)),
+                np.zeros((1, 1, 1)),
+                np.array([[[omega**2]]]),
             ),
             np.eye(2),
         )
@@ -287,7 +292,7 @@ class TestOdeCurve:
                 [[-omega * math.sin(omega * t)], [math.cos(omega * t)]]
             )
             np.testing.assert_allclose(
-                fj.derivative_jet(1).value(), exact_d, atol=1e-10
+                derivative_jet(fj, 1).value(), exact_d, atol=1e-10
             )
             assert abs(schwarzian(fj).value()[0, 0] - 2 * omega**2) < 1e-9
 
@@ -317,7 +322,7 @@ class TestOdeCurve:
             for e, c in enumerate(entries):
                 for d, value in enumerate(c):
                     coeffs[d][e // n, e % n] = value
-            ps.append(PolynomialMatrix(tuple(coeffs)))
+            ps.append(np.array(coeffs))
         rebuilt = OdeFrameCurve(
             k, n, tuple(ps), curve.frame_jet(0.0, k - 1).juxtaposed.value()
         )
@@ -326,7 +331,7 @@ class TestOdeCurve:
             np.testing.assert_allclose(got, horner(curve.coefficients, t), atol=1e-7)
 
     def test_non_invertible_initial_data_rejected(self):
-        zero = PolynomialMatrix((np.zeros((1, 1)),))
+        zero = np.zeros((1, 1, 1))
         with pytest.raises(NotFanningError):
             OdeFrameCurve(2, 1, (zero, zero), np.zeros((2, 2)))
 
@@ -338,7 +343,7 @@ class TestFrameJetStructure:
         fj = curve.frame_jet(0.2, 2 * k)
         jux = fj.juxtaposed
         for j in range(k):
-            shifted = fj.derivative_jet(j)
+            shifted = derivative_jet(fj, j)
             for m in range(jux.order + 1):
                 np.testing.assert_array_equal(
                     jux.coeffs[m][:, j * n : (j + 1) * n], shifted.coeffs[m]
@@ -390,14 +395,14 @@ class TestJsonFormat:
             2,
             1,
             (
-                PolynomialMatrix((np.zeros((1, 1)),)),
-                PolynomialMatrix((np.array([[omega**2]]),)),
+                np.zeros((1, 1, 1)),
+                np.array([[[omega**2]]]),
             ),
             np.eye(2),
         )
         loaded = curve_from_dict(json.loads(json.dumps(curve_to_dict(curve))))
         np.testing.assert_array_equal(loaded.initial_juxtaposed, np.eye(2))
-        assert horner(loaded.p[1].coefficients, 0.0)[0, 0] == omega**2
+        assert horner(loaded.p[1], 0.0)[0, 0] == omega**2
 
     @pytest.mark.parametrize(
         "data",
@@ -423,7 +428,7 @@ class TestJsonFormat:
         coeffs[index, 3, 1] = value
         with pytest.raises(CurveFormatError, match=rf"^frame coefficient {index} is not finite$"):
             PolynomialFrameCurve(2, 2, coeffs)
-        p = [PolynomialMatrix(np.zeros((3, 2, 2))), PolynomialMatrix(coeffs[:, 2:])]
+        p = [np.zeros((3, 2, 2)), coeffs[:, 2:]]
         with pytest.raises(CurveFormatError, match=rf"^P_2 coefficient {index} is not finite$"):
             OdeFrameCurve(2, 2, tuple(p), np.eye(4))
 
@@ -447,7 +452,8 @@ class TestJsonFormat:
         for stack, shape in (
             (curve.coefficients, (3, 6, 2)),
             (ode.equation, (2, 2, 1)),
-            (ode.p[1].coefficients, (2, 1, 1)),
+            (ode.p[1], (2, 1, 1)),
+            (ode.companion, (2, 2, 2)),
         ):
             assert isinstance(stack, np.ndarray) and stack.shape == shape
             with pytest.raises(ValueError):
@@ -459,8 +465,8 @@ def _harmonic_curve(omega):
         2,
         1,
         (
-            PolynomialMatrix((np.zeros((1, 1)),)),
-            PolynomialMatrix((np.array([[omega**2]]),)),
+            np.zeros((1, 1, 1)),
+            np.array([[[omega**2]]]),
         ),
         np.eye(2),
     )
@@ -567,13 +573,13 @@ class TestOdeSweep:
         from scipy.linalg import expm
 
         ps = tuple(
-            PolynomialMatrix(
+            np.array(
                 (((0.25 if i == 2 else 0.0) * np.eye(n) + 0.05 * rng.standard_normal((n, n))),)
             )
             for i in range(1, k + 1)
         )
         curve = OdeFrameCurve(k, n, ps, random_invertible(k * n, rng, cond_max=10.0))
-        c = curve.companion.coefficients[0]
+        c = curve.companion[0]
         times = np.linspace(-8.0, 8.0, 33)
         states = curve.frame_jets(times, k - 1).juxtaposed.value()
         for t, state in zip(times, states):
@@ -587,13 +593,13 @@ class TestOdeSweep:
         from scipy.linalg import expm
 
         ps = tuple(
-            PolynomialMatrix(
+            np.array(
                 (((0.25 if i == 2 else 0.0) * np.eye(n) + 0.05 * rng.standard_normal((n, n))),)
             )
             for i in range(1, k + 1)
         )
         curve = OdeFrameCurve(k, n, ps, random_invertible(k * n, rng, cond_max=10.0))
-        c = curve.companion.coefficients[0]
+        c = curve.companion[0]
         times = np.linspace(-8.0, 8.0, 1001)
         states = curve.frame_jets(times, k - 1).juxtaposed.value()
         for t, state in zip(times, states):
@@ -610,13 +616,13 @@ class TestOdeSweep:
         p2 = np.zeros((degree + 1, 1, 1))
         p2[degree] = 1.0
         curve = OdeFrameCurve(
-            2, 1, (PolynomialMatrix(np.zeros((1, 1, 1))), PolynomialMatrix(p2)), np.eye(2)
+            2, 1, (np.zeros((1, 1, 1)), p2), np.eye(2)
         )
         times = (-2.0, 1.0, 2.0)
         states = curve.frame_jets(times, 1).juxtaposed.value()
         for t, state in zip(times, states):
             sol = reference(
-                lambda s, y: (y.reshape(2, 2) @ horner(curve.companion.coefficients, s)).ravel(),
+                lambda s, y: (y.reshape(2, 2) @ horner(curve.companion, s)).ravel(),
                 (0.0, t),
                 np.eye(2).ravel(),
                 method="DOP853",
@@ -874,7 +880,7 @@ def _truncated(fj, order):
 # fanning frame jet of order 7; ``curves`` a polynomial and an ODE curve.
 ORDER_REQUIREMENTS = [
     ("a frame jet with k=3", 2, lambda normal, curves, r: _truncated(normal, r)),
-    ("derivative 3", 3, lambda normal, curves, r: _truncated(normal, r).derivative_jet(3)),
+    ("derivative 3", 3, lambda normal, curves, r: derivative_jet(_truncated(normal, r), 3)),
     (
         "the equation coefficients",
         3,

@@ -11,7 +11,7 @@ from fanning import (
     MatrixJet,
     NotFanningError,
     OdeFrameCurve,
-    PolynomialMatrix,
+    PolynomialFrameCurve,
     invariants_from_coefficients,
     normal_frame,
     normalized_frame_jet,
@@ -20,12 +20,14 @@ from fanning import (
     standard_curve,
     wilczynski_invariants,
 )
-from fanning.curves import DEFAULT_CONDITION_LIMIT
+from fanning.curves import DEFAULT_CONDITION_LIMIT, taylor_coefficients
 from fanning.invariants import normalizer
 from fanning.jets import horner, jet_mul
 from conftest import (
     ALL_KN,
     classical_schwarzian,
+    derivative_jet,
+    dyadic_scalar_frame,
     drifting_ode_curve,
     frame_jet_samples,
     h1_closed_form,
@@ -40,6 +42,7 @@ from conftest import (
     random_polynomial_curve,
     random_polynomial_matrix_curve,
     right_multiplied,
+    scalar_equation_oracle,
     schwarzian,
     tame_polynomial_curve,
     tan_curve,
@@ -70,9 +73,9 @@ class TestOdeCoefficients:
             fj = curve.frame_jet(0.2, 2 * k + 2)
             p = ode_coefficients(fj)
             residual = jet_sum(
-                (1.0, truncated(fj.derivative_jet(k), p[0].order)),
+                (1.0, truncated(derivative_jet(fj, k), p[0].order)),
                 *(
-                    (math.comb(k, i), jet_mul(truncated(fj.derivative_jet(k - i), p[0].order), p[i - 1]))
+                    (math.comb(k, i), jet_mul(truncated(derivative_jet(fj, k - i), p[0].order), p[i - 1]))
                     for i in range(1, k + 1)
                 ),
             )
@@ -98,7 +101,7 @@ def ill_conditioned_ode_curve(k, n):
     p = [np.zeros((1, n, n))] + [-0.1 * eye[None]] * (k - 2) + [-eye[None]]
     if k > 2:
         p[1] = np.stack((-0.5 * eye, 0.01 * np.ones((n, n))))
-    return OdeFrameCurve(k, n, tuple(PolynomialMatrix(c) for c in p), np.eye(k * n))
+    return OdeFrameCurve(k, n, tuple(p), np.eye(k * n))
 
 
 ILL_CONDITIONED_END = {2: 8.0, 3: 7.0, 4: 4.0, 5: 3.0}
@@ -115,7 +118,9 @@ class TestGivenEquation:
         assert 1e6 < fj.condition[-1] < DEFAULT_CONDITION_LIMIT
         got = wilczynski_invariants(fj).values()
         for i, t in enumerate(times):
-            expected = invariants_reference([p.jet_at(t, k) for p in curve.p])
+            expected = invariants_reference(
+                [MatrixJet(t, taylor_coefficients(p, t, k)) for p in curve.p]
+            )
             for g, e in zip(got, expected):
                 scale = np.max(np.abs(e.value()))
                 assert np.max(np.abs(g[i] - e.value())) <= 1e-13 * scale
@@ -158,7 +163,7 @@ class TestSchwarzian:
         t0 = 0.2
         a = schwarzian(curve.frame_jet(t0, 2 * k + 2)).value()
         b = schwarzian(right_multiplied(curve, x).frame_jet(t0, 2 * k + 2)).value()
-        x0 = horner(x.coefficients, t0)
+        x0 = horner(x, t0)
         np.testing.assert_allclose(b, np.linalg.solve(x0, a @ x0), atol=1e-9)
 
     def test_ambient_invariance(self, rng):
@@ -287,13 +292,35 @@ class TestWilczynski:
             invariants_from_coefficients(p)
 
 
+class TestExactScalarOracle:
+    """n = 1: kappa and ``h_j`` are the normal form's ``q_2 .. q_k``, computed exactly in sympy."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_invariants_are_the_normal_form_coefficients(self, k):
+        sp = pytest.importorskip("sympy")
+        coeffs = dyadic_scalar_frame(k)
+        times = [sp.Rational(-3, 8), sp.Integer(0), sp.Rational(1, 4)]
+        curve = PolynomialFrameCurve(k, 1, np.array(coeffs, dtype=float))
+        inv = wilczynski_invariants(curve.frame_jets(np.array(times, dtype=float), 2 * k - 1))
+        got = inv.values()[..., 0, 0]
+        for i, t0 in enumerate(times):
+            p, p1_derivs, q = scalar_equation_oracle(coeffs, t0)
+            assert q[0] == 0
+            if k == 3:
+                # Wilczynski's semi-invariants of y^(3) + 3 p_1 y'' + 3 p_2 y' + p_3 y = 0
+                assert q[1] == p[1] - p[0] ** 2 - p1_derivs[1]
+                assert q[2] == p[2] - 3 * p[0] * p[1] + 2 * p[0] ** 3 - p1_derivs[2]
+            for g, e in zip(got[:, i], q[1:]):
+                assert abs(g - float(e)) <= 1e-12 * abs(float(e))
+
+
 class TestNormalization:
     def test_high_degree_p1_is_expanded_in_full(self):
         """``P_1 = t^14`` has no term below the series order at t=0; ``X = exp(-t^15 / 15)``."""
         p1 = np.zeros((15, 1, 1))
         p1[14] = 1.0
         curve = OdeFrameCurve(
-            2, 1, (PolynomialMatrix(p1), PolynomialMatrix(np.zeros((1, 1, 1)))), np.eye(2)
+            2, 1, (p1, np.zeros((1, 1, 1))), np.eye(2)
         )
         x = normalizer(curve, [0.0, 1.2])
         assert abs(x[1, 0, 0] / math.exp(-(1.2**15) / 15) - 1) <= 1e-12
@@ -322,7 +349,7 @@ class TestNormalization:
             lift = bjet.juxtaposed.value()
             np.testing.assert_allclose(record.lifts[i], lift, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(record.frames[i], record.lifts[i][:, :1])
-            residual = bjet.derivative_jet(2).value() + bjet.jet.value() @ record.q[
+            residual = derivative_jet(bjet, 2).value() + bjet.jet.value() @ record.q[
                 0
             ][i]
             assert np.max(np.abs(residual)) < 1e-6
@@ -387,6 +414,8 @@ class TestNormalization:
             jets = frame_jet_samples(curve.frame_jets(grid, 2 * k - 1))
         record = normal_frame(curve, grid)
         size = len(grid)
+        assert record.times.dtype == float
+        np.testing.assert_array_equal(record.times, grid)
         assert record.x.shape == (size, n, n)
         assert record.lifts.shape == (size, k * n, k * n)
         assert record.frames.shape == (size, k * n, n)

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -24,22 +25,42 @@ parity = _load_tool("parity")
 abtime = _load_tool("abtime")
 
 
-def test_surface_prints_four_counts():
+def _surface(tree):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "surface.py")],
+        [sys.executable, str(ROOT / "tools" / "surface.py"), str(tree)],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    labels = [line.rpartition(": ")[0] for line in lines]
-    assert labels == ["src lines", "settable parameters", "command-line options", "exported names"]
-    assert all(int(line.rpartition(": ")[2]) > 0 for line in lines)
+    return proc.stdout.splitlines()
+
+
+def test_surface_prints_four_counts(tmp_path):
+    lines = _surface(ROOT)
+    labels = [line.partition(": ")[0] for line in lines]
+    assert labels == [
+        "src lines", "settable parameters", "command-line options", "exported names",
+        "unreferenced",
+    ]
+    assert all(int(line.rpartition(": ")[2]) > 0 for line in lines[:4])
     # the names the package's __init__ imports from its modules
     init = ast.parse((ROOT / "src" / "fanning" / "__init__.py").read_text())
     imported = [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
     assert int(lines[3].rpartition(": ")[2]) == len(imported)
+    # A function that nothing names joins the list; one that is named does not.
+    package = tmp_path / "src" / "fanning"
+    shutil.copytree(ROOT / "src" / "fanning", package)
+    with open(package / "linalg.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef planted_unused():\n    return planted_used()\n\n\n"
+                 "def planted_used():\n    return 0\n")
+    planted = _surface(tmp_path)
+    assert planted[1:4] == lines[1:4]
+
+    def listed(line):
+        return set(line.partition(": ")[2].split(", ")) - {"none"}
+
+    assert listed(planted[4]) == listed(lines[4]) | {"planted_unused"}
 
 
 def test_abtime_runs_a_tree_against_itself():

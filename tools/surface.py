@@ -1,4 +1,4 @@
-"""Print the size of the ``fanning`` package: source lines, settable parameters, options and exports.
+"""Print the size of the ``fanning`` package: lines, parameters, options, exports, unused code.
 
     python3 tools/surface.py [TREE]
 
@@ -11,10 +11,14 @@ generated ``__init__`` is not counted a second time.  Command-line options
 are the optional arguments of ``fanning.cli._build_parser()``, summed over
 its subcommands, without ``--help``.  Exported names are the public
 (not underscored) attributes of the imported package that are not its
-submodules.
+submodules.  The last line lists, as ``Class.method`` or ``function``, the
+functions, methods and classes defined in the package that no code of the
+package names (as an AST ``Name`` or ``Attribute``) and that the package
+does not export; dunder methods aside.
 """
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -89,6 +93,37 @@ def exported_names(package_dir):
     )
 
 
+def unreferenced(package_dir):
+    """Qualified names of the package's definitions that its own code never names."""
+    sys.path.insert(0, str(package_dir.parent))
+    exported = set(vars(importlib.import_module(package_dir.name)))
+    defined, named = [], set()
+
+    def collect(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((prefix + child.name, child.name))
+                collect(child, prefix + child.name + ".")
+            else:
+                collect(child, prefix)
+
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        collect(tree, "")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [
+        qualified
+        for qualified, name in defined
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in named
+        and not (qualified == name and name in exported)
+    ]
+
+
 def main(argv):
     tree = Path(argv[0] if argv else HERE.parent).resolve()
     package_dir = tree / "src" / "fanning"
@@ -98,6 +133,7 @@ def main(argv):
     print(f"settable parameters: {settable_parameters(package_dir)}")
     print(f"command-line options: {command_line_options(package_dir)}")
     print(f"exported names: {exported_names(package_dir)}")
+    print(f"unreferenced: {', '.join(unreferenced(package_dir)) or 'none'}")
 
 
 if __name__ == "__main__":
